@@ -52,7 +52,7 @@ PdnsMiner::PdnsMiner(MiningConfig config, MinerOptions options)
 
 bool PdnsMiner::LooksDisposable(const dns::Name& name) {
   if (name.IsRoot()) return false;
-  const std::string& label = name.Label(0);
+  const std::string_view label = name.Label(0);
   // Machine-generated pattern: "...-xxxxxx" with a hex tail.
   if (label.size() < 8) return false;
   if (label[label.size() - 7] != '-') return false;

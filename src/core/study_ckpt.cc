@@ -37,7 +37,7 @@ std::string BatchFrameName(size_t seq) {
 
 void PutName(ckpt::Writer& w, const dns::Name& name) {
   w.U8(static_cast<uint8_t>(name.LabelCount()));
-  for (const std::string& label : name.labels()) w.Str(label);
+  for (const std::string_view label : name.labels()) w.Str(label);
 }
 
 bool GetName(ckpt::Reader& r, dns::Name* out) {

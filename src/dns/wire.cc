@@ -30,20 +30,24 @@ void WireWriter::WriteName(const Name& name) {
   // Emit labels until a suffix we have already emitted appears; then emit a
   // compression pointer to it. Record offsets for every new suffix that is
   // still addressable by a 14-bit pointer.
-  const auto labels = name.labels();
-  for (size_t i = 0; i < labels.size(); ++i) {
-    Name suffix = name.Suffix(labels.size() - i);
-    std::string key = suffix.ToString();
-    auto it = compression_offsets_.find(key);
-    if (it != compression_offsets_.end()) {
-      WriteU16(static_cast<uint16_t>(0xC000 | it->second));
-      return;
+  const std::string_view key = name.CanonicalKey();
+  for (const std::string_view label : name.labels()) {
+    // The suffix starting at this label is the key up to the label's end.
+    const std::string_view suffix =
+        key.substr(0, label.data() + label.size() - key.data());
+    for (const Target& t : targets_) {
+      if (t.key_size == suffix.size() &&
+          target_keys_.compare(t.key_begin, t.key_size, suffix) == 0) {
+        WriteU16(static_cast<uint16_t>(0xC000 | t.offset));
+        return;
+      }
     }
     if (buffer_.size() <= 0x3FFF) {
-      compression_offsets_.emplace(key,
-                                   static_cast<uint16_t>(buffer_.size()));
+      targets_.push_back({static_cast<uint32_t>(target_keys_.size()),
+                          static_cast<uint16_t>(suffix.size()),
+                          static_cast<uint16_t>(buffer_.size())});
+      target_keys_ += suffix;
     }
-    const std::string& label = labels[i];
     WriteU8(static_cast<uint8_t>(label.size()));
     WriteBytes(reinterpret_cast<const uint8_t*>(label.data()), label.size());
   }
@@ -51,7 +55,7 @@ void WireWriter::WriteName(const Name& name) {
 }
 
 void WireWriter::WriteNameUncompressed(const Name& name) {
-  for (const std::string& label : name.labels()) {
+  for (const std::string_view label : name.labels()) {
     WriteU8(static_cast<uint8_t>(label.size()));
     WriteBytes(reinterpret_cast<const uint8_t*>(label.data()), label.size());
   }
@@ -137,44 +141,57 @@ util::Status WireReader::ReadBytes(uint8_t* out, size_t len) {
   return util::Status::Ok();
 }
 
-util::StatusOr<Name> WireReader::ReadName() { return ReadNameAt(pos_, 0); }
-
-util::StatusOr<Name> WireReader::ReadNameAt(size_t& pos, int depth) {
-  if (depth > 32) return util::ParseError("compression pointer loop");
-  std::vector<std::string> labels;
+util::StatusOr<Name> WireReader::ReadName() {
+  // Offsets of the labels' length bytes, leftmost first; 255 wire octets
+  // hold at most 127 labels.
+  size_t label_at[127];
+  size_t count = 0;
   size_t wire_len = 1;
+  size_t pos = pos_;
+  size_t resume = 0;  // just past the first compression pointer, if any
+  int pointers = 0;
   for (;;) {
     if (pos >= len_) return util::ParseError("truncated name");
-    uint8_t len_byte = data_[pos];
+    const uint8_t len_byte = data_[pos];
     if ((len_byte & 0xC0) == 0xC0) {
       if (pos + 2 > len_) return util::ParseError("truncated pointer");
-      size_t target = (static_cast<size_t>(len_byte & 0x3F) << 8) |
-                      data_[pos + 1];
-      pos += 2;
-      if (target >= pos - 2) {
-        return util::ParseError("forward compression pointer");
-      }
-      size_t tail_pos = target;
-      auto tail = ReadNameAt(tail_pos, depth + 1);
-      if (!tail.ok()) return tail.status();
-      for (const std::string& label : tail->labels()) {
-        labels.push_back(label);
-        wire_len += 1 + label.size();
-        if (wire_len > 255) return util::ParseError("name too long");
-      }
-      return Name::FromLabels(std::move(labels));
+      const size_t target = (static_cast<size_t>(len_byte & 0x3F) << 8) |
+                            data_[pos + 1];
+      if (target >= pos) return util::ParseError("forward compression pointer");
+      if (++pointers > 32) return util::ParseError("compression pointer loop");
+      if (resume == 0) resume = pos + 2;
+      pos = target;
+      continue;
     }
     if ((len_byte & 0xC0) != 0) {
       return util::ParseError("reserved label type");
     }
-    ++pos;
-    if (len_byte == 0) return Name::FromLabels(std::move(labels));
-    if (pos + len_byte > len_) return util::ParseError("truncated label");
-    labels.emplace_back(reinterpret_cast<const char*>(data_ + pos), len_byte);
-    pos += len_byte;
+    if (len_byte == 0) {
+      ++pos;
+      break;
+    }
+    if (pos + 1 + len_byte > len_) return util::ParseError("truncated label");
     wire_len += 1 + len_byte;
     if (wire_len > 255) return util::ParseError("name too long");
+    // A '\0' inside a label would forge a label boundary in the key.
+    if (std::memchr(data_ + pos + 1, 0, len_byte) != nullptr) {
+      return util::ParseError("NUL byte in label");
+    }
+    label_at[count++] = pos;
+    pos += 1 + len_byte;
   }
+  pos_ = resume != 0 ? resume : pos;
+  // The key holds the labels rightmost-first; FromCanonicalKey validates
+  // and lowercases them.
+  char key[253];
+  size_t key_len = 0;
+  for (size_t i = count; i-- > 0;) {
+    const size_t len = data_[label_at[i]];
+    if (key_len > 0) key[key_len++] = '\0';
+    std::memcpy(key + key_len, data_ + label_at[i] + 1, len);
+    key_len += len;
+  }
+  return Name::FromCanonicalKey(std::string_view(key, key_len));
 }
 
 util::StatusOr<Rdata> ReadRdata(WireReader& reader, RRType type,

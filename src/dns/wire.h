@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -26,7 +25,9 @@ class WireWriter {
   void WriteBytes(const uint8_t* data, size_t len);
 
   // Writes a domain name, using a compression pointer to an earlier
-  // occurrence of the longest possible suffix (RFC 1035 §4.1.4).
+  // occurrence of the longest possible suffix (RFC 1035 §4.1.4). Suffixes
+  // are matched by canonical key: the suffix starting at a label is a prefix
+  // of the name's key.
   void WriteName(const Name& name);
 
   // Writes a name without compression (used inside rdata where some
@@ -45,9 +46,17 @@ class WireWriter {
   void PatchU16(size_t offset, uint16_t v);
 
  private:
+  // A name suffix already emitted at an offset a 14-bit pointer reaches:
+  // its canonical key is target_keys_[key_begin, key_begin + key_size).
+  struct Target {
+    uint32_t key_begin;
+    uint16_t key_size;
+    uint16_t offset;
+  };
+
   std::vector<uint8_t> buffer_;
-  // Maps an already-emitted name suffix (presentation form) to its offset.
-  std::map<std::string, uint16_t> compression_offsets_;
+  std::string target_keys_;
+  std::vector<Target> targets_;
 };
 
 class WireReader {
@@ -61,8 +70,9 @@ class WireReader {
   util::StatusOr<uint32_t> ReadU32();
   util::Status ReadBytes(uint8_t* out, size_t len);
 
-  // Reads a (possibly compressed) domain name. Rejects pointer loops and
-  // forward pointers.
+  // Reads a (possibly compressed) domain name, building its canonical key
+  // straight from the wire labels. Rejects pointer loops, forward pointers
+  // and invalid labels.
   util::StatusOr<Name> ReadName();
 
   // Decodes a full resource record starting at the current position.
@@ -73,8 +83,6 @@ class WireReader {
   bool AtEnd() const { return pos_ == len_; }
 
  private:
-  util::StatusOr<Name> ReadNameAt(size_t& pos, int depth);
-
   const uint8_t* data_;
   size_t len_;
   size_t pos_ = 0;

@@ -241,7 +241,7 @@ PdnsEntryView MappedPdnsSnapshot::EntryRange::Iterator::operator*() const {
 std::pair<size_t, size_t> MappedPdnsSnapshot::WildcardNameRange(
     const dns::Name& suffix) const {
   if (suffix.IsRoot()) return {0, name_count_};
-  const std::string key = suffix.CanonicalKey();
+  const std::string_view key = suffix.CanonicalKey();
   // lower_bound over the key array: first name key >= suffix key.
   size_t lo = 0, hi = name_count_;
   while (lo < hi) {

@@ -17,13 +17,10 @@ constexpr util::CivilDay WindowStart() { return 18262; }  // 2020-01-01
 // "pns12cloudns.net for pns12.cloudns.net" zone-file typo.
 dns::Name TypoOf(const dns::Name& host) {
   if (host.LabelCount() < 2) return host;
-  std::vector<std::string> labels;
-  labels.push_back(host.Label(0) + host.Label(1));
-  for (size_t i = 2; i < host.LabelCount(); ++i) {
-    labels.push_back(host.Label(i));
-  }
-  auto name = dns::Name::FromLabels(std::move(labels));
-  return name.ok() ? *std::move(name) : host;
+  std::string fused(host.Label(0));
+  fused += host.Label(1);
+  if (!dns::IsValidLabel(fused)) return host;
+  return host.Suffix(host.LabelCount() - 2).Child(fused);
 }
 
 }  // namespace

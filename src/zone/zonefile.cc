@@ -103,11 +103,12 @@ util::StatusOr<dns::Name> ResolveName(const std::string& token,
   }
   // Relative: append the origin.
   auto relative = dns::Name::Parse(token);
-  if (!relative.ok()) return relative.status();
-  std::vector<std::string> labels;
-  for (const auto& label : relative->labels()) labels.push_back(label);
-  for (const auto& label : origin.labels()) labels.push_back(label);
-  return dns::Name::FromLabels(std::move(labels));
+  if (!relative.ok() || origin.IsRoot()) return relative;
+  // Keys hold labels rightmost-first: the origin's key comes first.
+  std::string key(origin.CanonicalKey());
+  key += '\0';
+  key += relative->CanonicalKey();
+  return dns::Name::FromCanonicalKey(key);
 }
 
 util::StatusOr<uint32_t> ParseU32(const std::string& token) {
@@ -333,10 +334,14 @@ namespace {
 std::string RelativeOwner(const dns::Name& name, const dns::Name& origin) {
   if (name == origin) return "@";
   if (name.IsProperSubdomainOf(origin)) {
-    std::vector<std::string> labels;
+    std::string relative;
     size_t keep = name.LabelCount() - origin.LabelCount();
-    for (size_t i = 0; i < keep; ++i) labels.push_back(name.Label(i));
-    return util::Join(labels, ".");
+    for (const std::string_view label : name.labels()) {
+      if (keep-- == 0) break;
+      if (!relative.empty()) relative += '.';
+      relative += label;
+    }
+    return relative;
   }
   return name.ToString() + ".";
 }
