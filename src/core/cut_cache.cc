@@ -46,60 +46,29 @@ void SharedCutCache::Publish(const dns::Name& cut, Entry entry) {
   Stripe& stripe = StripeFor(cut);
   {
     std::lock_guard lock(stripe.mu);
-    auto it = stripe.entries.find(cut);
-    if (it != stripe.entries.end() && !it->second.reachable) {
-      --stripe.negatives;  // a retried cut came back to life
-    }
+    stripe.negatives.erase(cut);  // a retried cut may have come back to life
     stripe.entries[cut] = std::move(entry);
   }
   std::lock_guard stats_lock(stats_mu_);
   ++stats_.publishes;
 }
 
-size_t SharedCutCache::EvictNegativesLocked(Stripe& stripe, uint64_t now_ms) {
-  if (stripe.negatives < max_negatives_per_stripe_) return 0;
-  size_t evicted = 0;
-  // Expired negatives are pure garbage — drop them all first.
-  for (auto it = stripe.entries.begin(); it != stripe.entries.end();) {
-    if (!it->second.reachable && it->second.expires_ms <= now_ms) {
-      it = stripe.entries.erase(it);
-      --stripe.negatives;
-      ++evicted;
-    } else {
-      ++it;
-    }
-  }
-  // Still full: drop the earliest-expiring live negatives until one slot
-  // frees up. The victim order is (expires_ms, canonical name) — the key
-  // tiebreak is explicit, not an artifact of std::map iteration order, so
-  // same-expiry ties evict identically even if the container ever changes
-  // (pinned by CutCacheCkptTest.NegativeEvictionTiebreakIsStable).
-  while (stripe.negatives >= max_negatives_per_stripe_) {
-    auto victim = stripe.entries.end();
-    for (auto it = stripe.entries.begin(); it != stripe.entries.end(); ++it) {
-      if (it->second.reachable) continue;
-      if (victim == stripe.entries.end() ||
-          it->second.expires_ms < victim->second.expires_ms ||
-          (it->second.expires_ms == victim->second.expires_ms &&
-           it->first < victim->first)) {
-        victim = it;
-      }
-    }
-    if (victim == stripe.entries.end()) break;
-    stripe.entries.erase(victim);
-    --stripe.negatives;
-    ++evicted;
-  }
-  return evicted;
+size_t SharedCutCache::EvictNegativesLocked(Stripe& stripe) {
+  if (stripe.negatives.size() < max_negatives_per_stripe_) return 0;
+  // The victim is the canonically smallest negative: an explicit order, not
+  // publish order, so the choice does not depend on which worker published
+  // first (pinned by CutCacheCkptTest.NegativeEvictionTiebreakIsStable).
+  auto victim = stripe.negatives.begin();
+  stripe.entries.erase(*victim);
+  stripe.negatives.erase(victim);
+  return 1;
 }
 
 void SharedCutCache::PublishUnreachable(const dns::Name& cut,
-                                        std::vector<dns::Name> ns_names,
-                                        uint64_t expires_ms, uint64_t now_ms) {
+                                        std::vector<dns::Name> ns_names) {
   Entry entry;
   entry.ns_names = std::move(ns_names);
   entry.reachable = false;
-  entry.expires_ms = expires_ms;
   if (trace_log_ != nullptr) {
     trace_log_->Record(cut.ToString(), /*reachable=*/false,
                        static_cast<uint32_t>(entry.ns_names.size()),
@@ -109,12 +78,11 @@ void SharedCutCache::PublishUnreachable(const dns::Name& cut,
   size_t evicted = 0;
   {
     std::lock_guard lock(stripe.mu);
-    auto it = stripe.entries.find(cut);
-    const bool replacing_negative =
-        it != stripe.entries.end() && !it->second.reachable;
-    if (!replacing_negative) evicted = EvictNegativesLocked(stripe, now_ms);
+    if (!stripe.negatives.contains(cut)) {
+      evicted = EvictNegativesLocked(stripe);
+      stripe.negatives.insert(cut);
+    }
     stripe.entries[cut] = std::move(entry);
-    if (!replacing_negative) ++stripe.negatives;
   }
   std::lock_guard stats_lock(stats_mu_);
   ++stats_.negative_publishes;
@@ -139,7 +107,7 @@ void SharedCutCache::Clear() {
   for (const auto& stripe : stripes_) {
     std::lock_guard lock(stripe->mu);
     stripe->entries.clear();
-    stripe->negatives = 0;
+    stripe->negatives.clear();
   }
 }
 

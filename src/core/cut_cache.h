@@ -21,12 +21,24 @@
 // That keeps per-domain query_stats — and therefore the study's resilience
 // report — a pure function of (world seed, domain), byte-identical no matter
 // how many workers share the cache or which of them warmed it.
+//
+// Negatives are pass-lived: a dead-subtree entry holds until the cache is
+// cleared or destroyed, or until the per-stripe bound evicts it. It carries
+// no expiry because no clock could judge one. Every domain and every cut
+// computation runs on its own hermetic chaos clock, each starting at a
+// tag-derived offset up to ~17 minutes, so comparing a reader's clock with
+// a stamp from the publisher's clock is a pseudo-random verdict, not time.
+// Nothing is lost by holding: a re-probe runs in the cut's hermetic scope
+// and reproduces the identical negative, and the domain records one
+// negative_cache_hit either way (DESIGN.md §6c). The serial resolver's
+// private cache runs on one clock and keeps its TTL.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <vector>
 
 #include "core/resolver.h"
@@ -39,7 +51,7 @@ namespace govdns::core {
 struct CutCacheStats {
   uint64_t hits = 0;             // positive entries served
   uint64_t misses = 0;
-  uint64_t negative_hits = 0;    // unexpired dead-subtree entries served
+  uint64_t negative_hits = 0;    // dead-subtree entries served
   uint64_t publishes = 0;
   uint64_t negative_publishes = 0;
   uint64_t negative_evictions = 0;  // negatives dropped by the per-stripe bound
@@ -55,17 +67,16 @@ class SharedCutCache {
   struct Entry {
     std::vector<dns::Name> ns_names;
     std::vector<geo::IPv4> addresses;
-    bool reachable = true;    // false: remembering a dead subtree
-    uint64_t expires_ms = 0;  // unreachable entries only: retry-after time
+    bool reachable = true;  // false: remembering a dead subtree
   };
 
   // `max_negatives_per_stripe` bounds how many dead-subtree entries a stripe
-  // retains; publishing past the bound evicts expired negatives first, then
-  // the earliest-expiring one. The bound keeps a resumed run (or a very long
-  // one) from accumulating stale negatives without limit. Eviction is
-  // outcome-neutral for per-domain results: re-probing an evicted dead
-  // subtree costs infra-charged queries and one negative_cache_hit per
-  // domain, exactly like a warm negative (uniform accounting, DESIGN.md §6e).
+  // retains; publishing past the bound evicts the stripe's canonically
+  // smallest negative. The bound keeps a very long pass from accumulating
+  // negatives without limit. Eviction is outcome-neutral for per-domain
+  // results: re-probing an evicted dead subtree costs infra-charged queries
+  // and one negative_cache_hit per domain, exactly like a warm negative
+  // (uniform accounting, DESIGN.md §6c).
   explicit SharedCutCache(size_t stripes = 16,
                           size_t max_negatives_per_stripe = 256);
 
@@ -75,10 +86,9 @@ class SharedCutCache {
   // Publishes (or overwrites) an entry. Racing publishers of the same cut
   // carry identical content by construction, so ordering is immaterial.
   void Publish(const dns::Name& cut, Entry entry);
-  // `now_ms` drives expired-first eviction under the negative bound; expiry
-  // itself is judged against the logical clock by the resolver on lookup.
-  void PublishUnreachable(const dns::Name& cut, std::vector<dns::Name> ns_names,
-                          uint64_t expires_ms, uint64_t now_ms);
+  // Publishes a dead-subtree entry; it holds for the rest of the pass.
+  void PublishUnreachable(const dns::Name& cut,
+                          std::vector<dns::Name> ns_names);
 
   void ChargeInfra(const ResolverCounters& effort);
 
@@ -102,13 +112,16 @@ class SharedCutCache {
   struct Stripe {
     mutable std::mutex mu;
     std::map<dns::Name, Entry> entries;
-    size_t negatives = 0;  // unreachable entries currently held
+    // Keys of the unreachable entries, in canonical order: the eviction
+    // victim is the first one.
+    std::set<dns::Name> negatives;
   };
 
   Stripe& StripeFor(const dns::Name& cut) const;
-  // Under the stripe lock: make room for one more negative. Returns the
-  // number of negatives evicted (expired-first, then earliest expiry).
-  size_t EvictNegativesLocked(Stripe& stripe, uint64_t now_ms);
+  // Under the stripe lock: make room for one more negative by dropping the
+  // canonically smallest one if the stripe is full. Returns the number of
+  // negatives evicted.
+  size_t EvictNegativesLocked(Stripe& stripe);
 
   std::vector<std::unique_ptr<Stripe>> stripes_;
   size_t max_negatives_per_stripe_;

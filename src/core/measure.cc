@@ -184,6 +184,11 @@ void ActiveMeasurer::PublishCacheGauges() {
   m.SetGauge("cutcache.negative_publishes",
              static_cast<int64_t>(cs.negative_publishes),
              Determinism::kDiagnostic);
+  // Shared negatives hold for the pass, so eviction by the per-stripe bound
+  // is the only way one gets re-earned.
+  m.SetGauge("cutcache.negative_evictions",
+             static_cast<int64_t>(cs.negative_evictions),
+             Determinism::kDiagnostic);
   m.SetGauge("cutcache.infra_queries", static_cast<int64_t>(cs.infra.queries),
              Determinism::kDiagnostic);
 }

@@ -7,7 +7,6 @@
 #include <iterator>
 #include <limits>
 #include <optional>
-#include <set>
 #include <span>
 #include <string_view>
 #include <thread>
@@ -663,62 +662,74 @@ std::vector<int> PdnsMiner::ActiveQueryCountries(const MinedDataset& dataset) {
 }
 
 std::vector<YearlyCounts> CountPerYear(const MinedDataset& dataset) {
-  const int years = dataset.config.year_count();
+  const size_t years = static_cast<size_t>(dataset.config.year_count());
   std::vector<YearlyCounts> out(years);
-  std::vector<std::set<int>> countries(years);
-  std::vector<std::set<int32_t>> nameservers(years);
-  for (int y = 0; y < years; ++y) {
-    out[y].year = dataset.config.first_year + y;
+  for (size_t y = 0; y < years; ++y) {
+    out[y].year = dataset.config.first_year + static_cast<int>(y);
   }
+  // Dense presence marks, one byte per (key, year): a country or NS id is
+  // counted the first time it is marked in a year. Country rows are offset
+  // by one so the SeedDomain default -1 has a row, and grow on demand; NS
+  // rows are indexed by interned id.
+  std::vector<uint8_t> country_marks;
+  std::vector<uint8_t> ns_marks(dataset.ns_names.size() * years);
+  auto mark = [](uint8_t& slot) -> int64_t {
+    const int64_t fresh = slot == 0;
+    slot = 1;
+    return fresh;
+  };
   for (const MinedDomain& domain : dataset.domains) {
-    for (int y = 0; y < years; ++y) {
-      if (!domain.HasData(y)) continue;
-      ++out[y].domains;
-      countries[y].insert(domain.country);
-      nameservers[y].insert(domain.years[y].ns_ids.begin(),
-                            domain.years[y].ns_ids.end());
+    GOVDNS_CHECK(domain.country >= -1);
+    const size_t country_row = static_cast<size_t>(domain.country + 1) * years;
+    if (country_marks.size() < country_row + years) {
+      country_marks.resize(country_row + years);
     }
-  }
-  for (int y = 0; y < years; ++y) {
-    out[y].countries = static_cast<int64_t>(countries[y].size());
-    out[y].nameservers = static_cast<int64_t>(nameservers[y].size());
+    for (size_t y = 0; y < years; ++y) {
+      if (!domain.HasData(static_cast<int>(y))) continue;
+      YearlyCounts& row = out[y];
+      ++row.domains;
+      row.countries += mark(country_marks[country_row + y]);
+      for (int32_t id : domain.years[y].ns_ids) {
+        row.nameservers += mark(ns_marks[static_cast<size_t>(id) * years + y]);
+      }
+    }
   }
   return out;
 }
 
 std::vector<D1nsChurnRow> D1nsChurn(const MinedDataset& dataset) {
   const int years = dataset.config.year_count();
-  // Per year: the set of d_1NS (by domain index).
-  std::vector<std::set<size_t>> d1ns(years);
-  std::vector<std::set<size_t>> has_data(years);
-  for (size_t i = 0; i < dataset.domains.size(); ++i) {
-    const MinedDomain& domain = dataset.domains[i];
+  // Per year: d_1NS domains, those also d_1NS in the first year, those new
+  // against the year before, and first-year d_1NS domains without data.
+  // Each domain's years are walked in order, so the only state a domain
+  // needs is its own first-year and previous-year d_1NS marks.
+  std::vector<int64_t> d1ns(years, 0), overlap_first(years, 0);
+  std::vector<int64_t> fresh(years, 0), first_gone(years, 0);
+  for (const MinedDomain& domain : dataset.domains) {
+    const bool first_d1ns = years > 0 && domain.years[0].mode_ns_count == 1;
+    bool prev_d1ns = false;
     for (int y = 0; y < years; ++y) {
-      if (!domain.HasData(y)) continue;
-      has_data[y].insert(i);
-      if (domain.years[y].mode_ns_count == 1) d1ns[y].insert(i);
+      const bool is_d1ns = domain.years[y].mode_ns_count == 1;
+      if (is_d1ns) {
+        ++d1ns[y];
+        if (first_d1ns) ++overlap_first[y];
+        if (!prev_d1ns) ++fresh[y];
+      }
+      if (first_d1ns && !domain.HasData(y)) ++first_gone[y];
+      prev_d1ns = is_d1ns;
     }
   }
   std::vector<D1nsChurnRow> out;
   for (int y = 0; y < years; ++y) {
     D1nsChurnRow row;
     row.year = dataset.config.first_year + y;
-    row.d1ns_total = static_cast<int64_t>(d1ns[y].size());
-    if (y > 0 && !d1ns[y].empty()) {
-      int64_t overlap_2011 = 0, fresh = 0;
-      for (size_t i : d1ns[y]) {
-        if (d1ns[0].contains(i)) ++overlap_2011;
-        if (!d1ns[y - 1].contains(i)) ++fresh;
-      }
-      row.pct_overlap_2011 = double(overlap_2011) / double(d1ns[y].size());
-      row.pct_new_vs_prev = double(fresh) / double(d1ns[y].size());
+    row.d1ns_total = d1ns[y];
+    if (y > 0 && d1ns[y] > 0) {
+      row.pct_overlap_2011 = double(overlap_first[y]) / double(d1ns[y]);
+      row.pct_new_vs_prev = double(fresh[y]) / double(d1ns[y]);
     }
-    if (y > 0 && !d1ns[0].empty()) {
-      int64_t gone = 0;
-      for (size_t i : d1ns[0]) {
-        if (!has_data[y].contains(i)) ++gone;
-      }
-      row.pct_2011_cohort_gone = double(gone) / double(d1ns[0].size());
+    if (y > 0 && d1ns[0] > 0) {
+      row.pct_2011_cohort_gone = double(first_gone[y]) / double(d1ns[0]);
     }
     out.push_back(row);
   }

@@ -438,26 +438,24 @@ IterativeResolver::WalkToZoneShared(const dns::Name& name, bool stop_above,
   current.zone = dns::Name::Root();
   current.addresses = roots_;
 
-  // Start from the deepest cached ancestor. An unexpired dead subtree fails
-  // the walk immediately; an *expired* negative entry is treated as a plain
-  // miss — no eager erase, because the hermetic re-probe below reproduces
-  // the identical outcome and simply republishes over it.
+  // Start from the deepest cached ancestor. A dead subtree fails the walk
+  // immediately: shared negatives hold for the whole pass, because a
+  // hermetic re-probe would only reproduce the identical verdict (see
+  // SharedCutCache).
   const size_t max_count = name.LabelCount() - (stop_above ? 1 : 0);
   for (size_t count = max_count; count > 0; --count) {
     auto entry = cache.Lookup(name.Suffix(count));
     if (!entry.has_value()) continue;
-    if (entry->reachable) {
-      current.zone = name.Suffix(count);
-      current.ns_names = std::move(entry->ns_names);
-      current.addresses = std::move(entry->addresses);
-      break;
-    }
-    if (transport_->now_ms() < entry->expires_ms) {
+    if (!entry->reachable) {
       ++counters_.negative_cache_hits;
       Trace(obs::TraceEventKind::kNegativeCacheHit);
       return util::UnavailableError("cached-unreachable zone at " +
                                     name.Suffix(count).ToString());
     }
+    current.zone = name.Suffix(count);
+    current.ns_names = std::move(entry->ns_names);
+    current.addresses = std::move(entry->addresses);
+    break;
   }
 
   for (int hop = 0; hop < options_.max_referrals; ++hop) {
@@ -471,7 +469,6 @@ IterativeResolver::WalkToZoneShared(const dns::Name& name, bool stop_above,
     dns::Name cut;
     std::vector<dns::Name> ns_names;
     std::vector<geo::IPv4> addrs;
-    uint64_t neg_expires = 0;
     {
       InfraScope scope(*this, current.zone);
       ServerReply usable;
@@ -489,7 +486,6 @@ IterativeResolver::WalkToZoneShared(const dns::Name& name, bool stop_above,
       }
       if (!have_usable) {
         dead = true;
-        neg_expires = transport_->now_ms() + options_.negative_cache_ttl_ms;
       } else if (usable.outcome != QueryOutcome::kReferral) {
         direct = true;
       } else {
@@ -510,8 +506,6 @@ IterativeResolver::WalkToZoneShared(const dns::Name& name, bool stop_above,
                                   depth_budget - 1);
           if (!a.ok()) {
             cut_unresolvable = true;
-            neg_expires =
-                transport_->now_ms() + options_.negative_cache_ttl_ms;
           } else {
             addrs = *std::move(a);
           }
@@ -522,17 +516,17 @@ IterativeResolver::WalkToZoneShared(const dns::Name& name, bool stop_above,
       if (watchdog_cancelled_) {
         // Abandoned by the wall-clock watchdog, not refused by the zone:
         // "dead" is a scheduling artifact here. Publishing it would poison
-        // the shared cache for every worker — and turn the requeue-once
-        // retry into an instant negative-cache hit. Fail this walk
-        // verdict-free and uncounted, like every other cancellation effect.
+        // the shared cache for every worker for the rest of the pass — and
+        // turn the requeue-once retry into an instant negative-cache hit.
+        // Fail this walk verdict-free and uncounted, like every other
+        // cancellation effect.
         return util::UnavailableError("walk cancelled under " +
                                       current.zone.ToString());
       }
       // Never negatively cache the root: a transiently dark root would
-      // poison every later walk, for every worker, for the whole cooldown.
+      // poison every later walk, for every worker, for the whole pass.
       if (!current.zone.IsRoot()) {
-        cache.PublishUnreachable(current.zone, current.ns_names, neg_expires,
-                                 transport_->now_ms());
+        cache.PublishUnreachable(current.zone, current.ns_names);
       }
       // Uniform accounting: the domain whose walk probed the dead subtree
       // and the domains that later hit the cached negative each record
@@ -558,8 +552,7 @@ IterativeResolver::WalkToZoneShared(const dns::Name& name, bool stop_above,
         return util::UnavailableError("walk cancelled under " +
                                       cut.ToString());
       }
-      cache.PublishUnreachable(cut, ns_names, neg_expires,
-                               transport_->now_ms());
+      cache.PublishUnreachable(cut, ns_names);
       ++counters_.negative_cache_hits;
       Trace(obs::TraceEventKind::kNegativeCacheHit);
       return util::UnavailableError("unresolvable delegation at " +

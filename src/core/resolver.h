@@ -102,10 +102,13 @@ struct ResolverOptions {
   int max_cname_chain = 4;
   RetryPolicy retry;       // per-server-query retry/backoff/health policy
   // How long a zone cut discovered to be unreachable stays negatively
-  // cached (transport-clock ms) before the resolver will try it again.
-  // Every negative carries an explicit expiry derived from the transport's
-  // logical clock at discovery time — never a wall clock, and never persisted
-  // across runs (checkpoint restore drops negatives, DESIGN.md §6f).
+  // cached in the private cut cache (transport-clock ms) before the
+  // resolver will try it again. Every private negative carries an explicit
+  // expiry derived from the transport's logical clock at discovery time —
+  // never a wall clock, and never persisted across runs (checkpoint restore
+  // drops negatives, DESIGN.md §6f). The private cache runs on one clock, so
+  // its expiry means time; the shared cache (engine mode, below) runs on
+  // per-domain hermetic clocks and has no TTL.
   uint32_t negative_cache_ttl_ms = 120000;
   // Bound on negative entries the private cut cache retains. Past the bound
   // CacheUnreachable evicts expired negatives first, then the
@@ -128,7 +131,9 @@ struct ResolverOptions {
   // world seed and the domain, never on which worker warmed the cache. The
   // caller must keep the cache alive for the resolver's lifetime. In engine
   // mode the armed query budget caps only the caller-attributed (surface)
-  // queries; shared-cut computation is bounded by the cache itself.
+  // queries; shared-cut computation is bounded by the cache itself. A shared
+  // negative stops every later walk through it for the rest of the pass;
+  // negative_cache_ttl_ms and max_negative_cuts do not apply to it.
   SharedCutCache* shared_cache = nullptr;
 };
 

@@ -352,8 +352,13 @@ std::optional<StudyCheckpoint::MiningSnapshot> StudyCheckpoint::TryLoadMining(
     for (size_t i = 0; ok && i < domain_count; ++i) {
       MinedDomain& dom = snap.dataset.domains[i];
       size_t year_count = 0;
+      // The longitudinal analyzers walk every configured year and index
+      // dense marks by country (from the -1 default up) and by NS id.
       ok = GetName(r, &dom.name) && r.I32(&dom.country) &&
-           r.I32(&dom.seed_index) && r.Count(&year_count);
+           dom.country >= -1 && r.I32(&dom.seed_index) &&
+           r.Count(&year_count) &&
+           year_count ==
+               static_cast<size_t>(snap.dataset.config.year_count());
       if (ok) {
         dom.years.resize(year_count);
         for (size_t y = 0; ok && y < year_count; ++y) {
@@ -363,7 +368,8 @@ std::optional<StudyCheckpoint::MiningSnapshot> StudyCheckpoint::TryLoadMining(
           if (ok) {
             ys.ns_ids.resize(id_count);
             for (size_t k = 0; ok && k < id_count; ++k) {
-              ok = r.I32(&ys.ns_ids[k]);
+              ok = r.I32(&ys.ns_ids[k]) && ys.ns_ids[k] >= 0 &&
+                   static_cast<size_t>(ys.ns_ids[k]) < ns_count;
             }
           }
         }
@@ -498,8 +504,8 @@ void StudyCheckpoint::SaveCutCacheSnapshot(const SharedCutCache& cache) {
   GOVDNS_CHECK(have_mining_);
   std::vector<std::pair<dns::Name, SharedCutCache::Entry>> entries =
       cache.Export();
-  // Reachable entries only: negatives must re-expire on the resumed run's
-  // logical clock, never replay from disk (see header comment).
+  // Reachable entries only: negatives live for one pass and never replay
+  // from disk (see header comment).
   std::erase_if(entries, [](const auto& e) { return !e.second.reachable; });
   ckpt::Writer w;
   w.U8(kKindCutCache);

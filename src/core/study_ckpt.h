@@ -14,8 +14,8 @@
 // snapshot is purely advisory — positives only, never required for
 // correctness — because per-domain measurement is hermetic: a cold cache is
 // recomputed to identical content, and negatives are deliberately NOT
-// restored so a resumed run can never replay a stale dead-subtree verdict
-// past its logical-clock expiry.
+// saved: a shared negative lives for one measurement pass, so a resumed run
+// earns its own dead-subtree verdicts and never replays one from disk.
 #pragma once
 
 #include <cstdint>

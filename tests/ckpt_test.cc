@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -510,8 +511,7 @@ TEST(CutCacheCkptTest, ExportIsSortedRestoreDropsNegatives) {
   pos.addresses = {geo::IPv4(0x01020304u)};
   cache.Publish(N("gov.aa"), pos);
   cache.Publish(N("gov.bb"), pos);
-  cache.PublishUnreachable(N("dead.gov.cc"), {N("ns.dead.gov.cc")},
-                           /*expires_ms=*/5000, /*now_ms=*/0);
+  cache.PublishUnreachable(N("dead.gov.cc"), {N("ns.dead.gov.cc")});
 
   auto exported = cache.Export();
   ASSERT_EQ(exported.size(), 3u);
@@ -544,28 +544,28 @@ TEST(CutCacheCkptTest, RestoreNeverOverwritesLiveEntries) {
   EXPECT_EQ(hit->ns_names, live.ns_names);
 }
 
-TEST(CutCacheCkptTest, NegativeBoundEvictsExpiredFirstThenEarliest) {
+TEST(CutCacheCkptTest, NegativeBoundEvictsCanonicallySmallest) {
   // One stripe so the bound applies globally; capacity 2.
   core::SharedCutCache cache(/*stripes=*/1, /*max_negatives_per_stripe=*/2);
-  cache.PublishUnreachable(N("a.gov"), {}, /*expires_ms=*/100, /*now_ms=*/0);
-  cache.PublishUnreachable(N("b.gov"), {}, /*expires_ms=*/900, /*now_ms=*/0);
+  cache.PublishUnreachable(N("a.gov"), {});
+  cache.PublishUnreachable(N("b.gov"), {});
   EXPECT_EQ(cache.stats().negative_evictions, 0u);
 
-  // At now=500, a.gov has expired: it goes first.
-  cache.PublishUnreachable(N("c.gov"), {}, /*expires_ms=*/950, /*now_ms=*/500);
+  // Full: the canonically smallest negative (a) goes.
+  cache.PublishUnreachable(N("c.gov"), {});
   EXPECT_EQ(cache.stats().negative_evictions, 1u);
   EXPECT_FALSE(cache.Lookup(N("a.gov")).has_value());
   EXPECT_TRUE(cache.Lookup(N("b.gov")).has_value());
 
-  // Nothing expired at now=500: the earliest-expiring live negative (b) goes.
-  cache.PublishUnreachable(N("d.gov"), {}, /*expires_ms=*/990, /*now_ms=*/500);
+  // Full again: now b is the smallest.
+  cache.PublishUnreachable(N("d.gov"), {});
   EXPECT_EQ(cache.stats().negative_evictions, 2u);
   EXPECT_FALSE(cache.Lookup(N("b.gov")).has_value());
   EXPECT_TRUE(cache.Lookup(N("c.gov")).has_value());
   EXPECT_TRUE(cache.Lookup(N("d.gov")).has_value());
 
   // Republishing an existing negative does not evict anything.
-  cache.PublishUnreachable(N("c.gov"), {}, /*expires_ms=*/999, /*now_ms=*/500);
+  cache.PublishUnreachable(N("c.gov"), {});
   EXPECT_EQ(cache.stats().negative_evictions, 2u);
   // Positives are never evicted by the negative bound.
   core::SharedCutCache::Entry pos;
@@ -575,21 +575,20 @@ TEST(CutCacheCkptTest, NegativeBoundEvictsExpiredFirstThenEarliest) {
 }
 
 TEST(CutCacheCkptTest, NegativeEvictionTiebreakIsStable) {
-  // Two live negatives share one expires_ms; the victim must be the
-  // canonically smaller name — an explicit tiebreak, not whatever the
-  // stripe container happens to iterate first — so 1-worker and N-worker
-  // runs that race publishes into the same stripe evict identically.
+  // The victim must be the canonically smaller name — an explicit order,
+  // not publish order or whatever the stripe container happens to iterate
+  // first — so 1-worker and N-worker runs that race publishes into the same
+  // stripe evict identically.
   for (bool publish_z_first : {true, false}) {
     core::SharedCutCache cache(/*stripes=*/1, /*max_negatives_per_stripe=*/2);
     if (publish_z_first) {
-      cache.PublishUnreachable(N("z.gov"), {}, /*expires_ms=*/900, 0);
-      cache.PublishUnreachable(N("m.gov"), {}, /*expires_ms=*/900, 0);
+      cache.PublishUnreachable(N("z.gov"), {});
+      cache.PublishUnreachable(N("m.gov"), {});
     } else {
-      cache.PublishUnreachable(N("m.gov"), {}, /*expires_ms=*/900, 0);
-      cache.PublishUnreachable(N("z.gov"), {}, /*expires_ms=*/900, 0);
+      cache.PublishUnreachable(N("m.gov"), {});
+      cache.PublishUnreachable(N("z.gov"), {});
     }
-    // Nothing has expired at now=0; the tie resolves by canonical name.
-    cache.PublishUnreachable(N("q.gov"), {}, /*expires_ms=*/950, 0);
+    cache.PublishUnreachable(N("q.gov"), {});
     EXPECT_FALSE(cache.Lookup(N("m.gov")).has_value())
         << "publish_z_first=" << publish_z_first;
     EXPECT_TRUE(cache.Lookup(N("z.gov")).has_value());
@@ -645,7 +644,9 @@ core::MeasurementResult FabricateResult(int salt) {
 
 // Brings a StudyCheckpoint to the post-mining chain state with tiny
 // fabricated snapshots, so batch/cache frames can be exercised in isolation.
-void SeedPhases(core::StudyCheckpoint& ckpt) {
+// `edit`, when set, alters the mined dataset before it is saved.
+void SeedPhases(core::StudyCheckpoint& ckpt,
+                const std::function<void(core::MinedDataset&)>& edit = {}) {
   core::StudyCheckpoint::SelectionSnapshot sel;
   core::SeedDomain seed;
   seed.country = 0;
@@ -668,6 +669,7 @@ void SeedPhases(core::StudyCheckpoint& ckpt) {
   mine.dataset.domains.push_back(dom);
   mine.dataset.stats.seeds = 1;
   mine.dataset.stats.domains = 1;
+  if (edit) edit(mine.dataset);
   ckpt.SaveMining(mine);
 }
 
@@ -718,6 +720,35 @@ TEST(StudyCheckpointTest, MiningConfigMismatchIsARejectedDecode) {
   fs::remove_all(dir);
 }
 
+TEST(StudyCheckpointTest, MinedIndexOutOfRangeIsARejectedDecode) {
+  // The dense longitudinal analyzers index by NS id and country and walk
+  // every configured year, so a frame whose dataset breaks those ranges is
+  // rejected even though the frame itself validated.
+  const std::vector<std::function<void(core::MinedDataset&)>> breaks = {
+      [](core::MinedDataset& d) { d.domains[0].years[0].ns_ids = {1}; },
+      [](core::MinedDataset& d) { d.domains[0].years[0].ns_ids = {-1}; },
+      [](core::MinedDataset& d) { d.domains[0].country = -2; },
+      [](core::MinedDataset& d) { d.domains[0].years.pop_back(); },
+  };
+  for (size_t i = 0; i < breaks.size(); ++i) {
+    const std::string dir = TempDir("mined_range_" + std::to_string(i));
+    {
+      core::StudyCheckpoint ckpt(dir, 77);
+      ckpt.Bind(11);
+      SeedPhases(ckpt, breaks[i]);
+    }
+    core::StudyCheckpointOptions opts;
+    opts.resume = true;
+    core::StudyCheckpoint resumed(dir, 77, opts);
+    resumed.Bind(11);
+    ASSERT_TRUE(resumed.TryLoadSelection().has_value());
+    EXPECT_FALSE(resumed.TryLoadMining(core::MiningConfig{}).has_value())
+        << "break " << i;
+    EXPECT_EQ(resumed.stats().decode_rejects, 1) << "break " << i;
+    fs::remove_all(dir);
+  }
+}
+
 TEST(StudyCheckpointTest, CutCacheSnapshotRoundTripsPositivesOnly) {
   const std::string dir = TempDir("cache_snap");
   {
@@ -729,7 +760,7 @@ TEST(StudyCheckpointTest, CutCacheSnapshotRoundTripsPositivesOnly) {
     pos.ns_names = {N("ns1.gov.aa")};
     pos.addresses = {geo::IPv4(0x0A000001u)};
     cache.Publish(N("gov.aa"), pos);
-    cache.PublishUnreachable(N("dead.gov.aa"), {N("ns.dead.gov.aa")}, 5000, 0);
+    cache.PublishUnreachable(N("dead.gov.aa"), {N("ns.dead.gov.aa")});
     ckpt.SaveCutCacheSnapshot(cache);
   }
   core::StudyCheckpointOptions opts;

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "core/mining.h"
+#include "util/rng.h"
 
 namespace govdns::core {
 namespace {
@@ -299,6 +303,140 @@ TEST(AggregatesTest, CountPerYearAndChurn) {
   // a and b are private (NS inside gov.xx); c is external.
   EXPECT_DOUBLE_EQ(priv[5].pct_d1ns_private, 1.0);
   EXPECT_NEAR(priv[5].pct_all_private, 2.0 / 3.0, 1e-9);
+}
+
+// The std::set CountPerYear and D1nsChurn that the dense versions replaced,
+// kept verbatim as the reference they must match.
+std::vector<YearlyCounts> SetCountPerYear(const MinedDataset& dataset) {
+  const int years = dataset.config.year_count();
+  std::vector<YearlyCounts> out(years);
+  std::vector<std::set<int>> countries(years);
+  std::vector<std::set<int32_t>> nameservers(years);
+  for (int y = 0; y < years; ++y) {
+    out[y].year = dataset.config.first_year + y;
+  }
+  for (const MinedDomain& domain : dataset.domains) {
+    for (int y = 0; y < years; ++y) {
+      if (!domain.HasData(y)) continue;
+      ++out[y].domains;
+      countries[y].insert(domain.country);
+      nameservers[y].insert(domain.years[y].ns_ids.begin(),
+                            domain.years[y].ns_ids.end());
+    }
+  }
+  for (int y = 0; y < years; ++y) {
+    out[y].countries = static_cast<int64_t>(countries[y].size());
+    out[y].nameservers = static_cast<int64_t>(nameservers[y].size());
+  }
+  return out;
+}
+
+std::vector<D1nsChurnRow> SetD1nsChurn(const MinedDataset& dataset) {
+  const int years = dataset.config.year_count();
+  std::vector<std::set<size_t>> d1ns(years);
+  std::vector<std::set<size_t>> has_data(years);
+  for (size_t i = 0; i < dataset.domains.size(); ++i) {
+    const MinedDomain& domain = dataset.domains[i];
+    for (int y = 0; y < years; ++y) {
+      if (!domain.HasData(y)) continue;
+      has_data[y].insert(i);
+      if (domain.years[y].mode_ns_count == 1) d1ns[y].insert(i);
+    }
+  }
+  std::vector<D1nsChurnRow> out;
+  for (int y = 0; y < years; ++y) {
+    D1nsChurnRow row;
+    row.year = dataset.config.first_year + y;
+    row.d1ns_total = static_cast<int64_t>(d1ns[y].size());
+    if (y > 0 && !d1ns[y].empty()) {
+      int64_t overlap_2011 = 0, fresh = 0;
+      for (size_t i : d1ns[y]) {
+        if (d1ns[0].contains(i)) ++overlap_2011;
+        if (!d1ns[y - 1].contains(i)) ++fresh;
+      }
+      row.pct_overlap_2011 = double(overlap_2011) / double(d1ns[y].size());
+      row.pct_new_vs_prev = double(fresh) / double(d1ns[y].size());
+    }
+    if (y > 0 && !d1ns[0].empty()) {
+      int64_t gone = 0;
+      for (size_t i : d1ns[0]) {
+        if (!has_data[y].contains(i)) ++gone;
+      }
+      row.pct_2011_cohort_gone = double(gone) / double(d1ns[0].size());
+    }
+    out.push_back(row);
+  }
+  return out;
+}
+
+// A randomized dataset: whole years without data (the first year on even
+// seeds), mode_ns_count in [0, 4], NS ids drawn with repeats from a table
+// of up to a few hundred names (also on years without data, which both
+// versions must ignore), and countries from the -1 default upwards.
+MinedDataset RandomDataset(uint64_t seed) {
+  util::Rng rng(seed);
+  MinedDataset dataset;
+  const int years = dataset.config.year_count();
+  const size_t ns_count = 1 + rng.UniformU64(300);
+  for (size_t i = 0; i < ns_count; ++i) {
+    dataset.ns_names.push_back("ns" + std::to_string(i) + ".host.zz");
+  }
+  std::vector<bool> year_has_data(years);
+  for (int y = 0; y < years; ++y) year_has_data[y] = rng.Bernoulli(0.8);
+  if (seed % 2 == 0) year_has_data[0] = false;
+  const size_t domains = rng.UniformU64(500);
+  for (size_t i = 0; i < domains; ++i) {
+    MinedDomain domain;
+    domain.country = static_cast<int>(rng.UniformInt(-1, 12));
+    domain.years.resize(years);
+    for (int y = 0; y < years; ++y) {
+      YearState& state = domain.years[y];
+      if (year_has_data[y]) {
+        state.mode_ns_count = static_cast<int>(rng.UniformInt(0, 4));
+      }
+      const int64_t ids = rng.UniformInt(0, 5);
+      for (int64_t k = 0; k < ids; ++k) {
+        state.ns_ids.push_back(static_cast<int32_t>(rng.UniformU64(ns_count)));
+      }
+    }
+    dataset.domains.push_back(std::move(domain));
+  }
+  return dataset;
+}
+
+TEST(AggregatesTest, DenseMatchesSetReference) {
+  int churn_rows_with_overlap = 0;
+  for (uint64_t seed = 0; seed < 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const MinedDataset dataset = RandomDataset(seed);
+
+    const std::vector<YearlyCounts> counts = CountPerYear(dataset);
+    const std::vector<YearlyCounts> counts_ref = SetCountPerYear(dataset);
+    ASSERT_EQ(counts.size(), counts_ref.size());
+    for (size_t y = 0; y < counts.size(); ++y) {
+      EXPECT_EQ(counts[y].year, counts_ref[y].year);
+      EXPECT_EQ(counts[y].domains, counts_ref[y].domains);
+      EXPECT_EQ(counts[y].countries, counts_ref[y].countries);
+      EXPECT_EQ(counts[y].nameservers, counts_ref[y].nameservers);
+    }
+
+    // Same integer numerators and denominators, so the doubles are exact.
+    const std::vector<D1nsChurnRow> churn = D1nsChurn(dataset);
+    const std::vector<D1nsChurnRow> churn_ref = SetD1nsChurn(dataset);
+    ASSERT_EQ(churn.size(), churn_ref.size());
+    for (size_t y = 0; y < churn.size(); ++y) {
+      EXPECT_EQ(churn[y].year, churn_ref[y].year);
+      EXPECT_EQ(churn[y].d1ns_total, churn_ref[y].d1ns_total);
+      EXPECT_EQ(churn[y].pct_overlap_2011, churn_ref[y].pct_overlap_2011);
+      EXPECT_EQ(churn[y].pct_new_vs_prev, churn_ref[y].pct_new_vs_prev);
+      EXPECT_EQ(churn[y].pct_2011_cohort_gone,
+                churn_ref[y].pct_2011_cohort_gone);
+      if (churn_ref[y].pct_overlap_2011 > 0.0) ++churn_rows_with_overlap;
+    }
+  }
+  // The odd seeds keep a populated first year, so the churn ratios were
+  // exercised, not only their zero defaults.
+  EXPECT_GT(churn_rows_with_overlap, 0);
 }
 
 }  // namespace

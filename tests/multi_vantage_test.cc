@@ -212,7 +212,12 @@ void KillAndStragglerSweep(int workers, int vantages) {
   const std::string tag =
       "w" + std::to_string(workers) + "_n" + std::to_string(vantages);
   const std::string base_dir = TempDir(tag + "_base");
+  const auto base_start = std::chrono::steady_clock::now();
   MultiRun baseline = RunMulti(base_dir, vantages, workers, FastPoll());
+  const uint64_t base_ms = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - base_start)
+          .count());
   ASSERT_EQ(baseline.merged.lost.size(), 0u);
   ASSERT_EQ(static_cast<int>(baseline.merged.vantages.size()), vantages);
   ASSERT_GT(baseline.merged.countries_compared, 0);
@@ -245,13 +250,16 @@ void KillAndStragglerSweep(int workers, int vantages) {
   }
 
   // Straggler: attempt 0 of shard 0 wedges on the wall clock far past the
-  // deadline; the supervisor SIGKILLs it and the restart resumes clean.
+  // deadline; the supervisor SIGKILLs it and the restart resumes clean. The
+  // deadline bounds every attempt, so it is sized from the clean baseline
+  // (4x its wall time, at least 1 s) for the restart to finish inside it
+  // on a slow build or a loaded host.
   const std::string stall_dir = TempDir(tag + "_stall");
   core::VantageSupervisorOptions deadline = FastPoll();
-  deadline.deadline_ms = 1000;
+  deadline.deadline_ms = std::max<uint64_t>(1000, 4 * base_ms);
   ShardFault stall;
   stall.vantage = 0;
-  stall.stall_ms = 30000;
+  stall.stall_ms = 10 * deadline.deadline_ms;
   MultiRun straggler = RunMulti(stall_dir, vantages, workers, deadline, stall);
   const core::VantageOutcome& slow = OutcomeOf(straggler, 0);
   ASSERT_FALSE(slow.lost);

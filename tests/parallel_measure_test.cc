@@ -14,6 +14,7 @@
 #include "core/report.h"
 #include "core/study.h"
 #include "obs/obs.h"
+#include "tests/test_world.h"
 #include "worldgen/adapter.h"
 
 namespace govdns {
@@ -130,6 +131,53 @@ TEST(ParallelMeasureTest, DefaultWorkerCountRuns) {
   RunOutput serial = RunStudy(1);
   EXPECT_EQ(defaulted.resilience_json, serial.resilience_json);
   EXPECT_EQ(defaulted.export_json, serial.export_json);
+}
+
+struct LameRun {
+  std::vector<core::MeasurementResult> results;
+  core::CutCacheStats cache;
+};
+
+// Pool-mode measurement of d0..d{n-1}.lame.gov.xx: every walk ends at
+// lame.gov.xx, whose only nameserver never answers.
+LameRun MeasureUnderLame(size_t domains, int workers) {
+  testing::TinyInternet world;
+  core::MeasurerOptions options;
+  options.workers = workers;
+  core::ActiveMeasurer measurer(&world.net, world.roots(),
+                                core::ResolverOptions(), options);
+  std::vector<dns::Name> names;
+  for (size_t i = 0; i < domains; ++i) {
+    names.push_back(
+        dns::Name::FromString("d" + std::to_string(i) + ".lame.gov.xx"));
+  }
+  LameRun out;
+  out.results = measurer.MeasureAll(names);
+  out.cache = measurer.shared_cache()->stats();
+  return out;
+}
+
+TEST(ParallelMeasureTest, SharedNegativeHoldsForThePass) {
+  // A dead subtree is probed once per pass. Every domain measures on its own
+  // hermetic clock, so an expiry judged across those clocks would be a coin
+  // flip that re-probes the same dead zone and republishes the same verdict.
+  const LameRun one = MeasureUnderLame(1, /*workers=*/1);
+  const LameRun serial = MeasureUnderLame(64, /*workers=*/1);
+  EXPECT_EQ(serial.cache.negative_publishes, 1u);
+  EXPECT_EQ(serial.cache.infra.queries, one.cache.infra.queries);
+  EXPECT_EQ(serial.cache.negative_evictions, 0u);
+  ASSERT_EQ(serial.results.size(), 64u);
+  for (const core::MeasurementResult& r : serial.results) {
+    EXPECT_EQ(r.query_stats.negative_cache_hits, 1u) << r.domain.ToString();
+  }
+
+  // Whichever worker probes the dead zone, each domain's result is the same.
+  const LameRun pooled = MeasureUnderLame(64, /*workers=*/4);
+  ASSERT_EQ(pooled.results.size(), serial.results.size());
+  for (size_t i = 0; i < serial.results.size(); ++i) {
+    EXPECT_EQ(pooled.results[i], serial.results[i])
+        << serial.results[i].domain.ToString();
+  }
 }
 
 }  // namespace
