@@ -1,14 +1,15 @@
 #include "ckpt/journal.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <array>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 
 #include "ckpt/serial.h"
 
@@ -18,16 +19,32 @@ namespace {
 
 constexpr char kMagic[4] = {'G', 'V', 'C', 'K'};
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 loads eight input bytes as two little-endian words, as the
+// GVSN layout already assumes of its host.
+static_assert(std::endian::native == std::endian::little,
+              "Crc32's slicing-by-8 loop assumes a little-endian host");
+
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+// tables[0] is the classic byte-at-a-time table; tables[k][b] is the CRC
+// state after byte b followed by k zero bytes, so eight table lookups
+// advance the CRC over eight bytes at once.
+CrcTables MakeCrcTables() {
+  CrcTables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < tables.size(); ++k) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xFFu] ^ (prev >> 8);
+    }
+  }
+  return tables;
 }
 
 // Writes bytes to `path` and fsyncs the file descriptor before closing, so
@@ -76,6 +93,30 @@ util::Status FsyncDir(const std::string& dir) {
   return util::Status::Ok();
 }
 
+// Reads the file at `path` into `out` with one read of the size fstat
+// reports, looping only on a short read. Returns false when the file cannot
+// be opened; a read error keeps the bytes read so far, which the caller's
+// size checks then reject.
+bool ReadWholeFile(const std::string& path, std::string* out) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return false;
+  struct stat st {};
+  const size_t size = ::fstat(fd, &st) == 0 && st.st_size > 0
+                          ? static_cast<size_t>(st.st_size)
+                          : 0;
+  out->resize(size);
+  size_t got = 0;
+  while (got < size) {
+    const ssize_t n = ::read(fd, out->data() + got, size - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
+    got += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  out->resize(got);
+  return true;
+}
+
 // Flips one byte at `offset` in place (kCorrupt fault mode).
 void FlipByteAt(const std::string& path, size_t offset) {
   const int fd = ::open(path.c_str(), O_RDWR);
@@ -92,10 +133,21 @@ void FlipByteAt(const std::string& path, size_t offset) {
 }  // namespace
 
 uint32_t Crc32(std::string_view bytes) {
-  static const std::array<uint32_t, 256> table = MakeCrcTable();
+  static const CrcTables t = MakeCrcTables();
   uint32_t c = 0xFFFFFFFFu;
-  for (const char ch : bytes) {
-    c = table[(c ^ static_cast<uint8_t>(ch)) & 0xFFu] ^ (c >> 8);
+  const char* p = bytes.data();
+  size_t n = bytes.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    uint32_t lo = 0, hi = 0;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + 4, 4);
+    lo ^= c;
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    c = t[0][(c ^ static_cast<uint8_t>(*p)) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
@@ -216,13 +268,11 @@ util::StatusOr<uint32_t> Journal::Commit(const std::string& name,
 util::StatusOr<Journal::LoadedFrame> Journal::Load(const std::string& name,
                                                    uint32_t parent_crc) {
   const std::string path = FramePath(name);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::string raw;
+  if (!ReadWholeFile(path, &raw)) {
     ++stats_.rejected_missing;
     return util::NotFoundError("no checkpoint frame " + path);
   }
-  std::string raw((std::istreambuf_iterator<char>(in)),
-                  std::istreambuf_iterator<char>());
   if (raw.size() < kFrameHeaderSize) {
     ++stats_.rejected_truncated;
     return util::DataLossError("truncated frame header in " + path);
@@ -266,8 +316,11 @@ util::StatusOr<Journal::LoadedFrame> Journal::Load(const std::string& name,
     return util::DataLossError("chain parent CRC mismatch in " + path);
   }
   ++stats_.loads_ok;
+  // The payload keeps the read buffer: drop the header in place, no copy
+  // into a second allocation.
+  raw.erase(0, kFrameHeaderSize);
   LoadedFrame frame;
-  frame.payload.assign(payload);
+  frame.payload = std::move(raw);
   frame.crc = payload_crc;
   return frame;
 }

@@ -32,8 +32,8 @@
 
 namespace govdns::ckpt {
 
-// CRC-32 (IEEE 802.3, reflected, table-driven). Crc32("123456789") ==
-// 0xCBF43926.
+// CRC-32 (IEEE 802.3, reflected, table-driven, slicing-by-8).
+// Crc32("123456789") == 0xCBF43926.
 uint32_t Crc32(std::string_view bytes);
 
 // Mixes two 64-bit identities into one (order-sensitive; SplitMix64-based).

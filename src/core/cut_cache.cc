@@ -4,6 +4,16 @@
 
 namespace govdns::core {
 
+namespace {
+
+// Stripe order depends on the hash layout; name order is canonical.
+void SortByName(std::vector<std::pair<dns::Name, SharedCutCache::Entry>>& v) {
+  std::sort(v.begin(), v.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+}
+
+}  // namespace
+
 SharedCutCache::SharedCutCache(size_t stripes, size_t max_negatives_per_stripe)
     : max_negatives_per_stripe_(std::max<size_t>(1, max_negatives_per_stripe)) {
   if (stripes == 0) stripes = 1;
@@ -24,7 +34,7 @@ std::optional<SharedCutCache::Entry> SharedCutCache::Lookup(
   {
     std::lock_guard lock(stripe.mu);
     auto it = stripe.entries.find(cut);
-    if (it != stripe.entries.end()) out = it->second;
+    if (it != stripe.entries.end()) out = it->second.entry;
   }
   std::lock_guard stats_lock(stats_mu_);
   if (!out.has_value()) {
@@ -47,7 +57,9 @@ void SharedCutCache::Publish(const dns::Name& cut, Entry entry) {
   {
     std::lock_guard lock(stripe.mu);
     stripe.negatives.erase(cut);  // a retried cut may have come back to life
-    stripe.entries[cut] = std::move(entry);
+    Slot& slot = stripe.entries[cut];
+    slot.entry = std::move(entry);
+    slot.written = ++stripe.clock;
   }
   std::lock_guard stats_lock(stats_mu_);
   ++stats_.publishes;
@@ -82,7 +94,15 @@ void SharedCutCache::PublishUnreachable(const dns::Name& cut,
       evicted = EvictNegativesLocked(stripe);
       stripe.negatives.insert(cut);
     }
-    stripe.entries[cut] = std::move(entry);
+    auto [it, inserted] = stripe.entries.try_emplace(cut);
+    Slot& slot = it->second;
+    if (!inserted && slot.entry.reachable &&
+        std::find(stripe.flipped.begin(), stripe.flipped.end(), cut) ==
+            stripe.flipped.end()) {
+      stripe.flipped.push_back(cut);
+    }
+    slot.entry = std::move(entry);
+    slot.written = ++stripe.clock;
   }
   std::lock_guard stats_lock(stats_mu_);
   ++stats_.negative_publishes;
@@ -103,26 +123,44 @@ size_t SharedCutCache::size() const {
   return total;
 }
 
-void SharedCutCache::Clear() {
-  for (const auto& stripe : stripes_) {
-    std::lock_guard lock(stripe->mu);
-    stripe->entries.clear();
-    stripe->negatives.clear();
-  }
-}
-
 std::vector<std::pair<dns::Name, SharedCutCache::Entry>>
 SharedCutCache::Export() const {
   std::vector<std::pair<dns::Name, Entry>> out;
   for (const auto& stripe : stripes_) {
     std::lock_guard lock(stripe->mu);
-    for (const auto& [cut, entry] : stripe->entries) {
-      out.emplace_back(cut, entry);
+    for (const auto& [cut, slot] : stripe->entries) {
+      out.emplace_back(cut, slot.entry);
     }
   }
-  // Stripe order depends on the hash layout; name order is canonical.
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  SortByName(out);
+  return out;
+}
+
+std::vector<std::pair<dns::Name, SharedCutCache::Entry>>
+SharedCutCache::TakeChanges() {
+  std::vector<std::pair<dns::Name, Entry>> out;
+  for (const auto& stripe : stripes_) {
+    std::lock_guard lock(stripe->mu);
+    for (dns::Name& cut : stripe->flipped) {
+      auto it = stripe->entries.find(cut);
+      if (it == stripe->entries.end() || !it->second.entry.reachable) {
+        Entry tombstone;
+        tombstone.reachable = false;
+        out.emplace_back(std::move(cut), std::move(tombstone));
+      }
+      // A flipped cut that is reachable again was republished since the
+      // last drain, so the scan below reports it.
+    }
+    stripe->flipped.clear();
+    if (stripe->clock == stripe->drained) continue;  // nothing published
+    for (const auto& [cut, slot] : stripe->entries) {
+      if (slot.written > stripe->drained && slot.entry.reachable) {
+        out.emplace_back(cut, slot.entry);
+      }
+    }
+    stripe->drained = stripe->clock;
+  }
+  SortByName(out);
   return out;
 }
 
@@ -133,10 +171,9 @@ size_t SharedCutCache::Restore(
     if (!entry.reachable) continue;  // negatives never survive a restart
     Stripe& stripe = StripeFor(cut);
     std::lock_guard lock(stripe.mu);
-    auto it = stripe.entries.find(cut);
-    if (it != stripe.entries.end()) continue;  // live data wins over snapshot
-    stripe.entries.emplace(cut, entry);
-    ++restored;
+    // Live data wins over the journal; a restored slot keeps written == 0,
+    // so it is never reported as a change.
+    if (stripe.entries.try_emplace(cut, Slot{entry}).second) ++restored;
   }
   return restored;
 }

@@ -68,6 +68,8 @@ class SharedCutCache {
     std::vector<dns::Name> ns_names;
     std::vector<geo::IPv4> addresses;
     bool reachable = true;  // false: remembering a dead subtree
+
+    friend bool operator==(const Entry&, const Entry&) = default;
   };
 
   // `max_negatives_per_stripe` bounds how many dead-subtree entries a stripe
@@ -92,11 +94,30 @@ class SharedCutCache {
 
   void ChargeInfra(const ResolverCounters& effort);
 
-  // Checkpoint support: a deterministic (name-sorted) snapshot of all
-  // entries, and bulk restore into an empty-or-warm cache. Restore skips
-  // unreachable entries — negatives must never outlive the run that observed
-  // them — and returns the number of entries actually inserted.
+  // A deterministic (name-sorted) copy of every entry, negatives included.
+  // The checkpoint journals TakeChanges deltas instead; Export is the
+  // reference the tests fold those deltas against.
   std::vector<std::pair<dns::Name, Entry>> Export() const;
+
+  // Checkpoint support: what changed since the previous call (or since
+  // construction), name-sorted, for the journal's per-batch cut-cache delta.
+  // It holds every reachable entry published since then, and a tombstone —
+  // an Entry with reachable == false and no names or addresses — for every
+  // cut that went from reachable to unreachable since then and is now
+  // unreachable or evicted. A negative that was never reachable yields
+  // nothing, and neither do entries added by Restore. For a cache that
+  // started empty, folding the deltas of calls 0..k in order (a later entry
+  // wins, a tombstone removes the cut) gives exactly the reachable entries
+  // Export() held at call k; after a Restore, the fold also needs the
+  // entries restored from. The cost is a clock compare per entry of each
+  // stripe written since the last call; a publish only stamps its slot, so
+  // nothing grows while no one drains.
+  std::vector<std::pair<dns::Name, Entry>> TakeChanges();
+
+  // Bulk restore into an empty-or-warm cache. Restore skips unreachable
+  // entries — negatives must never outlive the run that observed them —
+  // never overwrites a live entry, and returns the number of entries
+  // actually inserted.
   size_t Restore(const std::vector<std::pair<dns::Name, Entry>>& entries);
 
   // Wires a publish log (not owned; may be null). Raw publish order and
@@ -105,16 +126,29 @@ class SharedCutCache {
   void set_trace_log(obs::CutTraceLog* log) { trace_log_ = log; }
 
   size_t size() const;
-  void Clear();
   CutCacheStats stats() const;  // snapshot
 
  private:
+  struct Slot {
+    Entry entry;
+    // The stripe's write clock at this slot's last publish; 0 for a slot
+    // filled by Restore, which is never a change.
+    uint64_t written = 0;
+  };
   struct Stripe {
     mutable std::mutex mu;
-    std::map<dns::Name, Entry> entries;
+    std::map<dns::Name, Slot> entries;
     // Keys of the unreachable entries, in canonical order: the eviction
     // victim is the first one.
     std::set<dns::Name> negatives;
+    // Change tracking for TakeChanges: `clock` counts publishes, `drained`
+    // is its value at the last TakeChanges, and `flipped` lists (once each)
+    // the cuts that went from reachable to unreachable since then. Flips are
+    // rare: a published cut turns dead only when a later walk finds all of
+    // its servers unresponsive.
+    uint64_t clock = 0;
+    uint64_t drained = 0;
+    std::vector<dns::Name> flipped;
   };
 
   Stripe& StripeFor(const dns::Name& cut) const;

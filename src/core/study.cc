@@ -119,11 +119,10 @@ const MinedDataset& Study::RunMining(MinerOptions options) {
     phase.set_items(mined_->stats.domains);
   }
   if (ckpt_ != nullptr) {
-    StudyCheckpoint::MiningSnapshot snap;
-    snap.dataset = *mined_;
     const std::vector<obs::PhaseRecord> records = profiler_.records();
-    snap.profile.assign(records.begin() + profile_mark, records.end());
-    ckpt_->SaveMining(snap);
+    ckpt_->SaveMining(*mined_, std::vector<obs::PhaseRecord>(
+                                   records.begin() + profile_mark,
+                                   records.end()));
   }
   FoldMiningObs();
   return *mined_;
@@ -212,8 +211,7 @@ const ActiveDataset& Study::RunActiveMeasurement(MeasurerOptions options) {
       // Replay the restored prefix through the budget accumulators so the
       // resumed run's cutoff decisions match the uninterrupted run's.
       account(0, results);
-      if (!results.empty() && results.size() < query_list.size() &&
-          ckpt_->options().snapshot_cut_cache) {
+      if (!results.empty() && results.size() < query_list.size()) {
         // Warm start: skip re-deriving infrastructure the finished batches
         // already paid for. Purely advisory — per-domain results are hermetic
         // either way — and positives-only, so no stale negative can replay.
@@ -227,9 +225,7 @@ const ActiveDataset& Study::RunActiveMeasurement(MeasurerOptions options) {
       std::vector<MeasurementResult> part = measure_batch(begin, count);
       if (ckpt_ != nullptr) {
         ckpt_->AppendActiveBatch(begin, part);
-        if (ckpt_->options().snapshot_cut_cache) {
-          ckpt_->SaveCutCacheSnapshot(*measurer.shared_cache());
-        }
+        ckpt_->AppendCutCacheDelta(*measurer.shared_cache());
       }
       for (MeasurementResult& r : part) results.push_back(std::move(r));
     }

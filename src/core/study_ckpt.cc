@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <utility>
 
 #include "ckpt/serial.h"
@@ -13,24 +14,31 @@ namespace govdns::core {
 namespace {
 
 // Payload kind tags: a frame renamed on disk (or a name collision) must
-// decode as a clean reject, not as a different phase's data.
+// decode as a clean reject, not as a different phase's data. Tags are never
+// reused, so a frame of an older layout is rejected too: 4 belonged to the
+// whole-cache cut-cache snapshot, and 7 is the vantage frame (core/vantage.h).
 constexpr uint8_t kKindSelection = 1;
 constexpr uint8_t kKindMining = 2;
 constexpr uint8_t kKindBatch = 3;
-constexpr uint8_t kKindCutCache = 4;
 constexpr uint8_t kKindReport = 5;
 constexpr uint8_t kKindQuarantine = 6;
+constexpr uint8_t kKindCutCacheDelta = 8;
 
 constexpr char kSelectionFrame[] = "selection";
 constexpr char kMiningFrame[] = "mining";
-constexpr char kCutCacheFrame[] = "cutcache";
 constexpr char kReportFrame[] = "report";
 constexpr char kQuarantineFrame[] = "quarantine";
 
-std::string BatchFrameName(size_t seq) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "active_%06zu", seq);
+std::string SeqFrameName(const char* prefix, size_t seq) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%s_%06zu", prefix, seq);
   return buf;
+}
+
+std::string BatchFrameName(size_t seq) { return SeqFrameName("active", seq); }
+
+std::string DeltaFrameName(size_t seq) {
+  return SeqFrameName("cutcache", seq);
 }
 
 // --- field codecs ----------------------------------------------------------
@@ -392,20 +400,24 @@ std::optional<StudyCheckpoint::MiningSnapshot> StudyCheckpoint::TryLoadMining(
   have_mining_ = true;
   mining_crc_ = frame->crc;
   chain_crc_ = frame->crc;
+  delta_crc_ = frame->crc;
+  next_delta_ = 0;
   ++stats_.phases_loaded;
   return snap;
 }
 
-void StudyCheckpoint::SaveMining(const MiningSnapshot& snap) {
+void StudyCheckpoint::SaveMining(
+    const MinedDataset& dataset,
+    const std::vector<obs::PhaseRecord>& profile) {
   GOVDNS_CHECK(bound_);
   GOVDNS_CHECK(have_selection_);
   ckpt::Writer w;
   w.U8(kKindMining);
-  PutMiningConfig(w, snap.dataset.config);
-  w.Size(snap.dataset.ns_names.size());
-  for (const std::string& name : snap.dataset.ns_names) w.Str(name);
-  w.Size(snap.dataset.domains.size());
-  for (const MinedDomain& dom : snap.dataset.domains) {
+  PutMiningConfig(w, dataset.config);
+  w.Size(dataset.ns_names.size());
+  for (const std::string& name : dataset.ns_names) w.Str(name);
+  w.Size(dataset.domains.size());
+  for (const MinedDomain& dom : dataset.domains) {
     PutName(w, dom.name);
     w.I32(dom.country);
     w.I32(dom.seed_index);
@@ -418,14 +430,14 @@ void StudyCheckpoint::SaveMining(const MiningSnapshot& snap) {
     w.Bool(dom.disposable);
     w.Bool(dom.in_active_window);
   }
-  const MiningStats& s = snap.dataset.stats;
+  const MiningStats& s = dataset.stats;
   w.I64(s.seeds);
   w.I64(s.entries_scanned);
   w.I64(s.entries_unstable);
   w.I64(s.domains);
   w.I64(s.domains_disposable);
   w.I64(s.domains_in_active_window);
-  PutProfile(w, snap.profile);
+  PutProfile(w, profile);
   auto crc = journal_.Commit(kMiningFrame, w.Take(), selection_crc_);
   if (!crc.ok()) {
     throw PipelineError("checkpoint", "mining: " + crc.status().ToString());
@@ -433,6 +445,8 @@ void StudyCheckpoint::SaveMining(const MiningSnapshot& snap) {
   have_mining_ = true;
   mining_crc_ = *crc;
   chain_crc_ = *crc;
+  delta_crc_ = *crc;
+  next_delta_ = 0;
   ++stats_.phases_saved;
 }
 
@@ -443,6 +457,8 @@ std::vector<MeasurementResult> StudyCheckpoint::LoadActiveBatches(
   chain_crc_ = mining_crc_;
   next_batch_ = 0;
   results_journaled_ = 0;
+  delta_crc_ = mining_crc_;
+  next_delta_ = 0;
   std::vector<MeasurementResult> out;
   if (!options_.resume) return out;
   while (out.size() < expected_total) {
@@ -499,57 +515,77 @@ void StudyCheckpoint::AppendActiveBatch(
   results_journaled_ += results.size();
 }
 
-void StudyCheckpoint::SaveCutCacheSnapshot(const SharedCutCache& cache) {
+void StudyCheckpoint::AppendCutCacheDelta(SharedCutCache& cache) {
   GOVDNS_CHECK(bound_);
   GOVDNS_CHECK(have_mining_);
-  std::vector<std::pair<dns::Name, SharedCutCache::Entry>> entries =
-      cache.Export();
-  // Reachable entries only: negatives live for one pass and never replay
-  // from disk (see header comment).
-  std::erase_if(entries, [](const auto& e) { return !e.second.reachable; });
+  // Positives and tombstones only: negatives live for one pass and never
+  // replay from disk (see header comment).
+  const std::vector<std::pair<dns::Name, SharedCutCache::Entry>> changes =
+      cache.TakeChanges();
   ckpt::Writer w;
-  w.U8(kKindCutCache);
-  w.Size(entries.size());
-  for (const auto& [cut, entry] : entries) {
+  w.U8(kKindCutCacheDelta);
+  w.U64(next_delta_);
+  w.Size(changes.size());
+  for (const auto& [cut, entry] : changes) {
     PutName(w, cut);
-    PutNameList(w, entry.ns_names);
-    PutAddrList(w, entry.addresses);
+    w.Bool(entry.reachable);
+    if (entry.reachable) {
+      PutNameList(w, entry.ns_names);
+      PutAddrList(w, entry.addresses);
+    }
   }
-  // Chained to mining, not to the batch chain: the warm start is valid
-  // whenever the mined query list is, regardless of how many batches landed.
-  auto crc = journal_.Commit(kCutCacheFrame, w.Take(), mining_crc_);
+  // Its own chain rooted at mining, not the batch chain: the warm start is
+  // valid whenever the mined query list is, and a damaged delta must never
+  // cost a batch of results.
+  const std::string name = DeltaFrameName(next_delta_);
+  auto crc = journal_.Commit(name, w.Take(), delta_crc_);
   if (!crc.ok()) {
-    throw PipelineError("checkpoint", "cutcache: " + crc.status().ToString());
+    throw PipelineError("checkpoint", name + ": " + crc.status().ToString());
   }
+  delta_crc_ = *crc;
+  ++next_delta_;
 }
 
 size_t StudyCheckpoint::RestoreCutCache(SharedCutCache* cache) {
   GOVDNS_CHECK(bound_);
   GOVDNS_CHECK(have_mining_);
+  delta_crc_ = mining_crc_;
+  next_delta_ = 0;
   if (!options_.resume) return 0;
-  auto frame = journal_.Load(kCutCacheFrame, mining_crc_);
-  if (!frame.ok()) return 0;
-  ckpt::Reader r(frame->payload);
-  uint8_t kind = 0;
-  size_t count = 0;
-  if (!r.U8(&kind) || kind != kKindCutCache || !r.Count(&count)) {
-    ++stats_.decode_rejects;
-    return 0;
-  }
-  std::vector<std::pair<dns::Name, SharedCutCache::Entry>> entries(count);
-  for (size_t i = 0; i < count; ++i) {
-    if (!GetName(r, &entries[i].first) ||
-        !GetNameList(r, &entries[i].second.ns_names) ||
-        !GetAddrList(r, &entries[i].second.addresses)) {
-      ++stats_.decode_rejects;
-      return 0;
+  std::map<dns::Name, SharedCutCache::Entry> folded;
+  for (;;) {
+    auto frame = journal_.Load(DeltaFrameName(next_delta_), delta_crc_);
+    if (!frame.ok()) break;
+    ckpt::Reader r(frame->payload);
+    uint8_t kind = 0;
+    uint64_t seq = 0;
+    size_t count = 0;
+    bool ok = r.U8(&kind) && kind == kKindCutCacheDelta && r.U64(&seq) &&
+              seq == next_delta_ && r.Count(&count);
+    std::vector<std::pair<dns::Name, SharedCutCache::Entry>> changes(
+        ok ? count : 0);
+    for (auto& [cut, entry] : changes) {
+      ok = ok && GetName(r, &cut) && r.Bool(&entry.reachable) &&
+           (!entry.reachable || (GetNameList(r, &entry.ns_names) &&
+                                 GetAddrList(r, &entry.addresses)));
     }
-    entries[i].second.reachable = true;
+    if (!ok || !r.AtEnd()) {
+      ++stats_.decode_rejects;
+      break;
+    }
+    for (auto& [cut, entry] : changes) {
+      if (entry.reachable) {
+        folded.insert_or_assign(std::move(cut), std::move(entry));
+      } else {
+        folded.erase(cut);
+      }
+    }
+    delta_crc_ = frame->crc;
+    ++next_delta_;
   }
-  if (!r.AtEnd()) {
-    ++stats_.decode_rejects;
-    return 0;
-  }
+  std::vector<std::pair<dns::Name, SharedCutCache::Entry>> entries;
+  entries.reserve(folded.size());
+  for (auto& [cut, entry] : folded) entries.emplace_back(cut, std::move(entry));
   const size_t restored = cache->Restore(entries);
   stats_.cache_entries_restored += static_cast<int64_t>(restored);
   return restored;

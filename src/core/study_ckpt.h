@@ -1,21 +1,26 @@
 // Study-level checkpoint/resume over the ckpt journal (DESIGN.md §6f).
 //
-// One StudyCheckpoint owns the journal of one study run. The chain:
+// One StudyCheckpoint owns the journal of one study run. The chains:
 //
 //   selection.ck  (parent 0)
 //     -> mining.ck
 //       -> active_000000.ck -> active_000001.ck -> ...   (batched results)
-//       -> cutcache.ck   (advisory warm-start, chained to mining)
-//     -> report.ck       (final JSON, chained to the last batch)
+//            -> quarantine.ck -> report.ck   (chained to the last batch)
+//       -> cutcache_000000.ck -> cutcache_000001.ck -> ...
+//            (advisory warm start: one cut-cache delta per batch, its own
+//             chain rooted at mining)
 //
 // Phase snapshots carry the phase's outputs *and* the PhaseProfiler records
 // it produced, so a resumed run replays the profile rows and the exported
 // report JSON stays byte-identical to an uninterrupted run. The cut-cache
-// snapshot is purely advisory — positives only, never required for
-// correctness — because per-domain measurement is hermetic: a cold cache is
-// recomputed to identical content, and negatives are deliberately NOT
-// saved: a shared negative lives for one measurement pass, so a resumed run
-// earns its own dead-subtree verdicts and never replays one from disk.
+// deltas are purely advisory — positives and tombstones only, never
+// required for correctness — because per-domain measurement is hermetic: a
+// cold cache is recomputed to identical content, and negatives are
+// deliberately NOT saved: a shared negative lives for one measurement pass,
+// so a resumed run earns its own dead-subtree verdicts and never replays one
+// from disk. Each delta holds only what the batch before it changed
+// (SharedCutCache::TakeChanges), so a commit costs what is new since the
+// last one, not the whole cache.
 #pragma once
 
 #include <cstdint>
@@ -41,8 +46,6 @@ struct StudyCheckpointOptions {
   // false: fresh-run semantics — existing frames are wiped at Bind time.
   // true: resume — phases load from the journal where the chain validates.
   bool resume = false;
-  // Snapshot the shared cut cache after each batch (warm start on resume).
-  bool snapshot_cut_cache = true;
 };
 
 // Resume/recovery bookkeeping, beyond the journal's own frame stats.
@@ -87,19 +90,29 @@ class StudyCheckpoint {
   // `expected_config` guards against a stale journal whose fingerprint
   // happens to collide: the deserialized dataset must carry it verbatim.
   std::optional<MiningSnapshot> TryLoadMining(const MiningConfig& expected_config);
-  void SaveMining(const MiningSnapshot& snap);
+  // Serializes the study's own dataset in place; nothing is copied.
+  void SaveMining(const MinedDataset& dataset,
+                  const std::vector<obs::PhaseRecord>& profile);
 
   // --- Intra-phase journal for active measurement --------------------------
   // Loads the longest valid prefix of batch frames; the returned results
   // cover query-list indices [0, size) contiguously. Stops (cleanly) at the
-  // first missing/invalid/discontiguous frame.
+  // first missing/invalid/discontiguous frame. Also restarts the cut-cache
+  // delta chain at index 0; RestoreCutCache moves it past what it loads.
   std::vector<MeasurementResult> LoadActiveBatches(size_t expected_total);
   // Journals one completed batch starting at `begin_index`.
   void AppendActiveBatch(size_t begin_index,
                          const std::vector<MeasurementResult>& results);
 
-  void SaveCutCacheSnapshot(const SharedCutCache& cache);
-  // Restores reachable entries only; returns the count restored.
+  // Journals the cache's changes since the previous delta
+  // (SharedCutCache::TakeChanges) as the next cutcache_NNNNNN frame. Called
+  // after every batch, so each delta is that batch's share of the cache.
+  void AppendCutCacheDelta(SharedCutCache& cache);
+  // Folds the longest valid prefix of deltas in order (a later entry wins, a
+  // tombstone removes the cut) and restores the result: after deltas 0..k
+  // that is the reachable part of the cache as it stood at delta k. Loading
+  // stops cleanly at the first missing/invalid frame, and the next delta
+  // continues the chain after the loaded prefix. Returns the count restored.
   size_t RestoreCutCache(SharedCutCache* cache);
 
   // Degradation summary of the measurement phase (DESIGN.md §6g): journaled
@@ -153,6 +166,9 @@ class StudyCheckpoint {
   uint32_t chain_crc_ = 0;  // last batch (or mining, before any batch)
   size_t next_batch_ = 0;
   size_t results_journaled_ = 0;
+  // Cut-cache delta chain: last delta (or mining, before any delta).
+  uint32_t delta_crc_ = 0;
+  size_t next_delta_ = 0;
 };
 
 }  // namespace govdns::core

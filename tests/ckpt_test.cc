@@ -1,9 +1,10 @@
 // Unit tests for the checkpoint layer: serialization, frame CRCs, the
 // journal's atomic-commit/validated-load protocol, every corruption
 // rejection mode, the kill-point fault injector's on-disk effects, and the
-// cut cache's export/restore + negative bound (DESIGN.md §6f).
+// cut cache's export/restore, change deltas + negative bound (DESIGN.md §6f).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -18,6 +19,7 @@
 #include "core/mining.h"
 #include "core/resolver.h"
 #include "core/study_ckpt.h"
+#include "util/rng.h"
 
 namespace govdns {
 namespace {
@@ -223,6 +225,48 @@ TEST(CkptCrcTest, MatchesKnownVector) {
   EXPECT_EQ(ckpt::Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(ckpt::Crc32(""), 0x00000000u);
   EXPECT_NE(ckpt::Crc32("a"), ckpt::Crc32("b"));
+}
+
+// The byte-at-a-time loop Crc32 ran before slicing-by-8: the reference the
+// fast path must match on every length and alignment.
+uint32_t BytewiseCrc32(std::string_view bytes) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t c = 0xFFFFFFFFu;
+  for (const char ch : bytes) {
+    c = table[(c ^ static_cast<uint8_t>(ch)) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::string RandomBytes(util::Rng& rng, size_t size) {
+  std::string out(size, '\0');
+  for (char& ch : out) ch = static_cast<char>(rng.NextU64());
+  return out;
+}
+
+TEST(CkptTest, Crc32MatchesBytewiseReference) {
+  EXPECT_EQ(ckpt::Crc32("123456789"), 0xCBF43926u);
+  util::Rng rng(0xC3C32u);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 257; ++len) {
+      const std::string buf = RandomBytes(rng, offset + len);
+      const std::string_view bytes(buf.data() + offset, len);
+      ASSERT_EQ(ckpt::Crc32(bytes), BytewiseCrc32(bytes))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  const std::string big = RandomBytes(rng, (5u << 20) + 3);
+  EXPECT_EQ(ckpt::Crc32(big), BytewiseCrc32(big));
 }
 
 TEST(CkptCrcTest, MixFingerprintIsOrderSensitive) {
@@ -529,6 +573,72 @@ TEST(CutCacheCkptTest, ExportIsSortedRestoreDropsNegatives) {
   EXPECT_FALSE(fresh.Lookup(N("dead.gov.cc")).has_value());
 }
 
+TEST(CutCacheCkptTest, TakeChangesReportsEachWriteOnce) {
+  // One stripe with room for one negative: each new negative evicts the
+  // previous one.
+  core::SharedCutCache cache(/*stripes=*/1, /*max_negatives_per_stripe=*/1);
+  core::SharedCutCache::Entry pos;
+  pos.ns_names = {N("ns1.gov.aa")};
+  pos.addresses = {geo::IPv4(0x01020304u)};
+
+  // Entries added by Restore are not changes.
+  EXPECT_EQ(cache.Restore({{N("gov.rr"), pos}}), 1u);
+  EXPECT_TRUE(cache.TakeChanges().empty());
+
+  // Reachable writes are reported, name-sorted; a never-reachable negative
+  // yields nothing.
+  cache.Publish(N("gov.bb"), pos);
+  cache.Publish(N("gov.aa"), pos);
+  cache.PublishUnreachable(N("dead.gov.cc"), {N("ns.dead.gov.cc")});
+  auto changes = cache.TakeChanges();
+  ASSERT_EQ(changes.size(), 2u);
+  EXPECT_EQ(changes[0].first, N("gov.aa"));
+  EXPECT_EQ(changes[0].second, pos);
+  EXPECT_EQ(changes[1].first, N("gov.bb"));
+  // A second drain with no writes in between is empty.
+  EXPECT_TRUE(cache.TakeChanges().empty());
+
+  // A slot rewritten twice is reported once.
+  cache.Publish(N("gov.aa"), pos);
+  cache.Publish(N("gov.aa"), pos);
+  changes = cache.TakeChanges();
+  ASSERT_EQ(changes.size(), 1u);
+  EXPECT_EQ(changes[0].first, N("gov.aa"));
+
+  // A flip from reachable to unreachable yields a tombstone, also for a
+  // restored entry.
+  cache.PublishUnreachable(N("gov.bb"), {N("ns1.gov.aa")});
+  cache.PublishUnreachable(N("gov.rr"), {});  // evicts gov.bb
+  changes = cache.TakeChanges();
+  ASSERT_EQ(changes.size(), 2u);
+  EXPECT_EQ(changes[0].first, N("gov.bb"));
+  EXPECT_FALSE(changes[0].second.reachable);
+  EXPECT_TRUE(changes[0].second.ns_names.empty());
+  EXPECT_EQ(changes[1].first, N("gov.rr"));
+  EXPECT_FALSE(changes[1].second.reachable);
+  EXPECT_TRUE(cache.TakeChanges().empty());
+
+  // The tombstone survives the cut's eviction before the drain.
+  cache.PublishUnreachable(N("gov.aa"), {});      // flips, evicts gov.rr
+  cache.PublishUnreachable(N("dead.gov.zz"), {});  // evicts gov.aa
+  EXPECT_FALSE(cache.Lookup(N("gov.aa")).has_value());
+  changes = cache.TakeChanges();
+  ASSERT_EQ(changes.size(), 1u);
+  EXPECT_EQ(changes[0].first, N("gov.aa"));
+  EXPECT_FALSE(changes[0].second.reachable);
+
+  // A flipped cut that comes back before the drain is reported as its new
+  // positive, not as a tombstone.
+  cache.Publish(N("gov.ee"), pos);
+  ASSERT_EQ(cache.TakeChanges().size(), 1u);
+  cache.PublishUnreachable(N("gov.ee"), {});
+  cache.Publish(N("gov.ee"), pos);
+  changes = cache.TakeChanges();
+  ASSERT_EQ(changes.size(), 1u);
+  EXPECT_EQ(changes[0].first, N("gov.ee"));
+  EXPECT_TRUE(changes[0].second.reachable);
+}
+
 TEST(CutCacheCkptTest, RestoreNeverOverwritesLiveEntries) {
   core::SharedCutCache cache;
   core::SharedCutCache::Entry live;
@@ -655,22 +765,22 @@ void SeedPhases(core::StudyCheckpoint& ckpt,
   sel.stats.total = 1;
   ckpt.SaveSelection(sel);
 
-  core::StudyCheckpoint::MiningSnapshot mine;
-  mine.dataset.config = core::MiningConfig{};
-  mine.dataset.ns_names = {"ns1.gov.aa"};
+  core::MinedDataset mined;
+  mined.config = core::MiningConfig{};
+  mined.ns_names = {"ns1.gov.aa"};
   core::MinedDomain dom;
   dom.name = N("d0.gov.aa");
   dom.country = 0;
   dom.seed_index = 0;
-  dom.years.resize(mine.dataset.config.year_count());
+  dom.years.resize(mined.config.year_count());
   dom.years[0].mode_ns_count = 1;
   dom.years[0].ns_ids = {0};
   dom.in_active_window = true;
-  mine.dataset.domains.push_back(dom);
-  mine.dataset.stats.seeds = 1;
-  mine.dataset.stats.domains = 1;
-  if (edit) edit(mine.dataset);
-  ckpt.SaveMining(mine);
+  mined.domains.push_back(dom);
+  mined.stats.seeds = 1;
+  mined.stats.domains = 1;
+  if (edit) edit(mined);
+  ckpt.SaveMining(mined, /*profile=*/{});
 }
 
 TEST(StudyCheckpointTest, BatchResultsRoundTripBitForBit) {
@@ -749,30 +859,98 @@ TEST(StudyCheckpointTest, MinedIndexOutOfRangeIsARejectedDecode) {
   }
 }
 
-TEST(StudyCheckpointTest, CutCacheSnapshotRoundTripsPositivesOnly) {
-  const std::string dir = TempDir("cache_snap");
+// The reachable part of a cache's Export(): what a journal warm start may
+// bring back.
+std::vector<std::pair<dns::Name, core::SharedCutCache::Entry>> ReachableOf(
+    const core::SharedCutCache& cache) {
+  auto entries = cache.Export();
+  std::erase_if(entries, [](const auto& e) { return !e.second.reachable; });
+  return entries;
+}
+
+// Opens `dir` as a resumed checkpoint past mining, restores its cut-cache
+// deltas into `cache`, and returns the number restored.
+size_t RestoreInto(core::StudyCheckpoint& resumed,
+                   core::SharedCutCache* cache) {
+  resumed.Bind(11);
+  EXPECT_TRUE(resumed.TryLoadSelection().has_value());
+  EXPECT_TRUE(resumed.TryLoadMining(core::MiningConfig{}).has_value());
+  return resumed.RestoreCutCache(cache);
+}
+
+TEST(StudyCheckpointTest, CutCacheDeltasFoldToTheSnapshot) {
+  const std::string dir = TempDir("cache_deltas");
+  core::SharedCutCache::Entry pos;
+  pos.ns_names = {N("ns1.gov.aa")};
+  pos.addresses = {geo::IPv4(0x0A000001u)};
+  core::SharedCutCache::Entry moved = pos;
+  moved.addresses = {geo::IPv4(0x0A000002u)};
+  // The reachable part of Export() at each drain.
+  std::vector<std::vector<std::pair<dns::Name, core::SharedCutCache::Entry>>>
+      reachable_at;
   {
     core::StudyCheckpoint ckpt(dir, 77);
     ckpt.Bind(11);
     SeedPhases(ckpt);
     core::SharedCutCache cache;
-    core::SharedCutCache::Entry pos;
-    pos.ns_names = {N("ns1.gov.aa")};
-    pos.addresses = {geo::IPv4(0x0A000001u)};
+    // Delta 0: a positive and a negative that is never journaled.
     cache.Publish(N("gov.aa"), pos);
     cache.PublishUnreachable(N("dead.gov.aa"), {N("ns.dead.gov.aa")});
-    ckpt.SaveCutCacheSnapshot(cache);
+    ckpt.AppendCutCacheDelta(cache);
+    reachable_at.push_back(ReachableOf(cache));
+    // Delta 1: two more positives.
+    cache.Publish(N("gov.bb"), pos);
+    cache.Publish(N("gov.cc"), pos);
+    ckpt.AppendCutCacheDelta(cache);
+    reachable_at.push_back(ReachableOf(cache));
+    // Delta 2: gov.bb flips to unreachable and gov.aa is rewritten.
+    cache.PublishUnreachable(N("gov.bb"), {});
+    cache.Publish(N("gov.aa"), moved);
+    ckpt.AppendCutCacheDelta(cache);
+    reachable_at.push_back(ReachableOf(cache));
   }
+  ASSERT_EQ(reachable_at[2].size(), 2u);  // gov.aa (moved) and gov.cc
   core::StudyCheckpointOptions opts;
   opts.resume = true;
-  core::StudyCheckpoint resumed(dir, 77, opts);
-  resumed.Bind(11);
-  ASSERT_TRUE(resumed.TryLoadSelection().has_value());
-  ASSERT_TRUE(resumed.TryLoadMining(core::MiningConfig{}).has_value());
-  core::SharedCutCache cache;
-  EXPECT_EQ(resumed.RestoreCutCache(&cache), 1u);
-  EXPECT_TRUE(cache.Lookup(N("gov.aa")).has_value());
-  EXPECT_FALSE(cache.Lookup(N("dead.gov.aa")).has_value());
+  {
+    core::StudyCheckpoint resumed(dir, 77, opts);
+    core::SharedCutCache cache;
+    EXPECT_EQ(RestoreInto(resumed, &cache), 2u);
+    EXPECT_EQ(cache.Export(), reachable_at[2]);
+    auto hit = cache.Lookup(N("gov.aa"));
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->addresses, moved.addresses);
+    EXPECT_FALSE(cache.Lookup(N("gov.bb")).has_value());  // tombstoned
+    EXPECT_FALSE(cache.Lookup(N("dead.gov.aa")).has_value());
+    EXPECT_EQ(resumed.stats().cache_entries_restored, 2);
+  }
+
+  // A corrupted middle delta ends the chain: only delta 0 comes back.
+  const std::string middle = dir + "/cutcache_000001.ck";
+  std::string raw = ReadFile(middle);
+  ASSERT_GT(raw.size(), ckpt::kFrameHeaderSize);
+  raw[ckpt::kFrameHeaderSize + (raw.size() - ckpt::kFrameHeaderSize) / 2] ^=
+      0x5A;
+  WriteFile(middle, raw);
+  {
+    core::StudyCheckpoint resumed(dir, 77, opts);
+    core::SharedCutCache cache;
+    EXPECT_EQ(RestoreInto(resumed, &cache), reachable_at[0].size());
+    EXPECT_EQ(cache.Export(), reachable_at[0]);
+    EXPECT_EQ(resumed.journal_stats().rejected_crc, 1u);
+    EXPECT_EQ(resumed.stats().decode_rejects, 0);
+    // The next delta continues the chain after the loaded prefix.
+    cache.Publish(N("gov.dd"), pos);
+    resumed.AppendCutCacheDelta(cache);
+  }
+  {
+    core::StudyCheckpoint resumed(dir, 77, opts);
+    core::SharedCutCache cache;
+    EXPECT_EQ(RestoreInto(resumed, &cache), 2u);  // gov.aa and gov.dd
+    EXPECT_TRUE(cache.Lookup(N("gov.dd")).has_value());
+    // The stale delta 2 chained to the damaged delta 1, not the new one.
+    EXPECT_EQ(resumed.journal_stats().rejected_chain, 1u);
+  }
   fs::remove_all(dir);
 }
 

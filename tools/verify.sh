@@ -80,23 +80,30 @@ echo "==> smoke: checkpoint kill/resume (byte-identical report)"
 # resume, and require the exported report to match an uninterrupted
 # checkpointed baseline byte for byte (DESIGN.md §6f). The kill run must
 # exit with the dedicated kill-point code (42) so a crash-for-another-reason
-# can never masquerade as a successful fault injection.
+# can never masquerade as a successful fault injection. Batches of 128 give
+# scale 0.01 several batches and cut-cache deltas, and the midpoint resume
+# must get its warm start from those deltas.
 CKPT_DIR="${SMOKE_DIR}/ckpt"
-./build/tools/govdns_study --scale 0.01 --no-report \
-  --checkpoint-dir "${CKPT_DIR}/base" \
-  --json "${SMOKE_DIR}/ckpt_base.json" 2>"${SMOKE_DIR}/ckpt_base.err"
-WRITES=$(python3 -c '
+CKPT_BATCH=128
+ckpt_stat() {  # ckpt_stat FILE FIELD: a field of the run's [ckpt] stats line
+  python3 -c '
 import json, re, sys
 text = open(sys.argv[1]).read()
 m = re.search(r"\[ckpt\] stats (\{.*\})", text)
 assert m, text
-print(json.loads(m.group(1))["commits"])' "${SMOKE_DIR}/ckpt_base.err")
+print(json.loads(m.group(1))[sys.argv[2]])' "$1" "$2"
+}
+./build/tools/govdns_study --scale 0.01 --no-report \
+  --checkpoint-dir "${CKPT_DIR}/base" --ckpt-batch "${CKPT_BATCH}" \
+  --json "${SMOKE_DIR}/ckpt_base.json" 2>"${SMOKE_DIR}/ckpt_base.err"
+WRITES=$(ckpt_stat "${SMOKE_DIR}/ckpt_base.err" commits)
 echo "smoke: baseline checkpointed run journals ${WRITES} writes"
 for K in 1 $((WRITES / 2)) "${WRITES}"; do
   DIR="${CKPT_DIR}/kill_${K}"
   set +e
   ./build/tools/govdns_study --scale 0.01 --no-report \
-    --checkpoint-dir "${DIR}" --ckpt-kill-after "${K}" \
+    --checkpoint-dir "${DIR}" --ckpt-batch "${CKPT_BATCH}" \
+    --ckpt-kill-after "${K}" \
     --json "${SMOKE_DIR}/ckpt_killed.json" 2>/dev/null
   STATUS=$?
   set -e
@@ -105,9 +112,18 @@ for K in 1 $((WRITES / 2)) "${WRITES}"; do
     exit 1
   fi
   ./build/tools/govdns_study --scale 0.01 --no-report \
-    --checkpoint-dir "${DIR}" --resume \
-    --json "${SMOKE_DIR}/ckpt_resumed.json" 2>/dev/null
+    --checkpoint-dir "${DIR}" --ckpt-batch "${CKPT_BATCH}" --resume \
+    --json "${SMOKE_DIR}/ckpt_resumed.json" 2>"${SMOKE_DIR}/ckpt_resumed.err"
   cmp "${SMOKE_DIR}/ckpt_base.json" "${SMOKE_DIR}/ckpt_resumed.json"
+  if [ "${K}" -eq $((WRITES / 2)) ]; then
+    RESTORED=$(ckpt_stat "${SMOKE_DIR}/ckpt_resumed.err" \
+      cache_entries_restored)
+    if [ "${RESTORED}" -le 0 ]; then
+      echo "smoke: midpoint resume restored no cut-cache entries" >&2
+      exit 1
+    fi
+    echo "smoke: midpoint resume restored ${RESTORED} cut-cache entries"
+  fi
   echo "smoke: kill at write ${K} -> resume -> report byte-identical OK"
 done
 
