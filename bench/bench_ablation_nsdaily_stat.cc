@@ -23,8 +23,8 @@ govdns::core::MinedDataset MineWithStatistic(YearlyStatistic stat) {
   config.first_year = env.world().config().first_year;
   config.last_year = env.world().config().last_year;
   config.statistic = stat;
-  govdns::core::PdnsMiner miner(&env.world().pdns_db(), config);
-  return miner.Mine(env.seeds());
+  govdns::core::PdnsMiner miner(config);
+  return miner.Mine(env.world().pdns_db(), env.seeds());
 }
 
 void BM_MineWithStatistic(benchmark::State& state) {

@@ -27,8 +27,8 @@ govdns::core::MinedDataset MineWithThreshold(int days) {
   config.first_year = env.world().config().first_year;
   config.last_year = env.world().config().last_year;
   config.stability_days = days;
-  govdns::core::PdnsMiner miner(&env.world().pdns_db(), config);
-  return miner.Mine(env.seeds());
+  govdns::core::PdnsMiner miner(config);
+  return miner.Mine(env.world().pdns_db(), env.seeds());
 }
 
 void BM_MineAtThreshold(benchmark::State& state) {

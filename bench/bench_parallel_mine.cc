@@ -1,12 +1,11 @@
 // Scaling bench: the sharded PDNS miner vs worker count (DESIGN.md §6j).
 //
-// Freezes the PDNS database once (freeze cost reported separately — it is a
-// one-time substrate build, not per-mine work), then sweeps
-// PdnsMiner::MineSnapshot at 1/2/4/8 workers with the sub-phase profiler
-// attached. Each point records wall seconds, per-phase walls, the measured
-// speedup, and an Amdahl projection computed from the 1-worker run's phase
-// decomposition: the only serial remainder of the pipeline is the intern
-// k-way merge plus the renumber pass, so
+// Sweeps PdnsMiner::Mine over the world's in-memory PDNS store at 1/2/4/8
+// workers with the sub-phase profiler attached. Each point records wall
+// seconds, per-phase walls, the measured speedup, and an Amdahl projection
+// computed from the 1-worker run's phase decomposition: the only serial
+// remainder of the pipeline is the intern k-way merge plus the renumber
+// pass, so
 //
 //     projected(N) = total / (serial + (total - serial) / N)
 //
@@ -16,13 +15,13 @@
 // and tools/verify.sh — judge which one to trust.
 //
 // The dataset must be byte-identical at every point (parallel mining is a
-// pure optimization), including when mined from the owning and mmapped
-// snapshot-file substrates, which this bench round-trips through a temp
-// file. A second sweep runs at GOVDNS_MINE_SCALE (default 10x GOVDNS_SCALE;
-// set 0 to disable) so the scaling claim is tested at world scale and well
-// past it. Artifacts: the sweep tables on stdout, one machine-readable
-// `[bench] mining` JSON line for the stats scraper, and BENCH_mining.json
-// (path overridable via GOVDNS_MINING_JSON).
+// pure optimization), including when mined from the store published as a
+// snapshot file and mapped back, which this bench round-trips through a
+// temp file. A second sweep runs at GOVDNS_MINE_SCALE (default 10x
+// GOVDNS_SCALE; set 0 to disable) so the scaling claim is tested at world
+// scale and well past it. Artifacts: the sweep tables on stdout, one
+// machine-readable `[bench] mining` JSON line for the stats scraper, and
+// BENCH_mining.json (path overridable via GOVDNS_MINING_JSON).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -36,7 +35,7 @@
 #include "bench/common.h"
 #include "core/mining.h"
 #include "obs/profile.h"
-#include "pdns/snapshot_io.h"
+#include "pdns/db.h"
 #include "util/json.h"
 #include "util/table.h"
 
@@ -80,7 +79,6 @@ struct SweepResult {
   size_t domains = 0;
   size_t ns_names = 0;
   int64_t entries_scanned = 0;
-  double freeze_seconds = 0.0;
   double serial_seconds = 0.0;
   double serial_phase_seconds = 0.0;  // intern merge + renumber, from 1w run
   std::vector<SweepPoint> sweep;
@@ -104,19 +102,18 @@ PhaseWalls CollectPhases(const govdns::obs::PhaseProfiler& prof) {
   return p;
 }
 
-template <typename Snapshot>
-govdns::core::MinedDataset MinePoint(const Snapshot& snapshot,
-                                     const std::vector<govdns::core::SeedDomain>& seeds,
-                                     const govdns::core::MiningConfig& config,
-                                     int workers, double* seconds,
-                                     PhaseWalls* phases) {
+govdns::core::MinedDataset MinePoint(
+    const govdns::pdns::PdnsSnapshot& snapshot,
+    const std::vector<govdns::core::SeedDomain>& seeds,
+    const govdns::core::MiningConfig& config, int workers, double* seconds,
+    PhaseWalls* phases) {
   govdns::obs::PhaseProfiler prof;
   govdns::core::MinerOptions opts;
   opts.workers = workers;
   opts.profiler = &prof;
   govdns::core::PdnsMiner miner(config, opts);
   const auto start = std::chrono::steady_clock::now();
-  auto dataset = miner.MineSnapshot(snapshot, seeds);
+  auto dataset = miner.Mine(snapshot, seeds);
   const auto stop = std::chrono::steady_clock::now();
   if (seconds != nullptr) {
     *seconds = std::chrono::duration<double>(stop - start).count();
@@ -132,25 +129,14 @@ SweepResult RunSweep(govdns::core::Study& study, double scale) {
   const auto& seeds = study.seeds();
   const auto& config = study.inputs().mining;
   r.seeds = seeds.size();
-
-  // Freeze once, up front: a one-time O(entries) substrate build every
-  // sweep point then shares (the old bench re-froze per point, drowning the
-  // mine in serial freeze time).
-  govdns::pdns::PdnsSnapshot frozen;
-  {
-    const auto start = std::chrono::steady_clock::now();
-    frozen = study.inputs().pdns->Freeze();
-    r.freeze_seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-  }
+  const govdns::pdns::PdnsSnapshot& store = *study.inputs().pdns;
 
   // The 1-worker run is the identity baseline AND the Amdahl decomposition
   // source: its intern-merge + renumber walls are the pipeline's only
   // serial remainder.
   PhaseWalls serial_phases;
   const auto serial =
-      MinePoint(frozen, seeds, config, 1, &r.serial_seconds, &serial_phases);
+      MinePoint(store, seeds, config, 1, &r.serial_seconds, &serial_phases);
   r.domains = serial.domains.size();
   r.ns_names = serial.ns_names.size();
   r.entries_scanned = serial.stats.entries_scanned;
@@ -161,7 +147,7 @@ SweepResult RunSweep(govdns::core::Study& study, double scale) {
     SweepPoint point;
     point.workers = workers;
     const auto dataset =
-        MinePoint(frozen, seeds, config, workers, &point.seconds, &point.phases);
+        MinePoint(store, seeds, config, workers, &point.seconds, &point.phases);
     point.identical = dataset == serial;
     point.domains_per_sec =
         point.seconds > 0.0 ? double(dataset.domains.size()) / point.seconds
@@ -177,8 +163,8 @@ SweepResult RunSweep(govdns::core::Study& study, double scale) {
     r.sweep.push_back(point);
   }
 
-  // Substrate identity: the owning and mmapped snapshot-file paths must
-  // yield the same bytes the in-memory frozen snapshot did.
+  // Substrate identity: the store published as a file and mapped back must
+  // yield the same bytes the in-memory store did.
   const std::string dir =
       (fs::temp_directory_path() / "govdns_bench_mine").string();
   std::error_code ec;
@@ -186,27 +172,16 @@ SweepResult RunSweep(govdns::core::Study& study, double scale) {
   fs::create_directories(dir, ec);
   const std::string path = dir + "/pdns.gvsn";
   auto write =
-      govdns::pdns::WritePdnsSnapshotFile(frozen, kSnapshotFingerprint, dir, path);
+      govdns::pdns::WritePdnsSnapshotFile(store, kSnapshotFingerprint, dir, path);
   if (write.ok()) {
-    auto owning =
-        govdns::pdns::ReadPdnsSnapshotFileOwning(path, kSnapshotFingerprint);
-    auto mapped =
-        govdns::pdns::MappedPdnsSnapshot::Open(path, kSnapshotFingerprint);
+    auto mapped = govdns::pdns::PdnsSnapshot::Open(path, kSnapshotFingerprint);
     for (int workers : {1, 4}) {
-      if (owning.ok()) {
-        SubstratePoint p{"owning", workers};
-        p.identical =
-            MinePoint(*owning, seeds, config, workers, &p.seconds, nullptr) ==
-            serial;
-        r.substrates.push_back(p);
-      }
-      if (mapped.ok()) {
-        SubstratePoint p{"mapped", workers};
-        p.identical =
-            MinePoint(*mapped, seeds, config, workers, &p.seconds, nullptr) ==
-            serial;
-        r.substrates.push_back(p);
-      }
+      if (!mapped.ok()) break;
+      SubstratePoint p{"mapped", workers};
+      p.identical =
+          MinePoint(*mapped, seeds, config, workers, &p.seconds, nullptr) ==
+          serial;
+      r.substrates.push_back(p);
     }
   } else {
     std::fprintf(stderr, "[bench] cannot write snapshot file: %s\n",
@@ -222,7 +197,6 @@ void WriteSweepJson(govdns::util::JsonWriter& w, const SweepResult& r) {
   w.Kv("domains", int64_t(r.domains));
   w.Kv("ns_names", int64_t(r.ns_names));
   w.Kv("entries_scanned", r.entries_scanned);
-  w.Kv("freeze_seconds", r.freeze_seconds);
   w.Kv("serial_seconds", r.serial_seconds);
   w.Kv("serial_phase_seconds", r.serial_phase_seconds);
   w.Key("sweep").BeginArray();
@@ -271,9 +245,8 @@ void PrintSweepTable(const SweepResult& r) {
                   p.identical ? "yes" : "NO"});
   }
   std::printf("\nScaling at scale %.3f — %zu seeds, %zu domains, "
-              "freeze %.3fs (once), serial remainder %.4fs\n",
-              r.scale, r.seeds, r.domains, r.freeze_seconds,
-              r.serial_phase_seconds);
+              "serial remainder %.4fs\n",
+              r.scale, r.seeds, r.domains, r.serial_phase_seconds);
   table.Print(std::cout);
   for (const SubstratePoint& p : r.substrates) {
     std::printf("  substrate %-6s w=%d: %.3fs identical=%s\n", p.substrate,
@@ -285,14 +258,11 @@ void PrintSweepTable(const SweepResult& r) {
 // artifact sweep below is the authoritative record).
 void BM_MineWorkers(benchmark::State& state) {
   auto& env = BenchEnv::Get();
-  static govdns::pdns::PdnsSnapshot frozen = [&] {
-    env.seeds();
-    return env.study().inputs().pdns->Freeze();
-  }();
   const int workers = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto dataset = MinePoint(frozen, env.seeds(), env.study().inputs().mining,
-                             workers, nullptr, nullptr);
+    auto dataset = MinePoint(env.world().pdns_db(), env.seeds(),
+                             env.study().inputs().mining, workers, nullptr,
+                             nullptr);
     benchmark::DoNotOptimize(dataset);
   }
 }

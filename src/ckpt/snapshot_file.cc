@@ -82,28 +82,19 @@ util::StatusOr<SnapshotFileView> SnapshotFileView::Open(
     uint64_t expected_fingerprint, SnapshotValidation validation) {
   auto file = util::MappedFile::Open(path);
   if (!file.ok()) return file.status();
-  return Validate(*std::move(file), path, expected_version,
+  return FromFile(*std::move(file), path, expected_version,
                   expected_fingerprint, validation);
 }
 
-util::StatusOr<SnapshotFileView> SnapshotFileView::OpenReadOnly(
-    const std::string& path, uint32_t expected_version,
-    uint64_t expected_fingerprint, SnapshotValidation validation) {
-  auto file = util::MappedFile::OpenReadOnly(path);
-  if (!file.ok()) return file.status();
-  return Validate(*std::move(file), path, expected_version,
-                  expected_fingerprint, validation);
-}
-
-util::StatusOr<SnapshotFileView> SnapshotFileView::Validate(
-    util::MappedFile file, const std::string& path, uint32_t expected_version,
+util::StatusOr<SnapshotFileView> SnapshotFileView::FromFile(
+    util::MappedFile file, const std::string& origin, uint32_t expected_version,
     uint64_t expected_fingerprint, SnapshotValidation validation) {
   const std::string_view bytes = file.view();
   if (bytes.size() < kSnapshotHeaderSize) {
-    return Corrupt(path, "truncated header");
+    return Corrupt(origin, "truncated header");
   }
   if (std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0) {
-    return Corrupt(path, "bad magic");
+    return Corrupt(origin, "bad magic");
   }
   Reader r(bytes.substr(sizeof kMagic, kSnapshotHeaderSize - sizeof kMagic));
   uint32_t endian = 0, version = 0, section_count = 0;
@@ -112,27 +103,27 @@ util::StatusOr<SnapshotFileView> SnapshotFileView::Validate(
   GOVDNS_CHECK(r.U32(&endian) && r.U32(&version) && r.U32(&section_count) &&
                r.U64(&fingerprint) && r.U32(&table_crc) && r.U32(&header_crc));
   if (Crc32(bytes.substr(0, kSnapshotHeaderSize - 4)) != header_crc) {
-    return Corrupt(path, "header CRC mismatch");
+    return Corrupt(origin, "header CRC mismatch");
   }
   if (endian != kSnapshotEndianMarker) {
-    return Corrupt(path, "endianness mismatch (file written on a "
+    return Corrupt(origin, "endianness mismatch (file written on a "
                          "different-endian host)");
   }
   if (version != expected_version) {
-    return Corrupt(path, "format version " + std::to_string(version) +
+    return Corrupt(origin, "format version " + std::to_string(version) +
                              " != expected " + std::to_string(expected_version));
   }
   if (fingerprint != expected_fingerprint) {
-    return Corrupt(path, "world/config fingerprint mismatch");
+    return Corrupt(origin, "world/config fingerprint mismatch");
   }
   const uint64_t table_size =
       static_cast<uint64_t>(section_count) * kSnapshotTableEntrySize;
   if (kSnapshotHeaderSize + table_size > bytes.size()) {
-    return Corrupt(path, "truncated section table");
+    return Corrupt(origin, "truncated section table");
   }
   const std::string_view table = bytes.substr(kSnapshotHeaderSize, table_size);
   if (Crc32(table) != table_crc) {
-    return Corrupt(path, "section table CRC mismatch");
+    return Corrupt(origin, "section table CRC mismatch");
   }
 
   SnapshotFileView view;
@@ -146,20 +137,20 @@ util::StatusOr<SnapshotFileView> SnapshotFileView::Validate(
                  tr.U64(&ref.length) && tr.U32(&payload_crc) &&
                  tr.U32(&reserved1));
     if (ref.offset % kSnapshotSectionAlign != 0) {
-      return Corrupt(path, "misaligned section " + std::to_string(ref.id));
+      return Corrupt(origin, "misaligned section " + std::to_string(ref.id));
     }
     if (ref.offset > bytes.size() || ref.length > bytes.size() - ref.offset) {
-      return Corrupt(path, "section " + std::to_string(ref.id) +
+      return Corrupt(origin, "section " + std::to_string(ref.id) +
                                " out of bounds");
     }
     for (const SectionRef& prior : view.sections_) {
       if (prior.id == ref.id) {
-        return Corrupt(path, "duplicate section id " + std::to_string(ref.id));
+        return Corrupt(origin, "duplicate section id " + std::to_string(ref.id));
       }
     }
     if (validation == SnapshotValidation::kFull &&
         Crc32(bytes.substr(ref.offset, ref.length)) != payload_crc) {
-      return Corrupt(path, "section " + std::to_string(ref.id) +
+      return Corrupt(origin, "section " + std::to_string(ref.id) +
                                " payload CRC mismatch");
     }
     view.sections_.push_back(ref);

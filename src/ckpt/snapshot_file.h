@@ -82,11 +82,12 @@ class SnapshotFileView {
                                                uint64_t expected_fingerprint,
                                                SnapshotValidation validation);
 
-  // As Open but never mmaps (always the read fallback) — for benchmarks and
-  // filesystems without mmap.
-  static util::StatusOr<SnapshotFileView> OpenReadOnly(
-      const std::string& path, uint32_t expected_version,
-      uint64_t expected_fingerprint, SnapshotValidation validation);
+  // As Open, over bytes already mapped or held in memory; `origin` names
+  // them in errors.
+  static util::StatusOr<SnapshotFileView> FromFile(
+      util::MappedFile file, const std::string& origin,
+      uint32_t expected_version, uint64_t expected_fingerprint,
+      SnapshotValidation validation);
 
   // The payload bytes of section `id`; kNotFound if the file has no such
   // section. The returned view is 64-byte aligned relative to the file
@@ -99,10 +100,6 @@ class SnapshotFileView {
   uint64_t fingerprint() const { return fingerprint_; }
 
  private:
-  static util::StatusOr<SnapshotFileView> Validate(
-      util::MappedFile file, const std::string& path, uint32_t expected_version,
-      uint64_t expected_fingerprint, SnapshotValidation validation);
-
   struct SectionRef {
     uint32_t id = 0;
     uint64_t offset = 0;

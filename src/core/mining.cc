@@ -12,7 +12,6 @@
 #include <thread>
 #include <utility>
 
-#include "pdns/snapshot_io.h"
 #include "util/arena.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -37,15 +36,8 @@ uint64_t MiningConfigFingerprint(const MiningConfig& config) {
   return state;
 }
 
-PdnsMiner::PdnsMiner(const pdns::PdnsDatabase* db, MiningConfig config,
-                     MinerOptions options)
-    : db_(db), config_(config), options_(options) {
-  GOVDNS_CHECK(db != nullptr);
-  GOVDNS_CHECK(config.first_year <= config.last_year);
-}
-
 PdnsMiner::PdnsMiner(MiningConfig config, MinerOptions options)
-    : db_(nullptr), config_(config), options_(options) {
+    : config_(config), options_(options) {
   GOVDNS_CHECK(config.first_year <= config.last_year);
 }
 
@@ -72,9 +64,9 @@ namespace {
 // used and every used name was collected (the renumber pass CHECKs it).
 // Years are contiguous, so overlapping the whole range == overlapping some
 // year.
-template <typename Entry>
 bool InternEligible(const MiningConfig& config, util::CivilDay years_first,
-                    util::CivilDay years_last, const Entry& entry) {
+                    util::CivilDay years_last,
+                    const pdns::PdnsEntryView& entry) {
   return entry.type == dns::RRType::kNS &&
          entry.seen.last - entry.seen.first >= config.stability_days &&
          entry.seen.last >= years_first && entry.seen.first <= years_last;
@@ -84,11 +76,10 @@ bool InternEligible(const MiningConfig& config, util::CivilDay years_first,
 // unique stable NS rdata in plain byte-sorted order, with a two-byte-prefix
 // bucket index so a lookup binary-searches a short run instead of the whole
 // table (~5 string compares instead of ~log2(n) at world scale). Entries
-// are string_views into the snapshot substrate — the frozen entry array or
-// the mmapped rdata blob, both immutable for the duration of the pass — so
-// building and probing the table never copies a string. Ids are positions
-// in sorted order; the fold's renumber pass converts them to first-seen
-// order at the end (DESIGN.md §6j).
+// are string_views into the snapshot's rdata blob, immutable for the
+// duration of the pass, so building and probing the table never copies a
+// string. Ids are positions in sorted order; the fold's renumber pass
+// converts them to first-seen order at the end (DESIGN.md §6j).
 class NsNameTable {
  public:
   // Merges per-worker sorted, deduplicated view lists into the table.
@@ -217,13 +208,9 @@ int YearlyValue(YearlyStatistic statistic, const Hist& days_at_count) {
   return value;
 }
 
-// Mines one seed against a frozen snapshot — owning (PdnsSnapshot) or
-// memory-mapped (MappedPdnsSnapshot); both expose the same lookup API and
-// entry field names, differing only in whether entries come out as
-// PdnsEntry refs or PdnsEntryView values. Reads only shared immutable state
+// Mines one seed against the snapshot. Reads only shared immutable state
 // and writes only `shard`/`scratch`, so any worker may run any seed.
-template <typename Snapshot>
-void MineSeed(const MiningConfig& config, const Snapshot& snapshot,
+void MineSeed(const MiningConfig& config, const pdns::PdnsSnapshot& snapshot,
               const NsNameTable& table, const SeedDomain& seed, int seed_index,
               const std::vector<util::CivilDay>& year_start,
               const std::vector<util::CivilDay>& year_end, SeedShard& shard,
@@ -261,9 +248,9 @@ void MineSeed(const MiningConfig& config, const Snapshot& snapshot,
   };
 
   // One zero-copy owner walk over the subtree; entries of an owner are a
-  // contiguous span (no per-seed result vector as the map-backed search
-  // returned). All NS entries are considered (unfiltered: the active-window
-  // check uses raw sightings, as the paper's FQDN extraction did).
+  // contiguous run of views into the image (no per-seed result vector). All
+  // NS entries are considered (unfiltered: the active-window check uses raw
+  // sightings, as the paper's FQDN extraction did).
   const auto [name_lo, name_hi] = snapshot.WildcardNameRange(seed.d_gov);
   for (size_t n = name_lo; n < name_hi; ++n) {
     const auto entries = snapshot.entries(n);
@@ -362,10 +349,10 @@ void MineSeed(const MiningConfig& config, const Snapshot& snapshot,
 // The intern pre-pass body of one worker: collect the unique intern-eligible
 // rdata views of whole seeds (deduped per seed through arena scratch, then
 // once more per worker), leaving `acc` sorted and unique. The final k-way
-// merge across workers happens serially in MineImpl — it is the only serial
+// merge across workers happens serially in Mine — it is the only serial
 // string work left in the pipeline.
-template <typename Snapshot>
-void CollectInternViews(const MiningConfig& config, const Snapshot& snapshot,
+void CollectInternViews(const MiningConfig& config,
+                        const pdns::PdnsSnapshot& snapshot,
                         const std::vector<SeedDomain>& seeds,
                         std::atomic<size_t>& next,
                         std::vector<std::string_view>& acc) {
@@ -378,9 +365,10 @@ void CollectInternViews(const MiningConfig& config, const Snapshot& snapshot,
     const auto [lo, hi] = snapshot.WildcardNameRange(seeds[s].d_gov);
     arena.Reset();
     util::ArenaVec<std::string_view> local(&arena);
-    for (const auto& entry : snapshot.EntriesInNameRange(lo, hi)) {
+    for (const pdns::PdnsEntryView entry :
+         snapshot.EntriesInNameRange(lo, hi)) {
       if (InternEligible(config, years_first, years_last, entry)) {
-        local.push_back(std::string_view(entry.rdata));
+        local.push_back(entry.rdata);
       }
     }
     std::sort(local.begin(), local.end());
@@ -407,47 +395,16 @@ void RunOnPool(int workers, const std::function<void(int)>& body) {
 
 }  // namespace
 
-MinedDataset PdnsMiner::Mine(const std::vector<SeedDomain>& seeds) {
-  GOVDNS_CHECK(db_ != nullptr);
-  // --- Phase 1: freeze. One O(entries) flattening buys every seed a
-  // binary-searched zero-copy subtree scan instead of a copied vector.
-  pdns::PdnsSnapshot snapshot;
-  {
-    std::optional<obs::PhaseProfiler::Scope> scope;
-    if (options_.profiler != nullptr) {
-      scope.emplace(options_.profiler, "mining.freeze");
-    }
-    snapshot = db_->Freeze();
-    if (scope) scope->set_items(static_cast<int64_t>(snapshot.entry_count()));
+MinedDataset PdnsMiner::Mine(const pdns::PdnsSnapshot& snapshot,
+                             const std::vector<SeedDomain>& seeds) {
+  // --- Phase 1: attach ("mining.freeze"). The snapshot is already flat and
+  // immutable, so this costs nothing; the row stays so the exported profile
+  // keeps its schema (see MinerOptions::profiler).
+  if (options_.profiler != nullptr) {
+    obs::PhaseProfiler::Scope scope(options_.profiler, "mining.freeze");
+    scope.set_items(static_cast<int64_t>(snapshot.entry_count()));
   }
-  return MineImpl(snapshot, seeds);
-}
 
-MinedDataset PdnsMiner::MineSnapshot(const pdns::PdnsSnapshot& snapshot,
-                                     const std::vector<SeedDomain>& seeds) {
-  RecordSnapshotAttach(snapshot.entry_count());
-  return MineImpl(snapshot, seeds);
-}
-
-MinedDataset PdnsMiner::MineSnapshot(const pdns::MappedPdnsSnapshot& snapshot,
-                                     const std::vector<SeedDomain>& seeds) {
-  RecordSnapshotAttach(snapshot.entry_count());
-  return MineImpl(snapshot, seeds);
-}
-
-void PdnsMiner::RecordSnapshotAttach(size_t entries) {
-  // A pre-frozen substrate skips the O(entries) flattening, but the profile
-  // schema must not depend on the substrate: emit the same "mining.freeze"
-  // row the database path does (the attach is the freeze, at O(1) cost) so
-  // reports stay byte-identical across substrates.
-  if (options_.profiler == nullptr) return;
-  obs::PhaseProfiler::Scope scope(options_.profiler, "mining.freeze");
-  scope.set_items(static_cast<int64_t>(entries));
-}
-
-template <typename Snapshot>
-MinedDataset PdnsMiner::MineImpl(const Snapshot& snapshot,
-                                 const std::vector<SeedDomain>& seeds) {
   MinedDataset out;
   out.config = config_;
   out.stats.seeds = static_cast<int64_t>(seeds.size());

@@ -7,11 +7,11 @@
 // domains seen in the collection window, minus disposable-looking names.
 //
 // Mine() shards the seed list over a worker pool (MinerOptions::workers)
-// mirroring the measurement engine (DESIGN.md §6c/§6e/§6j): the database is
-// frozen once into a flat PdnsSnapshot, a parallel pre-pass builds the
-// global NS-name intern table up front (unique stable rdata per worker,
-// merged into one byte-sorted table), and each worker then mines whole
-// seeds against zero-copy entry spans, resolving rdata -> global id by
+// mirroring the measurement engine (DESIGN.md §6c/§6e/§6j) over the
+// immutable PdnsSnapshot: a parallel pre-pass builds the global NS-name
+// intern table up front (unique stable rdata per worker, merged into one
+// byte-sorted table), and each worker then mines whole seeds against
+// zero-copy entry views, resolving rdata -> global id by
 // bucket-accelerated binary search — no per-shard hash tables and no
 // string copies on the hit path. The fold degenerates to a parallel concat
 // plus a commutative stats merge; a final deterministic renumber pass
@@ -40,10 +40,6 @@
 #include "obs/profile.h"
 #include "pdns/db.h"
 #include "util/civil_time.h"
-
-namespace govdns::pdns {
-class MappedPdnsSnapshot;
-}  // namespace govdns::pdns
 
 namespace govdns::core {
 
@@ -94,7 +90,10 @@ struct MinerOptions {
   // Optional sub-phase profiling sink (not owned; may be null): records
   // "mining.freeze", "mining.fold.intern" (+ ".merge" for its serial tail),
   // "mining.shard", "mining.fold.{renumber,sort,concat}", and the umbrella
-  // "mining.fold" wall-time phases (DESIGN.md §6j).
+  // "mining.fold" wall-time phases (DESIGN.md §6j). "mining.freeze" is the
+  // O(1) attach of the snapshot, its items the entry count; the row keeps
+  // its name from when mining first flattened a mutable database, because
+  // exported profiles are pinned byte for byte.
   obs::PhaseProfiler* profiler = nullptr;
 };
 
@@ -123,7 +122,7 @@ struct MinedDomain {
   friend bool operator==(const MinedDomain&, const MinedDomain&) = default;
 };
 
-// Deterministic bookkeeping of one Mine() pass. Pure function of (database,
+// Deterministic bookkeeping of one Mine() pass. Pure function of (snapshot,
 // seeds, config); the study folds it into the observability metrics so the
 // mining stage is not a black box between selection and measurement.
 struct MiningStats {
@@ -150,26 +149,15 @@ struct MinedDataset {
 
 class PdnsMiner {
  public:
-  PdnsMiner(const pdns::PdnsDatabase* db, MiningConfig config = MiningConfig(),
-            MinerOptions options = MinerOptions());
-  // Snapshot-only miner (no database): for MineSnapshot callers that load a
-  // pre-frozen snapshot from a file instead of freezing one.
-  explicit PdnsMiner(MiningConfig config, MinerOptions options = MinerOptions());
+  explicit PdnsMiner(MiningConfig config = MiningConfig(),
+                     MinerOptions options = MinerOptions());
 
-  // Pure function of (database, seeds, config): the worker count and every
+  // Pure function of (snapshot, seeds, config): the worker count and every
   // other MinerOptions knob may change only the wall time, never the bytes
-  // (pinned by ParallelMineTest).
-  MinedDataset Mine(const std::vector<SeedDomain>& seeds);
-
-  // Mines a pre-frozen snapshot — owning or memory-mapped — skipping the
-  // freeze phase entirely (the snapshot-file fast path; DESIGN.md §6i).
-  // Both overloads run the identical sharded pipeline over the identical
-  // entry data, so the dataset is byte-identical to Mine() on the source
-  // database, for any worker count (pinned by SnapshotFileTest).
-  MinedDataset MineSnapshot(const pdns::PdnsSnapshot& snapshot,
-                            const std::vector<SeedDomain>& seeds);
-  MinedDataset MineSnapshot(const pdns::MappedPdnsSnapshot& snapshot,
-                            const std::vector<SeedDomain>& seeds);
+  // (pinned by ParallelMineTest), and so may whether the snapshot was built
+  // in memory or mapped from a file (pinned by SnapshotFileTest).
+  MinedDataset Mine(const pdns::PdnsSnapshot& snapshot,
+                    const std::vector<SeedDomain>& seeds);
 
   // The heuristic the pipeline uses in place of the paper's manual
   // "disposable domains" filtering: machine-generated-looking labels.
@@ -183,16 +171,6 @@ class PdnsMiner {
   static std::vector<int> ActiveQueryCountries(const MinedDataset& dataset);
 
  private:
-  // Shard + fold over any snapshot exposing the PdnsSnapshot lookup API.
-  template <typename Snapshot>
-  MinedDataset MineImpl(const Snapshot& snapshot,
-                        const std::vector<SeedDomain>& seeds);
-
-  // Emits the "mining.freeze" profile row for a pre-frozen substrate so the
-  // profile schema is substrate-independent (see mining.cc for rationale).
-  void RecordSnapshotAttach(size_t entries);
-
-  const pdns::PdnsDatabase* db_;
   MiningConfig config_;
   MinerOptions options_;
 };

@@ -4,7 +4,6 @@
 #include <map>
 
 #include "core/study_ckpt.h"
-#include "pdns/snapshot_io.h"
 
 namespace govdns::core {
 
@@ -12,7 +11,7 @@ Study::Study(StudyInputs inputs)
     : inputs_(std::move(inputs)),
       resolver_(inputs_.transport, inputs_.root_hints) {
   GOVDNS_CHECK(inputs_.transport != nullptr);
-  GOVDNS_CHECK(inputs_.pdns != nullptr || inputs_.pdns_snapshot != nullptr);
+  GOVDNS_CHECK(inputs_.pdns != nullptr);
   GOVDNS_CHECK(inputs_.psl != nullptr);
   GOVDNS_CHECK(inputs_.policy != nullptr);
 }
@@ -77,7 +76,7 @@ const std::vector<SeedDomain>& Study::RunSelection() {
 
 void Study::FoldMiningObs() const {
   if (obs_ == nullptr) return;
-  // Mining is a pure function of (database, seeds, config) — the worker
+  // Mining is a pure function of (snapshot, seeds, config) — the worker
   // count may not change a byte of it — so its stats are kStable and land
   // as registry-level counters (no worker shards here).
   obs::MetricsRegistry& m = obs_->metrics();
@@ -108,14 +107,8 @@ const MinedDataset& Study::RunMining(MinerOptions options) {
   {
     obs::PhaseProfiler::Scope phase(&profiler_, "mining");
     if (options.profiler == nullptr) options.profiler = &profiler_;
-    if (inputs_.pdns_snapshot != nullptr) {
-      PdnsMiner miner(inputs_.mining, options);
-      mined_ = std::make_unique<MinedDataset>(
-          miner.MineSnapshot(*inputs_.pdns_snapshot, seeds_));
-    } else {
-      PdnsMiner miner(inputs_.pdns, inputs_.mining, options);
-      mined_ = std::make_unique<MinedDataset>(miner.Mine(seeds_));
-    }
+    PdnsMiner miner(inputs_.mining, options);
+    mined_ = std::make_unique<MinedDataset>(miner.Mine(*inputs_.pdns, seeds_));
     phase.set_items(mined_->stats.domains);
   }
   if (ckpt_ != nullptr) {

@@ -48,13 +48,11 @@ struct StudyInputs {
   // Substrates (a simulated world, or the real Internet via sockets).
   dns::QueryTransport* transport = nullptr;
   std::vector<geo::IPv4> root_hints;
-  const pdns::PdnsDatabase* pdns = nullptr;
-  // Optional memory-mapped snapshot standing in for `pdns` during mining
-  // (the --map-snapshot fast path; DESIGN.md §6i). When set, RunMining
-  // mines it zero-copy — no freeze phase — and `pdns` may be null. The
-  // mined dataset is byte-identical either way, so the checkpoint identity
-  // does not depend on which substrate served mining.
-  const pdns::MappedPdnsSnapshot* pdns_snapshot = nullptr;
+  // The passive-DNS store: the world's in-memory image or a mapped
+  // snapshot file (--map-snapshot; DESIGN.md §6i). The mined dataset is
+  // byte-identical either way, so the checkpoint identity does not depend
+  // on which one served mining.
+  const pdns::PdnsSnapshot* pdns = nullptr;
   const geo::AsnDatabase* asn_db = nullptr;
   const registrar::RegistrarClient* registrar = nullptr;
   const registrar::PublicSuffixList* psl = nullptr;
@@ -80,7 +78,7 @@ class Study {
   // §III-A. Must run first.
   const std::vector<SeedDomain>& RunSelection();
   // §III-B/C (requires selection). Runs the sharded miner: options.workers
-  // threads (0 = all cores) over a frozen PDNS snapshot; the MinedDataset is
+  // threads (0 = all cores) over the PDNS snapshot; the MinedDataset is
   // byte-identical for any worker count. The study's phase profiler is
   // wired in as the default sub-phase sink.
   const MinedDataset& RunMining(MinerOptions options = MinerOptions());

@@ -144,7 +144,7 @@ class Name {
   size_t WireLength() const { return IsRoot() ? 1 : size_ + 2; }
 
   // The stored key (see the representation note above). A memory-mapped
-  // snapshot binary-searches these bytes directly (pdns/snapshot_io.h).
+  // snapshot binary-searches these bytes directly (pdns/db.h).
   std::string_view CanonicalKey() const {
     return {OnHeap() ? HeapKey() : inline_, size_};
   }

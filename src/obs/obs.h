@@ -1,15 +1,15 @@
 // Aggregate observability context threaded through the pipeline.
 //
 // One Observability instance spans a study run: the measurer folds worker
-// shards into `metrics`, per-domain traces into `traces`, the shared cut
-// cache logs publishes into `cut_log`, and Study/BuildReport record phases
-// into `profiler`. Everything is optional — components take a nullable
-// Observability* and skip all instrumentation work when it is absent, so
-// the uninstrumented hot path costs one pointer test.
+// shards into `metrics`, per-domain traces into `traces`, and the shared cut
+// cache logs publishes into `cut_log`. Phases are not recorded here: Study
+// and BuildReport own the PhaseProfilers that feed the report's profile[].
+// Everything is optional — components take a nullable Observability* and
+// skip all instrumentation work when it is absent, so the uninstrumented
+// hot path costs one pointer test.
 #pragma once
 
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/trace.h"
 
 namespace govdns::obs {
@@ -29,14 +29,11 @@ class Observability {
   const TraceRing& traces() const { return traces_; }
   CutTraceLog& cut_log() { return cut_log_; }
   const CutTraceLog& cut_log() const { return cut_log_; }
-  PhaseProfiler& profiler() { return profiler_; }
-  const PhaseProfiler& profiler() const { return profiler_; }
 
  private:
   MetricsRegistry metrics_;
   TraceRing traces_;
   CutTraceLog cut_log_;
-  PhaseProfiler profiler_;
 };
 
 }  // namespace govdns::obs

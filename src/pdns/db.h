@@ -4,26 +4,28 @@
 // keyed by (rrname, rrtype, rdata) carrying first-seen/last-seen timestamps
 // and an observation count, with left-hand wildcard search
 // ("*.gov.au" -> every record whose owner ends in gov.au) and time-window
-// filtering. The world generator populates it by replaying ten years of
-// synthetic zone history through Observe().
+// filtering.
 //
-// Two read paths exist:
-//   * the mutable, map-backed PdnsDatabase, used while the history is being
-//     ingested; and
-//   * a frozen PdnsSnapshot (from Freeze()), which lowers the node-based map
-//     into one flat, canonically sorted entry array with a per-owner offset
-//     index. Wildcard search on a snapshot is a binary-searched contiguous
-//     range returning non-owning spans — no per-query copies — which is what
-//     the sharded miner iterates at paper scale.
+// There is one representation: an immutable PdnsSnapshot laid out as the
+// sections of a GVSN container (ckpt/snapshot_file.h, DESIGN.md §6i).
+// The world generator replays ten years of synthetic zone history into a
+// PdnsSnapshotBuilder, which sort-merges the sightings once and assembles
+// the image in memory; the same bytes, published with
+// WritePdnsSnapshotFile, are served from an mmap by PdnsSnapshot::Open.
+// Either way names binary-search as raw canonical keys and entries come out
+// as non-owning PdnsEntryView records pointing into the image.
 #pragma once
 
-#include <map>
+#include <cstdint>
+#include <iterator>
 #include <optional>
-#include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "ckpt/snapshot_file.h"
 #include "dns/name.h"
 #include "dns/rr.h"
 #include "util/civil_time.h"
@@ -31,6 +33,7 @@
 
 namespace govdns::pdns {
 
+// One entry with its owner, materialized — what WildcardSearch returns.
 struct PdnsEntry {
   dns::Name rrname;
   dns::RRType type = dns::RRType::kNS;
@@ -41,9 +44,9 @@ struct PdnsEntry {
   friend bool operator==(const PdnsEntry&, const PdnsEntry&) = default;
 };
 
-// Non-owning view of one entry: what a memory-mapped snapshot hands out
-// (snapshot_io.h), where the rdata bytes live in the mapping. The owner name
-// is implicit — callers iterate entries grouped by owner index.
+// Non-owning view of one entry; the rdata bytes live in the snapshot image.
+// The owner name is implicit — callers iterate entries grouped by owner
+// index.
 struct PdnsEntryView {
   dns::RRType type = dns::RRType::kNS;
   std::string_view rdata;
@@ -70,127 +73,209 @@ struct Query {
   int min_seen_gap_days = 0;
 };
 
-// True when `entry` passes `query`. One predicate shared by the map-backed
-// database, the frozen snapshot, and the mapped snapshot, so the paths
-// cannot disagree.
-bool EntryMatches(const PdnsEntry& entry, const Query& query);
+// True when `entry` passes `query`.
 bool EntryMatches(const PdnsEntryView& entry, const Query& query);
 
-// Immutable flat-index view of a database at Freeze() time. Owner names are
-// held in one canonically sorted array (canonical order clusters a suffix's
-// subtree into a contiguous run) and all entries live in one flat array
-// grouped by owner, so a wildcard search is two binary searches plus a
-// contiguous scan, and callers can iterate entries as non-owning spans.
-// Later Observe() calls on the source database do not affect a snapshot.
+// Bumped when the section shapes below change; openers reject other
+// versions before touching any payload.
+inline constexpr uint32_t kPdnsSnapshotFormatVersion = 1;
+
+// Section ids inside the GVSN container.
+inline constexpr uint32_t kSecPdnsMeta = 1;         // counts (varint codec)
+inline constexpr uint32_t kSecPdnsNameKeys = 2;     // concatenated keys
+inline constexpr uint32_t kSecPdnsNameOffsets = 3;  // (names+1) x u64
+inline constexpr uint32_t kSecPdnsEntryOffsets = 4; // (names+1) x u64
+inline constexpr uint32_t kSecPdnsEntries = 5;      // entries x RawPdnsEntry
+inline constexpr uint32_t kSecPdnsRdata = 6;        // concatenated rdata
+
+// One entry as it lies in the image: fixed width, natural alignment, rdata
+// referenced by offset into the rdata section. 32 bytes so four entries
+// share a cache line during subtree scans.
+struct RawPdnsEntry {
+  uint64_t rdata_off = 0;
+  uint32_t rdata_len = 0;
+  uint32_t type = 0;  // dns::RRType
+  int32_t seen_first = 0;
+  int32_t seen_last = 0;
+  uint64_t count = 0;
+};
+static_assert(sizeof(RawPdnsEntry) == 32, "file format is 32-byte entries");
+
+// Immutable, canonically sorted record store over one GVSN image. Owner
+// names are concatenated canonical keys with 64-bit fenceposts (canonical
+// order clusters a suffix's subtree into a contiguous run) and entries are
+// one flat array grouped by owner, so a wildcard search is two binary
+// searches plus a contiguous scan. Safe to share across threads.
 class PdnsSnapshot {
  public:
+  // An empty store (no names).
   PdnsSnapshot() = default;
 
-  // Rebuilds a snapshot from flat parts already in canonical order — the
-  // snapshot_io parse-load path. `offsets` must be names.size() + 1
-  // monotonic fenceposts from 0 to entries.size(); violations abort (the
-  // file decoder validates before calling).
-  static PdnsSnapshot FromSortedParts(std::vector<dns::Name> names,
-                                      std::vector<uint64_t> offsets,
-                                      std::vector<PdnsEntry> entries);
+  // Opens a published snapshot file. kFast checks the container CRCs and
+  // the section shapes — O(1) in world size. kFull additionally verifies
+  // every payload CRC and every interior fencepost, key and entry — O(file
+  // size). Every failure is a clean kDataLoss (kNotFound for a missing
+  // file), never UB.
+  static util::StatusOr<PdnsSnapshot> Open(
+      const std::string& path, uint64_t fingerprint,
+      ckpt::SnapshotValidation validation = ckpt::SnapshotValidation::kFast);
 
-  size_t entry_count() const { return entries_.size(); }
-  size_t name_count() const { return names_.size(); }
+  size_t name_count() const { return name_count_; }
+  size_t entry_count() const { return entry_count_; }
+  // True when served by an actual mmap rather than an owned buffer.
+  bool mapped() const { return view_.mapped(); }
 
-  const dns::Name& name(size_t i) const { return names_[i]; }
-  // Entries owned by name(i), in the source database's per-owner order.
-  std::span<const PdnsEntry> entries(size_t i) const {
-    return {entries_.data() + offsets_[i],
-            static_cast<size_t>(offsets_[i + 1] - offsets_[i])};
+  // Raw canonical key of name i (dns::Name::CanonicalKey bytes).
+  std::string_view name_key(size_t i) const {
+    return keys_.substr(name_offsets_[i],
+                        name_offsets_[i + 1] - name_offsets_[i]);
   }
+  // Materializes name i.
+  dns::Name name(size_t i) const;
+
+  // Iterable range of PdnsEntryView over consecutive raw entries.
+  class EntryRange {
+   public:
+    class Iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = PdnsEntryView;
+      using difference_type = std::ptrdiff_t;
+      using pointer = void;
+      using reference = PdnsEntryView;
+
+      Iterator(const RawPdnsEntry* raw, std::string_view rdata)
+          : raw_(raw), rdata_(rdata) {}
+      PdnsEntryView operator*() const;
+      Iterator& operator++() {
+        ++raw_;
+        return *this;
+      }
+      friend bool operator==(const Iterator& a, const Iterator& b) {
+        return a.raw_ == b.raw_;
+      }
+
+     private:
+      const RawPdnsEntry* raw_;
+      std::string_view rdata_;
+    };
+
+    EntryRange(const RawPdnsEntry* begin, const RawPdnsEntry* end,
+               std::string_view rdata)
+        : begin_(begin), end_(end), rdata_(rdata) {}
+    Iterator begin() const { return {begin_, rdata_}; }
+    Iterator end() const { return {end_, rdata_}; }
+    size_t size() const { return static_cast<size_t>(end_ - begin_); }
+    bool empty() const { return begin_ == end_; }
+
+   private:
+    const RawPdnsEntry* begin_;
+    const RawPdnsEntry* end_;
+    std::string_view rdata_;
+  };
+
+  // Entries owned by name(i), in order of their earliest sighting.
+  EntryRange entries(size_t i) const { return EntriesInNameRange(i, i + 1); }
 
   // Every entry of every owner in the name-index range [lo, hi), as one flat
-  // span — the per-owner grouping collapsed. This is the substrate of the
-  // miner's intern pre-pass (DESIGN.md §6j), which only needs each entry's
-  // (type, rdata, seen) and not which owner it belongs to; iterating one
-  // span beats name_count() small spans.
-  std::span<const PdnsEntry> EntriesInNameRange(size_t lo, size_t hi) const {
-    return {entries_.data() + offsets_[lo],
-            static_cast<size_t>(offsets_[hi] - offsets_[lo])};
+  // range — the per-owner grouping collapsed. The miner's intern pre-pass
+  // (DESIGN.md §6j) only needs each entry's (type, rdata, seen), and one
+  // range beats hi - lo small ones.
+  EntryRange EntriesInNameRange(size_t lo, size_t hi) const {
+    return {raw_entries_ + entry_offsets_[lo],
+            raw_entries_ + entry_offsets_[hi], rdata_};
   }
 
   // Owner-index half-open range [lo, hi) of names equal to or under
-  // `suffix`. Valid because canonical order keeps the subtree contiguous:
-  // any name >= suffix that is not in the subtree differs from suffix in
-  // one of its rightmost LabelCount(suffix) labels and therefore sorts
-  // after every subtree member.
+  // `suffix`, by binary search over the raw keys (no Name is
+  // materialized). Valid because canonical order keeps the subtree
+  // contiguous: any name >= suffix that is not in the subtree differs from
+  // suffix in one of its rightmost LabelCount(suffix) labels and therefore
+  // sorts after every subtree member.
   std::pair<size_t, size_t> WildcardNameRange(const dns::Name& suffix) const;
 
-  // All entries of the subtree under `suffix`, unfiltered, zero-copy.
-  std::span<const PdnsEntry> WildcardSpan(const dns::Name& suffix) const;
-
-  // Allocation-free wildcard search: invokes `visit(entry)` for every
-  // subtree entry matching `query`, in canonical order.
-  template <typename Visitor>
-  void VisitWildcard(const dns::Name& suffix, const Query& query,
-                     Visitor&& visit) const {
-    for (const PdnsEntry& entry : WildcardSpan(suffix)) {
-      if (EntryMatches(entry, query)) visit(entry);
-    }
-  }
-
-  // Thin copying wrapper over VisitWildcard for existing callers; returns
-  // exactly what the map-backed PdnsDatabase::WildcardSearch returns.
+  // Every subtree entry matching `query`, materialized, in canonical order.
   std::vector<PdnsEntry> WildcardSearch(const dns::Name& suffix,
                                         const Query& query = Query()) const;
 
  private:
-  friend class PdnsDatabase;
+  friend class PdnsSnapshotBuilder;
+  friend util::Status WritePdnsSnapshotFile(const PdnsSnapshot& snap,
+                                            uint64_t fingerprint,
+                                            const std::string& dir,
+                                            const std::string& path);
 
-  // 64-bit fenceposts, deliberately: a uint32_t index here silently wraps
-  // once a swept-up world crosses 4Gi entries — the same truncation class
-  // the ckpt serializer fixed (serial.h).
-  std::vector<dns::Name> names_;     // canonical order
-  std::vector<uint64_t> offsets_;    // names_.size() + 1 fenceposts
-  std::vector<PdnsEntry> entries_;   // flat, grouped by owner
+  static util::StatusOr<PdnsSnapshot> FromView(
+      ckpt::SnapshotFileView view, const std::string& origin,
+      ckpt::SnapshotValidation validation);
+
+  // Fenceposts of the empty store, so the accessors need no special case.
+  static constexpr uint64_t kNoFenceposts[1] = {0};
+
+  ckpt::SnapshotFileView view_;
+  size_t name_count_ = 0;
+  size_t entry_count_ = 0;
+  std::string_view keys_;
+  const uint64_t* name_offsets_ = kNoFenceposts;   // name_count_ + 1
+  const uint64_t* entry_offsets_ = kNoFenceposts;  // name_count_ + 1
+  const RawPdnsEntry* raw_entries_ = nullptr;
+  std::string_view rdata_;
 };
 
-class PdnsDatabase {
+// Publishes `snap` atomically (tmp + fsync + rename) at `path` inside
+// directory `dir`, stamped with `fingerprint`, the world/config identity
+// readers must present. The sections are written as they are.
+util::Status WritePdnsSnapshotFile(const PdnsSnapshot& snap,
+                                   uint64_t fingerprint,
+                                   const std::string& dir,
+                                   const std::string& path);
+
+// Collects sightings and lowers them into a PdnsSnapshot in one sort-merge.
+//
+// Sightings of one (rrname, type, rdata) key within `merge_gap_days` of
+// each other coalesce into one entry spanning both, with their counts
+// summed; a longer silence starts a new entry (mirrors how sensor databases
+// fence quiet periods). 0 means only adjacent/overlapping days merge. Each
+// owner's entries are ordered by their earliest sighting, in the order
+// Observe calls arrived.
+class PdnsSnapshotBuilder {
  public:
-  // Sightings within `merge_gap_days` of an existing entry's interval extend
-  // that entry; a longer silence starts a new entry (mirrors how sensor
-  // databases fence quiet periods). 0 means only adjacent/overlapping days
-  // merge.
-  explicit PdnsDatabase(int merge_gap_days = 30);
+  explicit PdnsSnapshotBuilder(int merge_gap_days = 30);
 
   // Records that (rrname, type, rdata) was observed on `day`.
   void Observe(const dns::Name& rrname, dns::RRType type,
                const std::string& rdata, util::CivilDay day,
-               uint64_t count = 1);
+               uint64_t count = 1) {
+    ObserveInterval(rrname, type, rdata, {day, day}, count);
+  }
 
   // Records continuous observation across an inclusive day interval.
   void ObserveInterval(const dns::Name& rrname, dns::RRType type,
                        const std::string& rdata, util::DayInterval interval,
                        uint64_t count_per_day = 1);
 
-  // Left-hand wildcard search: every entry whose rrname equals `suffix` or
-  // is a subdomain of it, matching `query`. Deterministic (canonical) order.
-  std::vector<PdnsEntry> WildcardSearch(const dns::Name& suffix,
-                                        const Query& query = Query()) const;
-
-  // Exact-owner lookup.
-  std::vector<PdnsEntry> Lookup(const dns::Name& rrname,
-                                const Query& query = Query()) const;
-
-  // Lowers the current contents into a flat, canonically sorted snapshot.
-  // O(entries); amortized across the many wildcard searches a mining pass
-  // performs. Entry-for-entry identical to the map-backed search results.
-  PdnsSnapshot Freeze() const;
-
-  size_t entry_count() const { return entry_count_; }
-  size_t name_count() const { return by_name_.size(); }
+  // Coalesces the sightings (in place: the builder stays usable) and
+  // assembles the snapshot image in memory.
+  PdnsSnapshot Build();
 
  private:
+  struct Sighting {
+    uint32_t owner = 0;  // index into owners_
+    uint32_t rdata = 0;  // index into rdatas_
+    uint32_t order = 0;  // earliest Observe call folded in
+    dns::RRType type = dns::RRType::kNS;
+    util::DayInterval seen;
+    uint64_t count = 0;
+  };
+
   int merge_gap_days_;
-  size_t entry_count_ = 0;
-  // Canonical name order clusters subdomains behind their ancestor, which
-  // makes wildcard search a contiguous range scan.
-  std::map<dns::Name, std::vector<PdnsEntry>> by_name_;
+  uint32_t observed_ = 0;  // Observe calls so far
+  std::vector<Sighting> sightings_;
+  // One name per run of sightings of the same owner (sightings of one
+  // owner mostly arrive together); Build() merges runs of one name.
+  std::vector<dns::Name> owners_;
+  std::vector<std::string> rdatas_;
+  std::unordered_map<std::string, uint32_t> rdata_ids_;
 };
 
 }  // namespace govdns::pdns

@@ -81,12 +81,10 @@ StatusOr<MappedFile> MappedFile::OpenReadOnly(const std::string& path) {
     ::close(fd);
     return status;
   }
-  MappedFile out;
-  out.fallback_.resize(static_cast<size_t>(st.st_size));
+  std::string bytes(static_cast<size_t>(st.st_size), '\0');
   size_t done = 0;
-  while (done < out.fallback_.size()) {
-    const ssize_t n =
-        ::read(fd, out.fallback_.data() + done, out.fallback_.size() - done);
+  while (done < bytes.size()) {
+    const ssize_t n = ::read(fd, bytes.data() + done, bytes.size() - done);
     if (n < 0) {
       if (errno == EINTR) continue;
       const Status status = Errno("read", path);
@@ -100,6 +98,12 @@ StatusOr<MappedFile> MappedFile::OpenReadOnly(const std::string& path) {
     done += static_cast<size_t>(n);
   }
   ::close(fd);
+  return FromBuffer(std::move(bytes));
+}
+
+MappedFile MappedFile::FromBuffer(std::string bytes) {
+  MappedFile out;
+  out.fallback_ = std::move(bytes);
   out.size_ = out.fallback_.size();
   out.data_ = out.fallback_.data();
   return out;

@@ -34,9 +34,13 @@ class MappedFile {
   // kNotFound for a missing file, kDataLoss for IO errors.
   static StatusOr<MappedFile> Open(const std::string& path);
 
-  // As Open, but never mmaps — always reads into an owned buffer. Exists so
-  // benchmarks can measure the fallback path deliberately.
+  // As Open, but never mmaps — always reads into an owned buffer (the
+  // fallback path).
   static StatusOr<MappedFile> OpenReadOnly(const std::string& path);
+
+  // Serves `bytes`, an image built in memory, exactly as a file read
+  // through the fallback path.
+  static MappedFile FromBuffer(std::string bytes);
 
   std::string_view view() const { return {data_, size_}; }
   const char* data() const { return data_; }

@@ -520,6 +520,7 @@ void World::Builder::PopulatePdns() {
   const util::CivilDay db_start = util::DayFromYmd(2010, 1, 1);
   const util::CivilDay db_end = util::DayFromYmd(2021, 2, 15);
   util::Rng prng = rng.Fork("pdns");
+  pdns::PdnsSnapshotBuilder sightings(/*merge_gap_days=*/30);
 
   // Flash domains: names that exist for only a few days (expired
   // registrations, parked experiments, campaign one-offs). They carry
@@ -541,8 +542,8 @@ void World::Builder::PopulatePdns() {
         std::string ns = "ns" + std::to_string(1 + prng.UniformU64(2)) +
                          ".flashpark" +
                          std::to_string(1 + prng.UniformU64(4)) + ".net";
-        w.pdns_.ObserveInterval(name, dns::RRType::kNS, ns,
-                                {day, day + len - 1});
+        sightings.ObserveInterval(name, dns::RRType::kNS, ns,
+                                  {day, day + len - 1});
       }
     }
   }
@@ -554,7 +555,8 @@ void World::Builder::PopulatePdns() {
                              std::min(epoch.days.last, db_end)};
       if (seen.first > seen.last) continue;
       for (const dns::Name& ns : epoch.ns_names) {
-        w.pdns_.ObserveInterval(d.name, dns::RRType::kNS, ns.ToString(), seen);
+        sightings.ObserveInterval(d.name, dns::RRType::kNS, ns.ToString(),
+                                  seen);
       }
     }
     // Stale delegations and lingering zombies stay visible: sensors keep
@@ -567,8 +569,8 @@ void World::Builder::PopulatePdns() {
       util::CivilDay from = std::max(last.days.first, db_start);
       if (from <= db_end) {
         for (const dns::Name& ns : last.ns_names) {
-          w.pdns_.ObserveInterval(d.name, dns::RRType::kNS, ns.ToString(),
-                                  {from, db_end});
+          sightings.ObserveInterval(d.name, dns::RRType::kNS,
+                                    ns.ToString(), {from, db_end});
         }
       }
     }
@@ -584,10 +586,11 @@ void World::Builder::PopulatePdns() {
       std::string shield =
           "ns" + std::to_string(1 + prng.UniformU64(2)) + ".ddosshield" +
           std::to_string(1 + prng.UniformU64(3)) + ".net";
-      w.pdns_.ObserveInterval(d.name, dns::RRType::kNS, shield,
-                              {day, day + len - 1});
+      sightings.ObserveInterval(d.name, dns::RRType::kNS, shield,
+                                {day, day + len - 1});
     }
   }
+  w.pdns_ = sightings.Build();
 }
 
 }  // namespace govdns::worldgen

@@ -26,7 +26,6 @@ const NsEpoch* DomainTruth::EpochAt(util::CivilDay day) const {
 World::World(WorldConfig config)
     : config_(config),
       network_(std::make_unique<simnet::SimNetwork>(config.seed ^ 0x6e6574ULL)),
-      pdns_(/*merge_gap_days=*/30),
       registrar_(config.seed ^ 0x726567ULL) {}
 
 World::~World() = default;

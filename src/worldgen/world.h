@@ -164,8 +164,7 @@ class World {
 
   // --- Substrates (what analysis code is allowed to touch) ---------------
   simnet::SimNetwork& network() { return *network_; }
-  const pdns::PdnsDatabase& pdns_db() const { return pdns_; }
-  pdns::PdnsDatabase& mutable_pdns_db() { return pdns_; }
+  const pdns::PdnsSnapshot& pdns_db() const { return pdns_; }
   const geo::AsnDatabase& asn_db() const { return asn_db_; }
   const registrar::SimRegistrar& registrar_client() const { return registrar_; }
   registrar::SimRegistrar& mutable_registrar() { return registrar_; }
@@ -212,7 +211,7 @@ class World {
 
   WorldConfig config_;
   std::unique_ptr<simnet::SimNetwork> network_;
-  pdns::PdnsDatabase pdns_;
+  pdns::PdnsSnapshot pdns_;
   geo::AsnDatabase asn_db_;
   registrar::SimRegistrar registrar_;
   registrar::PublicSuffixList psl_;

@@ -7,8 +7,8 @@
 // reimplementation of the pre-pool algorithm (hash-map interning in
 // first-appearance order, std::map-based mode computation), sharing no code
 // with the production miner beyond the public types. Every production
-// configuration — {1, 2, 4, 8} workers × {frozen, owning, mapped}
-// substrates — is pinned against it, along with the renumber pass's
+// configuration — {1, 2, 4, 8} workers × {in-memory, mapped} stores — is
+// pinned against it, along with the renumber pass's
 // first-seen id order and full-report byte identity across worker counts.
 #include <gtest/gtest.h>
 
@@ -27,7 +27,6 @@
 #include "core/report.h"
 #include "core/study.h"
 #include "pdns/db.h"
-#include "pdns/snapshot_io.h"
 #include "util/civil_time.h"
 #include "worldgen/adapter.h"
 
@@ -152,7 +151,6 @@ core::MinedDataset ReferenceMine(const pdns::PdnsSnapshot& snapshot,
 struct OracleFixture {
   std::unique_ptr<worldgen::World> world;
   worldgen::BoundStudy bound;
-  pdns::PdnsSnapshot frozen;
   core::MinedDataset reference;
 
   static OracleFixture Make() {
@@ -162,8 +160,7 @@ struct OracleFixture {
     f.world = worldgen::BuildWorld(config);
     f.bound = worldgen::MakeStudy(*f.world);
     f.bound.study->RunSelection();
-    f.frozen = f.bound.study->inputs().pdns->Freeze();
-    f.reference = ReferenceMine(f.frozen, f.bound.study->seeds(),
+    f.reference = ReferenceMine(f.store(), f.bound.study->seeds(),
                                 f.bound.study->inputs().mining);
     return f;
   }
@@ -171,11 +168,11 @@ struct OracleFixture {
   core::MinedDataset Mine(int workers) {
     core::MinerOptions options;
     options.workers = workers;
-    core::PdnsMiner miner(f_db(), f_config(), options);
-    return miner.Mine(bound.study->seeds());
+    core::PdnsMiner miner(f_config(), options);
+    return miner.Mine(store(), bound.study->seeds());
   }
 
-  const pdns::PdnsDatabase* f_db() { return bound.study->inputs().pdns; }
+  const pdns::PdnsSnapshot& store() { return *bound.study->inputs().pdns; }
   const core::MiningConfig& f_config() {
     return bound.study->inputs().mining;
   }
@@ -189,39 +186,33 @@ TEST(MiningFoldTest, MatchesSerialReferenceAcrossWorkersAndSubstrates) {
   ASSERT_GT(f.reference.domains.size(), 100u);
   ASSERT_GT(f.reference.ns_names.size(), 50u);
 
-  // Round-trip the frozen snapshot through a file so the owning and mapped
-  // substrates probe the exact production load paths.
+  // Publish the world's store as a file so the mapped store probes the
+  // exact production load path.
   const std::string dir =
       (fs::temp_directory_path() / "govdns_mining_fold").string();
   fs::remove_all(dir);
   fs::create_directories(dir);
   const std::string path = dir + "/pdns.gvsn";
   ASSERT_TRUE(
-      pdns::WritePdnsSnapshotFile(f.frozen, kFingerprint, dir, path).ok());
-  auto owning = pdns::ReadPdnsSnapshotFileOwning(path, kFingerprint);
-  auto mapped = pdns::MappedPdnsSnapshot::Open(
-      path, kFingerprint, ckpt::SnapshotValidation::kFull);
-  ASSERT_TRUE(owning.ok() && mapped.ok());
+      pdns::WritePdnsSnapshotFile(f.store(), kFingerprint, dir, path).ok());
+  auto mapped = pdns::PdnsSnapshot::Open(path, kFingerprint,
+                                         ckpt::SnapshotValidation::kFull);
+  ASSERT_TRUE(mapped.ok());
 
   const std::vector<core::SeedDomain>& seeds = f.bound.study->seeds();
   for (int workers : {1, 2, 4, 8}) {
     core::MinerOptions options;
     options.workers = workers;
-    core::PdnsMiner db_miner(f.f_db(), f.f_config(), options);
-    core::PdnsMiner snap_miner(f.f_config(), options);
+    core::PdnsMiner miner(f.f_config(), options);
 
-    const core::MinedDataset via_db = db_miner.Mine(seeds);
+    const core::MinedDataset in_memory = miner.Mine(f.store(), seeds);
     // Field-by-field first for readable failures...
-    EXPECT_EQ(via_db.ns_names, f.reference.ns_names) << "w=" << workers;
-    EXPECT_EQ(via_db.stats, f.reference.stats) << "w=" << workers;
-    ASSERT_EQ(via_db.domains.size(), f.reference.domains.size());
-    // ...then the whole dataset, and every pre-frozen substrate.
-    EXPECT_TRUE(via_db == f.reference) << "db w=" << workers;
-    EXPECT_TRUE(snap_miner.MineSnapshot(f.frozen, seeds) == f.reference)
-        << "frozen w=" << workers;
-    EXPECT_TRUE(snap_miner.MineSnapshot(*owning, seeds) == f.reference)
-        << "owning w=" << workers;
-    EXPECT_TRUE(snap_miner.MineSnapshot(*mapped, seeds) == f.reference)
+    EXPECT_EQ(in_memory.ns_names, f.reference.ns_names) << "w=" << workers;
+    EXPECT_EQ(in_memory.stats, f.reference.stats) << "w=" << workers;
+    ASSERT_EQ(in_memory.domains.size(), f.reference.domains.size());
+    // ...then the whole dataset, from either store.
+    EXPECT_TRUE(in_memory == f.reference) << "in-memory w=" << workers;
+    EXPECT_TRUE(miner.Mine(*mapped, seeds) == f.reference)
         << "mapped w=" << workers;
   }
   fs::remove_all(dir);

@@ -28,15 +28,15 @@ TEST(DisposableHeuristicTest, MatchesHexTails) {
 }
 
 TEST(MinerTest, StabilityFilterDropsTransients) {
-  pdns::PdnsDatabase db(/*merge_gap_days=*/0);
+  pdns::PdnsSnapshotBuilder db(/*merge_gap_days=*/0);
   Name domain = Name::FromString("moe.gov.xx");
   db.ObserveInterval(domain, RRType::kNS, "ns1.moe.gov.xx",
                      {DayFromYmd(2015, 1, 1), DayFromYmd(2015, 12, 31)});
   db.ObserveInterval(domain, RRType::kNS, "ns1.ddos.net",
                      {DayFromYmd(2015, 6, 1), DayFromYmd(2015, 6, 3)});
   MiningConfig config;
-  PdnsMiner miner(&db, config);
-  auto dataset = miner.Mine(OneSeed());
+  PdnsMiner miner(config);
+  auto dataset = miner.Mine(db.Build(), OneSeed());
   ASSERT_EQ(dataset.domains.size(), 1u);
   const auto& year = dataset.domains[0].years[2015 - 2011];
   EXPECT_EQ(year.mode_ns_count, 1);
@@ -45,32 +45,32 @@ TEST(MinerTest, StabilityFilterDropsTransients) {
 }
 
 TEST(MinerTest, ModeReflectsMajorityOfDays) {
-  pdns::PdnsDatabase db(/*merge_gap_days=*/0);
+  pdns::PdnsSnapshotBuilder db(/*merge_gap_days=*/0);
   Name domain = Name::FromString("moe.gov.xx");
   // ns1 active all year; ns2 only 100 days: mode is 1 (265 days at count 1).
   db.ObserveInterval(domain, RRType::kNS, "ns1.x",
                      {DayFromYmd(2015, 1, 1), DayFromYmd(2015, 12, 31)});
   db.ObserveInterval(domain, RRType::kNS, "ns2.x",
                      {DayFromYmd(2015, 1, 1), DayFromYmd(2015, 4, 10)});
-  PdnsMiner miner(&db, MiningConfig());
-  auto dataset = miner.Mine(OneSeed());
+  PdnsMiner miner;
+  auto dataset = miner.Mine(db.Build(), OneSeed());
   EXPECT_EQ(dataset.domains[0].years[4].mode_ns_count, 1);
 }
 
 TEST(MinerTest, ModeTwoWhenPairDominates) {
-  pdns::PdnsDatabase db(/*merge_gap_days=*/0);
+  pdns::PdnsSnapshotBuilder db(/*merge_gap_days=*/0);
   Name domain = Name::FromString("moe.gov.xx");
   db.ObserveInterval(domain, RRType::kNS, "ns1.x",
                      {DayFromYmd(2015, 1, 1), DayFromYmd(2015, 12, 31)});
   db.ObserveInterval(domain, RRType::kNS, "ns2.x",
                      {DayFromYmd(2015, 1, 1), DayFromYmd(2015, 9, 30)});
-  PdnsMiner miner(&db, MiningConfig());
-  auto dataset = miner.Mine(OneSeed());
+  PdnsMiner miner;
+  auto dataset = miner.Mine(db.Build(), OneSeed());
   EXPECT_EQ(dataset.domains[0].years[4].mode_ns_count, 2);
 }
 
 TEST(MinerTest, StatisticVariants) {
-  pdns::PdnsDatabase db(/*merge_gap_days=*/0);
+  pdns::PdnsSnapshotBuilder db(/*merge_gap_days=*/0);
   Name domain = Name::FromString("moe.gov.xx");
   db.ObserveInterval(domain, RRType::kNS, "ns1.x",
                      {DayFromYmd(2015, 1, 1), DayFromYmd(2015, 12, 31)});
@@ -79,8 +79,8 @@ TEST(MinerTest, StatisticVariants) {
   auto mine = [&](YearlyStatistic stat) {
     MiningConfig config;
     config.statistic = stat;
-    PdnsMiner miner(&db, config);
-    return miner.Mine(OneSeed()).domains[0].years[4].mode_ns_count;
+    PdnsMiner miner(config);
+    return miner.Mine(db.Build(), OneSeed()).domains[0].years[4].mode_ns_count;
   };
   EXPECT_EQ(mine(YearlyStatistic::kMin), 1);
   EXPECT_EQ(mine(YearlyStatistic::kMax), 2);
@@ -95,12 +95,12 @@ TEST(MinerTest, StabilityBoundaryMatchesPaper) {
   // 6-day gap and must be dropped — the old `LengthDays() < stability_days`
   // predicate kept it.
   auto mine_span = [](int span_days) {
-    pdns::PdnsDatabase db(/*merge_gap_days=*/0);
+    pdns::PdnsSnapshotBuilder db(/*merge_gap_days=*/0);
     db.ObserveInterval(Name::FromString("moe.gov.xx"), RRType::kNS, "ns1.x",
                        {DayFromYmd(2015, 3, 1),
                         DayFromYmd(2015, 3, 1) + span_days - 1});
-    PdnsMiner miner(&db, MiningConfig());
-    auto dataset = miner.Mine(OneSeed());
+    PdnsMiner miner;
+    auto dataset = miner.Mine(db.Build(), OneSeed());
     return dataset.domains.at(0).HasData(2015 - 2011);
   };
   EXPECT_FALSE(mine_span(6));  // gap 5: unstable either way
@@ -109,14 +109,14 @@ TEST(MinerTest, StabilityBoundaryMatchesPaper) {
 }
 
 TEST(MinerTest, StabilityBoundaryCountedInStats) {
-  pdns::PdnsDatabase db(/*merge_gap_days=*/0);
+  pdns::PdnsSnapshotBuilder db(/*merge_gap_days=*/0);
   Name domain = Name::FromString("moe.gov.xx");
   db.ObserveInterval(domain, RRType::kNS, "ns1.x",
                      {DayFromYmd(2015, 3, 1), DayFromYmd(2015, 3, 7)});
   db.ObserveInterval(domain, RRType::kNS, "ns2.x",
                      {DayFromYmd(2015, 3, 1), DayFromYmd(2015, 3, 8)});
-  PdnsMiner miner(&db, MiningConfig());
-  auto dataset = miner.Mine(OneSeed());
+  PdnsMiner miner;
+  auto dataset = miner.Mine(db.Build(), OneSeed());
   EXPECT_EQ(dataset.stats.seeds, 1);
   EXPECT_EQ(dataset.stats.entries_scanned, 2);
   EXPECT_EQ(dataset.stats.entries_unstable, 1);
@@ -126,26 +126,26 @@ TEST(MinerTest, StabilityBoundaryCountedInStats) {
 }
 
 TEST(MinerTest, RequireStableForActiveTightensQueryList) {
-  pdns::PdnsDatabase db(/*merge_gap_days=*/0);
+  pdns::PdnsSnapshotBuilder db(/*merge_gap_days=*/0);
   // A 2-day wonder inside the collection window.
   db.ObserveInterval(Name::FromString("brief.gov.xx"), RRType::kNS, "ns1.x",
                      {DayFromYmd(2020, 5, 1), DayFromYmd(2020, 5, 2)});
   MiningConfig config;
   config.require_stable_for_active = true;
-  PdnsMiner miner(&db, config);
-  auto dataset = miner.Mine(OneSeed());
+  PdnsMiner miner(config);
+  auto dataset = miner.Mine(db.Build(), OneSeed());
   ASSERT_EQ(dataset.domains.size(), 1u);
   EXPECT_FALSE(dataset.domains[0].in_active_window);
   EXPECT_TRUE(PdnsMiner::ActiveQueryList(dataset).empty());
 }
 
 TEST(MinerTest, YearBoundariesRespected) {
-  pdns::PdnsDatabase db(/*merge_gap_days=*/0);
+  pdns::PdnsSnapshotBuilder db(/*merge_gap_days=*/0);
   Name domain = Name::FromString("moe.gov.xx");
   db.ObserveInterval(domain, RRType::kNS, "ns1.x",
                      {DayFromYmd(2014, 12, 1), DayFromYmd(2015, 1, 20)});
-  PdnsMiner miner(&db, MiningConfig());
-  auto dataset = miner.Mine(OneSeed());
+  PdnsMiner miner;
+  auto dataset = miner.Mine(db.Build(), OneSeed());
   const auto& d = dataset.domains[0];
   EXPECT_TRUE(d.HasData(2014 - 2011));
   EXPECT_TRUE(d.HasData(2015 - 2011));
@@ -154,7 +154,7 @@ TEST(MinerTest, YearBoundariesRespected) {
 }
 
 TEST(MinerTest, ModeSweepCountsYearEndDay) {
-  pdns::PdnsDatabase db(/*merge_gap_days=*/0);
+  pdns::PdnsSnapshotBuilder db(/*merge_gap_days=*/0);
   Name domain = Name::FromString("moe.gov.xx");
   // ns1 all year; ns2 Jul 2 .. Dec 31. Inclusive of Dec 31 that is 182 days
   // at count 1 vs 183 at count 2 -> mode 2. An off-by-one that drops the
@@ -164,15 +164,15 @@ TEST(MinerTest, ModeSweepCountsYearEndDay) {
                      {DayFromYmd(2015, 1, 1), DayFromYmd(2015, 12, 31)});
   db.ObserveInterval(domain, RRType::kNS, "ns2.x",
                      {DayFromYmd(2015, 7, 2), DayFromYmd(2015, 12, 31)});
-  PdnsMiner miner(&db, MiningConfig());
-  auto dataset = miner.Mine(OneSeed());
+  PdnsMiner miner;
+  auto dataset = miner.Mine(db.Build(), OneSeed());
   EXPECT_EQ(dataset.domains[0].years[2015 - 2011].mode_ns_count, 2);
   // The Jan 1, 2016 sweep delta must not leak a phantom 2016 sighting.
   EXPECT_FALSE(dataset.domains[0].HasData(2016 - 2011));
 }
 
 TEST(MinerTest, ModeSweepSplitsCrossYearInterval) {
-  pdns::PdnsDatabase db(/*merge_gap_days=*/0);
+  pdns::PdnsSnapshotBuilder db(/*merge_gap_days=*/0);
   Name domain = Name::FromString("moe.gov.xx");
   // Dec 1, 2015 .. Jan 31, 2016 clamps to 31 in-year days on each side.
   db.ObserveInterval(domain, RRType::kNS, "ns1.x",
@@ -184,8 +184,8 @@ TEST(MinerTest, ModeSweepSplitsCrossYearInterval) {
   // would flip one of them.
   db.ObserveInterval(domain, RRType::kNS, "ns2.x",
                      {DayFromYmd(2015, 12, 17), DayFromYmd(2016, 1, 15)});
-  PdnsMiner miner(&db, MiningConfig());
-  auto dataset = miner.Mine(OneSeed());
+  PdnsMiner miner;
+  auto dataset = miner.Mine(db.Build(), OneSeed());
   const auto& d = dataset.domains[0];
   EXPECT_EQ(d.years[2015 - 2011].mode_ns_count, 1);
   EXPECT_EQ(d.years[2016 - 2011].mode_ns_count, 1);
@@ -194,15 +194,15 @@ TEST(MinerTest, ModeSweepSplitsCrossYearInterval) {
 }
 
 TEST(MinerTest, ActiveWindowUsesUnfilteredSightings) {
-  pdns::PdnsDatabase db(/*merge_gap_days=*/0);
+  pdns::PdnsSnapshotBuilder db(/*merge_gap_days=*/0);
   // Only a 2-day sighting inside the collection window: dropped from the
   // yearly trend data, still in the query list (the paper extracted raw
   // FQDNs for querying).
   Name domain = Name::FromString("brief.gov.xx");
   db.ObserveInterval(domain, RRType::kNS, "ns1.x",
                      {DayFromYmd(2020, 5, 1), DayFromYmd(2020, 5, 2)});
-  PdnsMiner miner(&db, MiningConfig());
-  auto dataset = miner.Mine(OneSeed());
+  PdnsMiner miner;
+  auto dataset = miner.Mine(db.Build(), OneSeed());
   ASSERT_EQ(dataset.domains.size(), 1u);
   EXPECT_FALSE(dataset.domains[0].HasData(2020 - 2011));
   EXPECT_TRUE(dataset.domains[0].in_active_window);
@@ -210,15 +210,15 @@ TEST(MinerTest, ActiveWindowUsesUnfilteredSightings) {
 }
 
 TEST(MinerTest, QueryListExcludesDisposablesAndStale) {
-  pdns::PdnsDatabase db(/*merge_gap_days=*/0);
+  pdns::PdnsSnapshotBuilder db(/*merge_gap_days=*/0);
   db.ObserveInterval(Name::FromString("real.gov.xx"), RRType::kNS, "a",
                      {DayFromYmd(2020, 1, 1), DayFromYmd(2020, 8, 1)});
   db.ObserveInterval(Name::FromString("junk-0a1b2c.gov.xx"), RRType::kNS, "b",
                      {DayFromYmd(2020, 1, 1), DayFromYmd(2020, 8, 1)});
   db.ObserveInterval(Name::FromString("old.gov.xx"), RRType::kNS, "c",
                      {DayFromYmd(2015, 1, 1), DayFromYmd(2016, 8, 1)});
-  PdnsMiner miner(&db, MiningConfig());
-  auto dataset = miner.Mine(OneSeed());
+  PdnsMiner miner;
+  auto dataset = miner.Mine(db.Build(), OneSeed());
   auto list = PdnsMiner::ActiveQueryList(dataset);
   ASSERT_EQ(list.size(), 1u);
   EXPECT_EQ(list[0].ToString(), "real.gov.xx");
@@ -229,7 +229,7 @@ TEST(MinerTest, WorkerCountCannotChangeTheDataset) {
   // worker-local intern tables genuinely disagree before the fold remaps
   // them. Any worker count must produce the byte-identical MinedDataset —
   // ns_names order and stats included.
-  pdns::PdnsDatabase db(/*merge_gap_days=*/0);
+  pdns::PdnsSnapshotBuilder db(/*merge_gap_days=*/0);
   std::vector<SeedDomain> seeds;
   for (int c = 0; c < 5; ++c) {
     std::string cc = std::string("a") + char('a' + c);
@@ -250,8 +250,8 @@ TEST(MinerTest, WorkerCountCannotChangeTheDataset) {
   auto mine = [&](int workers) {
     MinerOptions options;
     options.workers = workers;
-    PdnsMiner miner(&db, MiningConfig(), options);
-    return miner.Mine(seeds);
+    PdnsMiner miner(MiningConfig(), options);
+    return miner.Mine(db.Build(), seeds);
   };
   const MinedDataset serial = mine(1);
   EXPECT_EQ(serial.stats.seeds, 5);
@@ -271,7 +271,7 @@ TEST(MinerTest, WorkerCountCannotChangeTheDataset) {
 }
 
 TEST(AggregatesTest, CountPerYearAndChurn) {
-  pdns::PdnsDatabase db(/*merge_gap_days=*/0);
+  pdns::PdnsSnapshotBuilder db(/*merge_gap_days=*/0);
   // One domain 2011-2020 with a single NS; a second domain appears in 2015
   // as d_1NS; a third is always dual-NS.
   db.ObserveInterval(Name::FromString("a.gov.xx"), RRType::kNS, "ns1.a.gov.xx",
@@ -282,8 +282,8 @@ TEST(AggregatesTest, CountPerYearAndChurn) {
                      {DayFromYmd(2011, 1, 1), DayFromYmd(2020, 12, 31)});
   db.ObserveInterval(Name::FromString("c.gov.xx"), RRType::kNS, "x2.host.zz",
                      {DayFromYmd(2011, 1, 1), DayFromYmd(2020, 12, 31)});
-  PdnsMiner miner(&db, MiningConfig());
-  auto dataset = miner.Mine(OneSeed());
+  PdnsMiner miner;
+  auto dataset = miner.Mine(db.Build(), OneSeed());
 
   auto counts = CountPerYear(dataset);
   ASSERT_EQ(counts.size(), 10u);

@@ -1,8 +1,7 @@
 // The sharded PDNS miner must be a pure optimization: for a fixed world
 // seed, the MinedDataset — domain rows, per-year NS id sets, the interned
 // ns_names table (order included), and the mining stats — must be
-// byte-identical whether one worker or many mined the seed list. The frozen
-// snapshot path must also agree with the legacy map-backed search, and the
+// byte-identical whether one worker or many mined the seed list, and the
 // active query list derived from the dataset must not move.
 #include <gtest/gtest.h>
 
@@ -32,9 +31,8 @@ struct WorldFixture {
   core::MinedDataset Mine(int workers) {
     core::MinerOptions options;
     options.workers = workers;
-    core::PdnsMiner miner(bound.study->inputs().pdns,
-                          bound.study->inputs().mining, options);
-    return miner.Mine(bound.study->seeds());
+    core::PdnsMiner miner(bound.study->inputs().mining, options);
+    return miner.Mine(*bound.study->inputs().pdns, bound.study->seeds());
   }
 };
 

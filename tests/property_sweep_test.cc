@@ -257,7 +257,7 @@ TEST_P(PdnsOracleProperty, WildcardSearchMatchesBruteForce) {
   static const char* kSuffixes[] = {"gov.aa", "gov.ab", "go.aa", "gov.aab"};
   static const char* kHosts[] = {"x", "y", "z"};
 
-  pdns::PdnsDatabase db(/*merge_gap_days=*/5);
+  pdns::PdnsSnapshotBuilder db(/*merge_gap_days=*/5);
   struct Observation {
     Name name;
     std::string rdata;
@@ -277,11 +277,12 @@ TEST_P(PdnsOracleProperty, WildcardSearchMatchesBruteForce) {
     observations.push_back({name, rdata, {start, start + len}});
   }
 
+  const pdns::PdnsSnapshot snap = db.Build();
   for (const char* suffix_text : kSuffixes) {
     Name suffix = Name::FromString(suffix_text);
     pdns::Query query;
     query.window = util::DayInterval{200, 600};
-    auto hits = db.WildcardSearch(suffix, query);
+    auto hits = snap.WildcardSearch(suffix, query);
     // Oracle: brute-force day coverage per (name, rdata) key.
     std::set<std::pair<std::string, std::string>> expected_keys;
     for (const auto& ob : observations) {

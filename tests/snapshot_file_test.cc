@@ -1,11 +1,13 @@
 // Tests for the GVSN snapshot container (ckpt/snapshot_file.h) and the
-// mmap-able PdnsSnapshot persistence built on it (pdns/snapshot_io.h):
-// container round-trip and every rejection mode (wrong fingerprint/version,
-// truncation, corrupt payloads, misaligned sections), a randomized oracle
-// pinning the mapped snapshot's lookups to the owning snapshot's, and the
-// mining byte-identity contract across substrates and worker counts.
+// PdnsSnapshot stored in it (pdns/db.h): container round-trip and every
+// rejection mode (wrong fingerprint/version, truncation, corrupt payloads,
+// misaligned sections), a randomized oracle pinning a mapped file's lookups
+// to the in-memory image it was published from, crafted files whose CRCs
+// are valid but whose contents are not, and the mining byte-identity
+// contract across in-memory and mapped stores and worker counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -15,11 +17,12 @@
 #include <vector>
 
 #include "ckpt/journal.h"
+#include "ckpt/serial.h"
 #include "ckpt/snapshot_file.h"
 #include "core/mining.h"
 #include "dns/name.h"
 #include "pdns/db.h"
-#include "pdns/snapshot_io.h"
+#include "util/mmap_file.h"
 #include "util/status.h"
 
 namespace govdns {
@@ -82,8 +85,11 @@ TEST(SnapshotContainerTest, RoundTripsSectionsAligned) {
   }
 
   // The read fallback serves identical bytes without mmap.
-  auto fallback = ckpt::SnapshotFileView::OpenReadOnly(
-      path, 7, kFingerprint, ckpt::SnapshotValidation::kFull);
+  auto read = util::MappedFile::OpenReadOnly(path);
+  ASSERT_TRUE(read.ok());
+  auto fallback = ckpt::SnapshotFileView::FromFile(
+      *std::move(read), path, 7, kFingerprint,
+      ckpt::SnapshotValidation::kFull);
   ASSERT_TRUE(fallback.ok());
   EXPECT_FALSE(fallback->mapped());
   EXPECT_EQ(*fallback->Section(1), "alpha");
@@ -248,9 +254,9 @@ TEST(SnapshotContainerTest, RejectsDuplicateSectionIds) {
 
 // A deterministic pseudo-random government namespace: a few hundred owners
 // under two ccTLD seeds with NS/A/CNAME records across the study years.
-pdns::PdnsDatabase RandomDatabase(uint32_t seed) {
+pdns::PdnsSnapshot RandomSnapshot(uint32_t seed) {
   std::mt19937 rng(seed);
-  pdns::PdnsDatabase db(/*merge_gap_days=*/30);
+  pdns::PdnsSnapshotBuilder db(/*merge_gap_days=*/30);
   const std::vector<std::string> tlds = {"gov.xx", "gov.yy"};
   const std::vector<std::string> hosts = {"www",  "mail", "portal", "moe",
                                           "mof",  "city", "health", "tax",
@@ -287,19 +293,18 @@ pdns::PdnsDatabase RandomDatabase(uint32_t seed) {
         break;
     }
   }
-  return db;
+  return db.Build();
 }
 
 struct PdnsFileFixture {
   std::string dir, path;
-  pdns::PdnsSnapshot frozen;
+  pdns::PdnsSnapshot built;  // the in-memory image the file was written from
 
   explicit PdnsFileFixture(const std::string& tag, uint32_t seed = 1234) {
     dir = TempDir(tag);
     path = dir + "/pdns.gvsn";
-    frozen = RandomDatabase(seed).Freeze();
-    auto status =
-        pdns::WritePdnsSnapshotFile(frozen, kFingerprint, dir, path);
+    built = RandomSnapshot(seed);
+    auto status = pdns::WritePdnsSnapshotFile(built, kFingerprint, dir, path);
     GOVDNS_CHECK(status.ok());
   }
   ~PdnsFileFixture() { fs::remove_all(dir); }
@@ -307,28 +312,33 @@ struct PdnsFileFixture {
 
 TEST(SnapshotFileTest, MappedLookupsMatchOwningOracle) {
   PdnsFileFixture f("oracle");
-  auto mapped = pdns::MappedPdnsSnapshot::Open(
-      f.path, kFingerprint, ckpt::SnapshotValidation::kFull);
+  auto mapped = pdns::PdnsSnapshot::Open(f.path, kFingerprint,
+                                         ckpt::SnapshotValidation::kFull);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  ASSERT_EQ(mapped->name_count(), f.frozen.name_count());
-  ASSERT_EQ(mapped->entry_count(), f.frozen.entry_count());
+  EXPECT_FALSE(f.built.mapped());
+  ASSERT_EQ(mapped->name_count(), f.built.name_count());
+  ASSERT_EQ(mapped->entry_count(), f.built.entry_count());
 
-  // Every name materializes identically (and so does its canonical key).
+  // Every name materializes identically (and so does its canonical key),
+  // and so does every entry.
   for (size_t i = 0; i < mapped->name_count(); ++i) {
-    EXPECT_EQ(mapped->name(i), f.frozen.name(i)) << "name " << i;
-    EXPECT_EQ(mapped->name_key(i), f.frozen.name(i).CanonicalKey());
+    EXPECT_EQ(mapped->name(i), f.built.name(i)) << "name " << i;
+    EXPECT_EQ(mapped->name_key(i), f.built.name(i).CanonicalKey());
+    const auto got = mapped->entries(i), want = f.built.entries(i);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "entries of name " << i;
   }
 
   // Randomized suffix probes: existing owners, their parents, cousins that
   // exist nowhere, the two seeds, and the root.
   std::mt19937 rng(99);
-  std::uniform_int_distribution<size_t> pick(0, f.frozen.name_count() - 1);
+  std::uniform_int_distribution<size_t> pick(0, f.built.name_count() - 1);
   std::vector<Name> probes = {Name::Root(), Name::FromString("gov.xx"),
                               Name::FromString("gov.yy"),
                               Name::FromString("gov.zz"),
                               Name::FromString("xx")};
   for (int i = 0; i < 200; ++i) {
-    Name n = f.frozen.name(pick(rng));
+    Name n = f.built.name(pick(rng));
     probes.push_back(n);
     if (!n.IsRoot()) probes.push_back(n.Child("nonexistent"));
   }
@@ -341,52 +351,39 @@ TEST(SnapshotFileTest, MappedLookupsMatchOwningOracle) {
 
   for (const Name& probe : probes) {
     EXPECT_EQ(mapped->WildcardNameRange(probe),
-              f.frozen.WildcardNameRange(probe))
+              f.built.WildcardNameRange(probe))
         << probe.ToString();
     for (const auto& q : queries) {
       EXPECT_EQ(mapped->WildcardSearch(probe, q),
-                f.frozen.WildcardSearch(probe, q))
+                f.built.WildcardSearch(probe, q))
           << probe.ToString();
     }
   }
 }
 
-TEST(SnapshotFileTest, ParseLoadReconstructsTheFrozenSnapshot) {
-  PdnsFileFixture f("parse");
-  auto owning = pdns::ReadPdnsSnapshotFileOwning(f.path, kFingerprint);
-  ASSERT_TRUE(owning.ok()) << owning.status().ToString();
-  ASSERT_EQ(owning->name_count(), f.frozen.name_count());
-  ASSERT_EQ(owning->entry_count(), f.frozen.entry_count());
-  for (size_t i = 0; i < owning->name_count(); ++i) {
-    EXPECT_EQ(owning->name(i), f.frozen.name(i));
-    const auto got = owning->entries(i);
-    const auto want = f.frozen.entries(i);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t e = 0; e < got.size(); ++e) EXPECT_EQ(got[e], want[e]);
-  }
-}
-
 TEST(SnapshotFileTest, RejectsWrongFingerprintTruncationAndCorruption) {
   PdnsFileFixture f("reject");
-  EXPECT_FALSE(pdns::MappedPdnsSnapshot::Open(f.path, kFingerprint ^ 1).ok());
-  EXPECT_FALSE(
-      pdns::ReadPdnsSnapshotFileOwning(f.path, kFingerprint ^ 1).ok());
+  for (auto validation :
+       {ckpt::SnapshotValidation::kFast, ckpt::SnapshotValidation::kFull}) {
+    EXPECT_FALSE(
+        pdns::PdnsSnapshot::Open(f.path, kFingerprint ^ 1, validation).ok());
+  }
 
   const std::string image = ReadFile(f.path);
   const std::string tampered_path = f.dir + "/tampered.gvsn";
   for (size_t keep :
        {size_t(0), size_t(16), image.size() / 2, image.size() - 3}) {
     WriteFile(tampered_path, image.substr(0, keep));
-    EXPECT_FALSE(
-        pdns::MappedPdnsSnapshot::Open(tampered_path, kFingerprint).ok())
+    EXPECT_FALSE(pdns::PdnsSnapshot::Open(tampered_path, kFingerprint).ok())
         << "keep=" << keep;
-    EXPECT_FALSE(
-        pdns::ReadPdnsSnapshotFileOwning(tampered_path, kFingerprint).ok());
+    EXPECT_FALSE(pdns::PdnsSnapshot::Open(tampered_path, kFingerprint,
+                                          ckpt::SnapshotValidation::kFull)
+                     .ok());
   }
 
   // Flip one byte inside every section payload (extents read straight from
   // the section table; inter-section padding is deliberately excluded — no
-  // CRC covers it). The parse-load (kFull) path must reject every one.
+  // CRC covers it). kFull must reject every one.
   std::mt19937 rng(7);
   uint32_t section_count = 0;
   std::memcpy(&section_count, image.data() + 12, 4);
@@ -402,17 +399,165 @@ TEST(SnapshotFileTest, RejectsWrongFingerprintTruncationAndCorruption) {
     std::string bad = image;
     bad[pos_d(rng)] ^= 0x20;
     WriteFile(tampered_path, bad);
-    EXPECT_FALSE(
-        pdns::ReadPdnsSnapshotFileOwning(tampered_path, kFingerprint).ok())
+    EXPECT_FALSE(pdns::PdnsSnapshot::Open(tampered_path, kFingerprint,
+                                          ckpt::SnapshotValidation::kFull)
+                     .ok())
         << "section " << i;
   }
+}
+
+// ---- pdns snapshot: crafted files with valid CRCs --------------------------
+
+// The six sections of a published snapshot, editable and re-published
+// through SnapshotFileWriter, so every CRC in the result is valid and only
+// the contents can be wrong.
+struct CraftedSnapshot {
+  std::string dir, path;
+  std::string sections[6];  // indexed by section id - 1
+
+  // Starts from a small valid snapshot: three same-length owners, two
+  // entries each.
+  explicit CraftedSnapshot(const std::string& tag) {
+    dir = TempDir(tag);
+    path = dir + "/crafted.gvsn";
+    pdns::PdnsSnapshotBuilder db;
+    for (const char* owner : {"a.gov.xx", "b.gov.xx", "c.gov.xx"}) {
+      db.Observe(Name::FromString(owner), RRType::kNS, "ns1.host.net", 100);
+      db.Observe(Name::FromString(owner), RRType::kA, "192.0.2.1", 100);
+    }
+    GOVDNS_CHECK(
+        pdns::WritePdnsSnapshotFile(db.Build(), kFingerprint, dir, path).ok());
+    auto view = ckpt::SnapshotFileView::Open(
+        path, pdns::kPdnsSnapshotFormatVersion, kFingerprint,
+        ckpt::SnapshotValidation::kFull);
+    GOVDNS_CHECK(view.ok());
+    for (uint32_t id = 1; id <= 6; ++id) {
+      sections[id - 1] = std::string(*view->Section(id));
+    }
+  }
+  ~CraftedSnapshot() { fs::remove_all(dir); }
+
+  std::string& keys() { return sections[pdns::kSecPdnsNameKeys - 1]; }
+  std::string& name_offsets() {
+    return sections[pdns::kSecPdnsNameOffsets - 1];
+  }
+  std::string& entry_offsets() {
+    return sections[pdns::kSecPdnsEntryOffsets - 1];
+  }
+  std::string& rdata() { return sections[pdns::kSecPdnsRdata - 1]; }
+
+  static void SetU64(std::string& section, size_t i, uint64_t v) {
+    std::memcpy(section.data() + i * 8, &v, 8);
+  }
+  pdns::RawPdnsEntry Entry(size_t e) {
+    pdns::RawPdnsEntry raw;
+    std::memcpy(&raw, sections[pdns::kSecPdnsEntries - 1].data() + e * 32,
+                32);
+    return raw;
+  }
+  void SetEntry(size_t e, const pdns::RawPdnsEntry& raw) {
+    std::memcpy(sections[pdns::kSecPdnsEntries - 1].data() + e * 32, &raw,
+                32);
+  }
+
+  util::Status Open(ckpt::SnapshotValidation validation) {
+    ckpt::SnapshotFileWriter w(pdns::kPdnsSnapshotFormatVersion, kFingerprint);
+    for (uint32_t id = 1; id <= 6; ++id) w.AddSection(id, sections[id - 1]);
+    GOVDNS_CHECK(w.WriteTo(dir, path).ok());
+    return pdns::PdnsSnapshot::Open(path, kFingerprint, validation).status();
+  }
+  // kFast stays O(1) and trusts the interior; kFull must reject it.
+  void ExpectOnlyFullRejects() {
+    EXPECT_TRUE(Open(ckpt::SnapshotValidation::kFast).ok());
+    EXPECT_EQ(Open(ckpt::SnapshotValidation::kFull).code(),
+              util::ErrorCode::kDataLoss);
+  }
+};
+
+TEST(SnapshotFileTest, CraftedStartsValid) {
+  CraftedSnapshot c("crafted_valid");
+  EXPECT_TRUE(c.Open(ckpt::SnapshotValidation::kFull).ok());
+}
+
+TEST(SnapshotFileTest, RejectsCountsThatWrapTheSectionSizeChecks) {
+  // (2^61 - 1 + 1) * 8 wraps to 0, the size of an empty fencepost section:
+  // a size check by multiplication passes, and the first lookup reads far
+  // outside the file.
+  CraftedSnapshot c("crafted_count");
+  ckpt::Writer meta;
+  meta.Size((uint64_t{1} << 61) - 1);
+  meta.Size(0);
+  c.sections[pdns::kSecPdnsMeta - 1] = std::move(meta).Take();
+  for (uint32_t id = 2; id <= 6; ++id) c.sections[id - 1].clear();
+  EXPECT_EQ(c.Open(ckpt::SnapshotValidation::kFast).code(),
+            util::ErrorCode::kDataLoss);
+  EXPECT_EQ(c.Open(ckpt::SnapshotValidation::kFull).code(),
+            util::ErrorCode::kDataLoss);
+}
+
+TEST(SnapshotFileTest, FullRejectsNonMonotonicNameFenceposts) {
+  CraftedSnapshot c("crafted_name_order");
+  c.SetU64(c.name_offsets(), 1, 20);  // name 0 ends after name 1 does
+  c.SetU64(c.name_offsets(), 2, 12);
+  c.ExpectOnlyFullRejects();
+}
+
+TEST(SnapshotFileTest, FullRejectsNameFencepostPastTheKeys) {
+  CraftedSnapshot c("crafted_name_past");
+  c.SetU64(c.name_offsets(), 1, c.keys().size() + 64);
+  c.ExpectOnlyFullRejects();
+}
+
+TEST(SnapshotFileTest, FullRejectsInvalidCanonicalKey) {
+  CraftedSnapshot c("crafted_bad_key");
+  c.keys()[c.keys().size() - 1] = '!';  // not a legal label byte
+  c.ExpectOnlyFullRejects();
+}
+
+TEST(SnapshotFileTest, FullRejectsKeysNotStrictlyIncreasing) {
+  CraftedSnapshot c("crafted_key_order");
+  // "xx\0gov\0a" "xx\0gov\0b" "xx\0gov\0c": swap the first two labels.
+  ASSERT_EQ(c.keys().size(), 24u);
+  std::swap(c.keys()[7], c.keys()[15]);
+  c.ExpectOnlyFullRejects();
+}
+
+TEST(SnapshotFileTest, FullRejectsNonMonotonicEntryFenceposts) {
+  CraftedSnapshot c("crafted_entry_order");
+  c.SetU64(c.entry_offsets(), 1, 5);
+  c.ExpectOnlyFullRejects();
+}
+
+TEST(SnapshotFileTest, FullRejectsEntryFencepostPastTheEntryCount) {
+  CraftedSnapshot c("crafted_entry_past");
+  c.SetU64(c.entry_offsets(), 2, 1000);
+  c.ExpectOnlyFullRejects();
+}
+
+TEST(SnapshotFileTest, FullRejectsUnknownRRType) {
+  CraftedSnapshot c("crafted_rrtype");
+  pdns::RawPdnsEntry raw = c.Entry(3);
+  raw.type = 999;
+  c.SetEntry(3, raw);
+  c.ExpectOnlyFullRejects();
+}
+
+TEST(SnapshotFileTest, FullRejectsRdataOutsideTheRdataSection) {
+  CraftedSnapshot c("crafted_rdata");
+  pdns::RawPdnsEntry raw = c.Entry(4);
+  raw.rdata_off = c.rdata().size();  // starts at the end, length > 0
+  c.SetEntry(4, raw);
+  c.ExpectOnlyFullRejects();
+
+  raw.rdata_off = ~uint64_t{0} - 2;  // off + len wraps past zero
+  c.SetEntry(4, raw);
+  c.ExpectOnlyFullRejects();
 }
 
 // ---- pdns snapshot: mining identity ---------------------------------------
 
 TEST(SnapshotFileTest, MiningIsByteIdenticalAcrossSubstratesAndWorkers) {
   PdnsFileFixture f("mine");
-  pdns::PdnsDatabase db = RandomDatabase(1234);  // same seed as the fixture
   const std::vector<core::SeedDomain> seeds = {
       {0, Name::FromString("gov.xx"), core::SeedVerification::kRegistryPolicy,
        false},
@@ -420,25 +565,20 @@ TEST(SnapshotFileTest, MiningIsByteIdenticalAcrossSubstratesAndWorkers) {
        false}};
   core::MiningConfig config;
 
-  core::PdnsMiner db_miner(&db, config);
-  const auto baseline = db_miner.Mine(seeds);
+  const auto baseline = core::PdnsMiner(config).Mine(f.built, seeds);
   EXPECT_GT(baseline.domains.size(), 0u);
 
-  auto owning = pdns::ReadPdnsSnapshotFileOwning(f.path, kFingerprint);
-  auto mapped = pdns::MappedPdnsSnapshot::Open(
-      f.path, kFingerprint, ckpt::SnapshotValidation::kFull);
-  ASSERT_TRUE(owning.ok() && mapped.ok());
+  auto mapped = pdns::PdnsSnapshot::Open(f.path, kFingerprint,
+                                         ckpt::SnapshotValidation::kFull);
+  ASSERT_TRUE(mapped.ok());
 
   for (int workers : {1, 4}) {
     core::MinerOptions opts;
     opts.workers = workers;
     core::PdnsMiner miner(config, opts);
-    EXPECT_EQ(miner.MineSnapshot(f.frozen, seeds), baseline)
-        << "frozen w=" << workers;
-    EXPECT_EQ(miner.MineSnapshot(*owning, seeds), baseline)
-        << "owning w=" << workers;
-    EXPECT_EQ(miner.MineSnapshot(*mapped, seeds), baseline)
-        << "mapped w=" << workers;
+    EXPECT_EQ(miner.Mine(f.built, seeds), baseline)
+        << "in-memory w=" << workers;
+    EXPECT_EQ(miner.Mine(*mapped, seeds), baseline) << "mapped w=" << workers;
   }
 }
 

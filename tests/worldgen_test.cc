@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <set>
+#include <string>
 
+#include "ckpt/journal.h"
+#include "pdns/db.h"
 #include "worldgen/countries.h"
 #include "worldgen/providers.h"
 #include "worldgen/world.h"
@@ -150,8 +155,11 @@ TEST_F(WorldTest, PdnsCoversEveryNonDisposableDomain) {
   for (const auto& d : world_->domains()) {
     if (checked >= 500) break;  // spot-check; full sweep is slow
     ++checked;
-    auto entries = world_->pdns_db().Lookup(d.name);
-    EXPECT_FALSE(entries.empty()) << d.name.ToString();
+    const pdns::PdnsSnapshot& pdns = world_->pdns_db();
+    const auto [lo, hi] = pdns.WildcardNameRange(d.name);
+    EXPECT_TRUE(lo < hi && pdns.name_key(lo) == d.name.CanonicalKey() &&
+                !pdns.entries(lo).empty())
+        << d.name.ToString();
   }
 }
 
@@ -202,13 +210,36 @@ TEST_F(WorldTest, ChinaShrinksInto2020) {
   EXPECT_GT(peak_2019, in_2020);  // the consolidation dip
 }
 
+// The world's PDNS image as a published snapshot file.
+std::string PdnsFileBytes(const World& world, const std::string& tag) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / ("govdns_world_" + tag))
+          .string();
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/pdns.gvsn";
+  GOVDNS_CHECK(pdns::WritePdnsSnapshotFile(world.pdns_db(),
+                                           /*fingerprint=*/0x5eed5eed5eed5eedull,
+                                           dir, path)
+                   .ok());
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  std::filesystem::remove_all(dir);
+  return bytes;
+}
+
 TEST(WorldDeterminismTest, SameSeedSameWorld) {
   WorldConfig config;
   config.scale = 0.005;
   auto a = BuildWorld(config);
   auto b = BuildWorld(config);
   ASSERT_EQ(a->domains().size(), b->domains().size());
-  EXPECT_EQ(a->pdns_db().entry_count(), b->pdns_db().entry_count());
+  const std::string a_pdns = PdnsFileBytes(*a, "a");
+  EXPECT_TRUE(a_pdns == PdnsFileBytes(*b, "b"));
+  // Pinned image: any change to the generated history or to the store's
+  // layout shows up here.
+  EXPECT_EQ(a_pdns.size(), 221381u);
+  EXPECT_EQ(ckpt::Crc32(a_pdns), 0xeaf88378u);
   EXPECT_EQ(a->network().endpoint_count(), b->network().endpoint_count());
   for (size_t i = 0; i < a->domains().size(); i += 97) {
     EXPECT_EQ(a->domains()[i].name, b->domains()[i].name);

@@ -28,12 +28,12 @@
 // error naming the interrupted phase. A second SIGINT/SIGTERM during that
 // flush escalates to an immediate _exit (DESIGN.md §6g).
 //
-// Snapshot files (DESIGN.md §6i): --snapshot-file PATH freezes the world's
-// PDNS database and publishes it as a mmap-able GVSN snapshot at PATH
-// (atomic tmp+rename), stamped with the same world fingerprint the journal
-// uses. --map-snapshot PATH memory-maps such a file and mines it zero-copy
-// — the O(1)-resume fast path; the mined dataset (and therefore the report)
-// is byte-identical to the freeze path.
+// Snapshot files (DESIGN.md §6i): --snapshot-file PATH publishes the
+// world's in-memory PDNS image as a mmap-able GVSN snapshot at PATH (atomic
+// tmp+rename), stamped with the same world fingerprint the journal uses.
+// --map-snapshot PATH memory-maps such a file and mines it in place of the
+// world's image — the O(1)-resume fast path; the mined dataset (and
+// therefore the report) is byte-identical either way.
 //
 // Degradation budgets (DESIGN.md §6g): --domain-budget caps the logical ms
 // one domain may consume, --country-budget one country's domains together,
@@ -76,7 +76,7 @@
 #include "core/vantage.h"
 #include "netio/engine.h"
 #include "obs/obs.h"
-#include "pdns/snapshot_io.h"
+#include "pdns/db.h"
 #include "util/json.h"
 #include "util/strings.h"
 #include "worldgen/adapter.h"
@@ -272,7 +272,7 @@ int main(int argc, char** argv) {
     // report byte-identical — exchanges still execute inline on each lane's
     // thread under its own chaos context — while exercising the exact
     // submit/complete path a real-socket run uses.
-    std::optional<pdns::MappedPdnsSnapshot> mapped_snapshot;
+    std::optional<pdns::PdnsSnapshot> mapped_snapshot;
     std::unique_ptr<netio::QueryEngine> engine;
     worldgen::BoundStudy bound;
     bound.policy = std::make_unique<worldgen::PolicyLookupAdapter>(
@@ -441,32 +441,29 @@ int main(int argc, char** argv) {
 
     if (!snapshot_out_path.empty()) {
       phase = "snapshot-write";
-      std::fprintf(stderr, "freezing pdns database -> %s ...\n",
-                   snapshot_out_path.c_str());
-      const pdns::PdnsSnapshot frozen = world->pdns_db().Freeze();
+      const pdns::PdnsSnapshot& image = world->pdns_db();
       std::string dir =
           std::filesystem::path(snapshot_out_path).parent_path().string();
       if (dir.empty()) dir = ".";
-      auto status = pdns::WritePdnsSnapshotFile(frozen, world_fp, dir,
+      auto status = pdns::WritePdnsSnapshotFile(image, world_fp, dir,
                                                 snapshot_out_path);
       if (!status.ok()) {
         PrintStructuredError(phase, status.ToString());
         return 1;
       }
       std::fprintf(stderr, "wrote %s (%zu names, %zu entries)\n",
-                   snapshot_out_path.c_str(), frozen.name_count(),
-                   frozen.entry_count());
+                   snapshot_out_path.c_str(), image.name_count(),
+                   image.entry_count());
     }
     if (!map_snapshot_path.empty()) {
       phase = "snapshot-map";
-      auto loaded =
-          pdns::MappedPdnsSnapshot::Open(map_snapshot_path, world_fp);
+      auto loaded = pdns::PdnsSnapshot::Open(map_snapshot_path, world_fp);
       if (!loaded.ok()) {
         PrintStructuredError(phase, loaded.status().ToString());
         return 1;
       }
       mapped_snapshot = *std::move(loaded);
-      inputs.pdns_snapshot = &*mapped_snapshot;
+      inputs.pdns = &*mapped_snapshot;
       std::fprintf(stderr, "mapped %s (%zu names, %zu entries, %s)\n",
                    map_snapshot_path.c_str(), mapped_snapshot->name_count(),
                    mapped_snapshot->entry_count(),
