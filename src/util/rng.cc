@@ -1,5 +1,6 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -74,26 +75,6 @@ bool Rng::Bernoulli(double p) {
   return UniformDouble() < p;
 }
 
-uint64_t Rng::Zipf(uint64_t n, double s) {
-  GOVDNS_CHECK(n > 0);
-  GOVDNS_CHECK(s > 0.0);
-  // Inverse-CDF via the harmonic normalizer, computed by bisection on a
-  // partial-sum approximation: exact for small n, approximate tail for
-  // large n. n in this codebase is at most a few thousand, so we compute
-  // the normalizer directly once per call for n <= 4096 and cache nothing
-  // (callers draw rarely relative to its cost).
-  if (n == 1) return 1;
-  double total = 0.0;
-  for (uint64_t k = 1; k <= n; ++k) total += 1.0 / std::pow(double(k), s);
-  double target = UniformDouble() * total;
-  double run = 0.0;
-  for (uint64_t k = 1; k <= n; ++k) {
-    run += 1.0 / std::pow(double(k), s);
-    if (run >= target) return k;
-  }
-  return n;
-}
-
 double Rng::Gaussian() {
   // Box-Muller; u1 in (0,1] to avoid log(0).
   double u1 = 1.0 - UniformDouble();
@@ -121,6 +102,26 @@ size_t Rng::WeightedIndex(const std::vector<double>& weights) {
     if (run >= target) return i;
   }
   return weights.size() - 1;
+}
+
+ZipfTable::ZipfTable(uint64_t n, double s) {
+  GOVDNS_CHECK(n > 0);
+  GOVDNS_CHECK(s > 0.0);
+  running_sum_.reserve(n);
+  double run = 0.0;
+  for (uint64_t k = 1; k <= n; ++k) {
+    run += 1.0 / std::pow(double(k), s);
+    running_sum_.push_back(run);
+  }
+}
+
+uint64_t ZipfTable::Draw(Rng& rng) const {
+  if (running_sum_.size() == 1) return 1;
+  const double target = rng.UniformDouble() * running_sum_.back();
+  const auto it =
+      std::lower_bound(running_sum_.begin(), running_sum_.end(), target);
+  if (it == running_sum_.end()) return n();
+  return static_cast<uint64_t>(it - running_sum_.begin()) + 1;
 }
 
 }  // namespace govdns::util

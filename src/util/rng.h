@@ -44,10 +44,6 @@ class Rng {
 
   bool Bernoulli(double p);
 
-  // Zipf-distributed rank in [1, n] with exponent s > 0. Heavy-tailed sizes
-  // (country zone counts, provider popularity) come from this.
-  uint64_t Zipf(uint64_t n, double s);
-
   // Approximately log-normally distributed positive double.
   double LogNormal(double mu, double sigma);
 
@@ -78,6 +74,23 @@ class Rng {
  private:
   uint64_t seed_;
   uint64_t s_[4];
+};
+
+// Zipf-distributed ranks in [1, n] with exponent s > 0: heavy-tailed
+// popularity (which national hosting company a domain picks) comes from
+// this. The table holds the running sums of 1/k^s, added in rank order, so
+// a draw is one UniformDouble() scaled by their total and a binary search
+// for the first rank whose running sum reaches it. n == 1 draws nothing.
+class ZipfTable {
+ public:
+  ZipfTable(uint64_t n, double s);
+
+  uint64_t Draw(Rng& rng) const;
+
+  uint64_t n() const { return running_sum_.size(); }
+
+ private:
+  std::vector<double> running_sum_;  // [k - 1]: sum of 1/j^s for j <= k
 };
 
 }  // namespace govdns::util

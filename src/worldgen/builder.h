@@ -95,6 +95,7 @@ struct World::Builder {
   void FinalizeRegistrar();
   void ApplyCountryFaults();
   void RecordNsHosts();
+  void SealZonesAndIndexDomains();
 
   // --- Infrastructure helpers ----------------------------------------------
   std::shared_ptr<zone::Zone> NewZone(const dns::Name& origin);
@@ -147,6 +148,8 @@ struct World::Builder {
   std::vector<CompanyRuntime> companies;  // global list
   std::vector<CountryAddressPool> country_pools;
   std::vector<std::vector<int>> country_company_ids;  // per-country indices
+  // Per country: Zipf(1.0) over its companies, the national-hosting pick.
+  std::vector<util::ZipfTable> company_zipf;
   std::vector<std::vector<int>> country_active;       // live domain ids
   std::vector<DomainGenState> gen_state;
 

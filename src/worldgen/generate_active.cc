@@ -306,7 +306,7 @@ void World::Builder::BuildActiveInfrastructure() {
 
   // Country-level: portal addresses, live/dead intermediate zones.
   for (int c = 0; c < n; ++c) {
-    CountryRuntime& rt = w.country_rt_[c];
+    const CountryRuntime& rt = w.country_rt_[c];
     zone::Zone* suffix_zone = FindZone(rt.suffix);
     GOVDNS_CHECK(suffix_zone != nullptr);
     const KnowledgeBaseEntry& kb = w.knowledge_base_[c];
@@ -354,16 +354,17 @@ void World::Builder::BuildActiveInfrastructure() {
                                  300.0 + r.UniformDouble() * 4700.0);
   }
 
-  // Per-domain infrastructure.
+  // Per-domain infrastructure. The domain truth is read-only here: the
+  // passive-DNS task reads it concurrently (see Build).
   for (size_t i = 0; i < w.domains_.size(); ++i) {
-    DomainTruth& d = w.domains_[i];
+    const DomainTruth& d = w.domains_[i];
     const DomainGenState& gs = gen_state[i];
     if (!d.in_query_list || gs.is_apex) continue;
     if (d.fate == DomainFate::kRemoved || d.fate == DomainFate::kDeadParent) {
       continue;
     }
     const CountrySpec& spec = countries[d.country];
-    CountryRuntime& rt = w.country_rt_[d.country];
+    const CountryRuntime& rt = w.country_rt_[d.country];
     GOVDNS_CHECK(!d.epochs.empty());
     const NsEpoch& last = d.epochs.back();
 
@@ -377,7 +378,7 @@ void World::Builder::BuildActiveInfrastructure() {
 
     // ---- Parked-reference domains: parent points at the parked company.
     if (d.parked_ns_ref) {
-      const CompanyRuntime& crt = companies[parked_assignments[i]];
+      const CompanyRuntime& crt = companies[parked_assignments.at(i)];
       const NationalCompany& comp =
           w.country_rt_[crt.country].companies[crt.index_in_country];
       for (const dns::Name& ns : comp.ns_names) {
@@ -398,12 +399,11 @@ void World::Builder::BuildActiveInfrastructure() {
         parent_zone->Add(dns::MakeNs(d.name, entry, 86400));
         // Half the in-bailiwick hostnames keep a stale glue record pointing
         // at a host that no longer answers; the rest are unresolvable.
+        // CountryAddressPool::Take never hands out an address twice, so no
+        // endpoint is ever attached at the stale address.
         if (entry.IsSubdomainOf(d.name) && dr.Bernoulli(0.5)) {
           parent_zone->Add(
               dns::MakeA(entry, country_pools[d.country].Take(1, false), 86400));
-          // No endpoint is attached at that address... unless another live
-          // host got it; mark it silent to be safe.
-          // (Address reuse is rare; silencing is the conservative choice.)
         }
       }
       continue;

@@ -4,6 +4,8 @@
 // knowledge-base entries).
 #include <algorithm>
 #include <cmath>
+#include <future>
+#include <numeric>
 
 #include "util/strings.h"
 #include "worldgen/builder.h"
@@ -80,11 +82,31 @@ void World::Builder::Build() {
   BuildCountryInfra();
   GenerateLifecyclesAndDeployments();
   PlanMeasurementState();
-  PopulatePdns();
+  // Passive DNS builds on a second thread while this one builds the active
+  // infrastructure (DESIGN.md §6m). PopulatePdns writes only w.pdns_ and
+  // its own RNG stream; it reads the domain truth, gen_state, the country
+  // runtime, the targets and the config, and no step below writes any of
+  // them. get() joins the task and rethrows its exception, if any; should
+  // a step below throw first, the future's destructor still waits for the
+  // task before the world it writes is destroyed.
+  std::future<void> pdns =
+      std::async(std::launch::async, [this] { PopulatePdns(); });
   BuildActiveInfrastructure();
   FinalizeRegistrar();
   ApplyCountryFaults();
   RecordNsHosts();
+  SealZonesAndIndexDomains();
+  pdns.get();
+}
+
+void World::Builder::SealZonesAndIndexDomains() {
+  for (const auto& zone : w.zones_) zone->Seal();
+  w.domain_index_.resize(w.domains_.size());
+  std::iota(w.domain_index_.begin(), w.domain_index_.end(), 0);
+  std::stable_sort(w.domain_index_.begin(), w.domain_index_.end(),
+                   [this](int a, int b) {
+                     return w.domains_[a].name < w.domains_[b].name;
+                   });
 }
 
 void World::Builder::RecordNsHosts() {
@@ -631,6 +653,7 @@ void World::Builder::BuildCountryInfra() {
       country_company_ids[i].push_back(static_cast<int>(companies.size()));
       companies.push_back(std::move(comp_rt));
     }
+    company_zipf.emplace_back(country_company_ids[i].size(), 1.0);
 
     // The country-wide shared dead nameserver, when configured: half the
     // affected countries get a resolvable-but-silent host, half an

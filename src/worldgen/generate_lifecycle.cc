@@ -89,7 +89,7 @@ World::Builder::NsAssignment World::Builder::AssignNational(int domain_id,
   NsAssignment a;
   a.style = DeployStyle::kNational;
   for (int attempt = 0; attempt < 12; ++attempt) {
-    size_t k = r.Zipf(comp_ids.size(), 1.0) - 1;
+    size_t k = company_zipf[d.country].Draw(r) - 1;
     const NationalCompany& comp = comps[k];
     if (comp.first_year <= year &&
         (comp.last_year == 0 || comp.last_year > year)) {
@@ -175,8 +175,10 @@ void World::Builder::GenerateLifecyclesAndDeployments() {
   gen_state.reserve(capacity);
 
   std::vector<int> live_count(n, 0);
-  // Per-country label de-duplication.
-  std::vector<std::map<std::string, int>> label_use(n);
+  // Per-country label de-duplication: uses of each word, by word index (the
+  // words are distinct, so this counts exactly what a per-label map would).
+  constexpr size_t kWords = std::size(kGovWords);
+  std::vector<int> label_use(n * kWords, 0);
 
   util::Rng lifecycle_rng = rng.Fork("lifecycle");
 
@@ -189,8 +191,9 @@ void World::Builder::GenerateLifecyclesAndDeployments() {
     d.birth = birth;
     d.death = kAliveForever;
     // Name: a government-ish label, optionally under an intermediate zone.
-    const char* word = kGovWords[r.UniformU64(std::size(kGovWords))];
-    int& uses = label_use[country][word];
+    const size_t word_index = r.UniformU64(kWords);
+    const char* word = kGovWords[word_index];
+    int& uses = label_use[country * kWords + word_index];
     std::string label =
         uses == 0 ? std::string(word) : std::string(word) + std::to_string(uses);
     ++uses;
@@ -216,7 +219,6 @@ void World::Builder::GenerateLifecyclesAndDeployments() {
 
     int id = static_cast<int>(w.domains_.size());
     w.domains_.push_back(std::move(d));
-    w.domain_index_[w.domains_.back().name] = id;
     DomainGenState gs;
     gs.alive = true;
     gs.intermediate = inter;
@@ -245,13 +247,32 @@ void World::Builder::GenerateLifecyclesAndDeployments() {
     d.epochs.push_back(std::move(epoch));
     int id = static_cast<int>(w.domains_.size());
     w.domains_.push_back(std::move(d));
-    w.domain_index_[w.domains_.back().name] = id;
     DomainGenState gs;
     gs.alive = true;
     gs.is_apex = true;
     gen_state.push_back(gs);
     country_active[c].push_back(id);
     ++live_count[c];
+  }
+
+  // Country-adoption gate: a deterministic per-(provider, country) coin
+  // decides whether a market ever buys from a provider, and the top-10 flag
+  // sets a chooser's weight. Neither changes over the decade, so both are
+  // tabulated once here rather than derived per chooser per year.
+  std::vector<char> is_top10(n, 0);
+  for (const char* code : Top10CountryCodes()) {
+    const int c = CountryIndexByCode(code);
+    if (c >= 0) is_top10[c] = 1;
+  }
+  std::vector<double> adoption_coin(providers.size() * n);
+  for (size_t p = 0; p < providers.size(); ++p) {
+    for (int c = 0; c < n; ++c) {
+      adoption_coin[p * n + c] =
+          double(util::HashString(std::string(providers[p].spec->group_key) +
+                                  "|" + countries[c].code) >>
+                 11) *
+          0x1.0p-53;
+    }
   }
 
   for (int year = cfg.first_year; year <= cfg.last_year; ++year) {
@@ -409,14 +430,6 @@ void World::Builder::GenerateLifecyclesAndDeployments() {
       return t * cfg.scale;
     };
 
-    const auto top10 = Top10CountryCodes();
-    auto is_top10 = [&](int country) {
-      for (const char* code : top10) {
-        if (countries[country].code == std::string_view(code)) return true;
-      }
-      return false;
-    };
-
     for (size_t p = 0; p < providers.size(); ++p) {
       ProviderRuntime& prt = providers[p];
       const ProviderSpec& spec = *prt.spec;
@@ -437,18 +450,14 @@ void World::Builder::GenerateLifecyclesAndDeployments() {
               spec.country_focus != countries[country].code) {
             continue;
           }
-          // Country-adoption gate: a deterministic per-(provider, country)
-          // coin decides whether this market ever buys from this provider;
-          // the threshold grows with the provider's coverage, so markets
-          // open monotonically over the decade (Table III calibration).
-          if (spec.country_focus.empty()) {
-            double u = double(util::HashString(std::string(spec.group_key) +
-                                               "|" + countries[country].code) >>
-                              11) *
-                       0x1.0p-53;
-            if (u >= coverage) continue;
+          // The adoption threshold grows with the provider's coverage, so
+          // markets open monotonically over the decade (Table III
+          // calibration).
+          if (spec.country_focus.empty() &&
+              adoption_coin[p * n + country] >= coverage) {
+            continue;
           }
-          double wgt = is_top10(country) ? 1.0 : spec.small_country_affinity;
+          double wgt = is_top10[country] ? 1.0 : spec.small_country_affinity;
           weights[j] = wgt;
           total_w += wgt;
         }

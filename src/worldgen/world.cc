@@ -1,5 +1,7 @@
 #include "worldgen/world.h"
 
+#include <algorithm>
+#include <iterator>
 #include <set>
 
 #include "util/rng.h"
@@ -81,9 +83,14 @@ VantageProfile MakeDefaultVantageProfile(int index) {
 }
 
 const DomainTruth* World::FindDomain(const dns::Name& name) const {
-  auto it = domain_index_.find(name);
-  if (it == domain_index_.end()) return nullptr;
-  return &domains_[it->second];
+  // The last of equal names wins, as it did when the index was a map
+  // assigned in creation order.
+  auto it = std::upper_bound(
+      domain_index_.begin(), domain_index_.end(), name,
+      [this](const dns::Name& n, int id) { return n < domains_[id].name; });
+  if (it == domain_index_.begin()) return nullptr;
+  const DomainTruth& d = domains_[*std::prev(it)];
+  return d.name == name ? &d : nullptr;
 }
 
 }  // namespace govdns::worldgen

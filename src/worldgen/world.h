@@ -205,6 +205,10 @@ class World {
 
   size_t server_count() const { return servers_.size(); }
   size_t zone_count() const { return zones_.size(); }
+  // Every zone, sealed, in creation order (tests pin the zone image).
+  const std::vector<std::shared_ptr<zone::Zone>>& zones() const {
+    return zones_;
+  }
 
  private:
   friend struct Builder;
@@ -221,7 +225,9 @@ class World {
   std::vector<NsHost> ns_hosts_;
 
   std::vector<DomainTruth> domains_;
-  std::map<dns::Name, int> domain_index_;
+  // Indices into domains_, stably sorted by name; built once at the end of
+  // the build.
+  std::vector<int> domain_index_;
   std::vector<CountryRuntime> country_rt_;
 
   // Owning containers for the simulated infrastructure.

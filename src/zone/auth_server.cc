@@ -56,15 +56,15 @@ dns::Message AuthServer::AnswerFromZone(const Zone& zone,
   if (auto cut = zone.FindDelegation(q.name)) {
     dns::Message response = dns::MakeResponse(query, dns::Rcode::kNoError);
     response.header.aa = false;
-    auto ns_rrs = zone.Find(*cut, dns::RRType::kNS);
-    response.authority = ns_rrs;
+    const auto ns_rrs = zone.Find(*cut, dns::RRType::kNS);
+    response.authority.assign(ns_rrs.begin(), ns_rrs.end());
     // Glue: A records for in-zone NS targets, when present.
     for (const auto& ns_rr : ns_rrs) {
       const dns::Name& target = std::get<dns::NsRdata>(ns_rr.rdata).nameserver;
       if (!target.IsSubdomainOf(zone.origin())) continue;
-      for (auto& glue : zone.Find(target, dns::RRType::kA)) {
-        response.additional.push_back(std::move(glue));
-      }
+      const auto glue = zone.Find(target, dns::RRType::kA);
+      response.additional.insert(response.additional.end(), glue.begin(),
+                                 glue.end());
     }
     return response;
   }
@@ -72,16 +72,16 @@ dns::Message AuthServer::AnswerFromZone(const Zone& zone,
   dns::Message response = dns::MakeResponse(query, dns::Rcode::kNoError);
   response.header.aa = true;
 
-  auto rrs = zone.Find(q.name, q.type);
+  const auto rrs = zone.Find(q.name, q.type);
   if (!rrs.empty()) {
-    response.answers = std::move(rrs);
+    response.answers.assign(rrs.begin(), rrs.end());
     return response;
   }
 
   // CNAME at the name answers any type (the client chases the target).
-  auto cnames = zone.Find(q.name, dns::RRType::kCNAME);
+  const auto cnames = zone.Find(q.name, dns::RRType::kCNAME);
   if (!cnames.empty() && q.type != dns::RRType::kCNAME) {
-    response.answers = std::move(cnames);
+    response.answers.assign(cnames.begin(), cnames.end());
     return response;
   }
 

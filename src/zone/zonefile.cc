@@ -10,6 +10,10 @@ namespace govdns::zone {
 
 namespace {
 
+std::string ErrorAt(int line, const std::string& what) {
+  return "line " + std::to_string(line) + ": " + what;
+}
+
 // A token stream over master-file text that understands ';' comments and
 // '(' ... ')' line continuation, and reports logical-line boundaries.
 class Tokenizer {
@@ -22,7 +26,8 @@ class Tokenizer {
     int line_number = 0;
   };
 
-  // Next logical line with at least one token; nullopt at end of input.
+  // Next logical line with at least one token; nullopt at end of input or
+  // at the first malformed line, which error() then describes.
   std::optional<Line> NextLine() {
     while (pos_ < text_.size()) {
       Line line;
@@ -30,6 +35,7 @@ class Tokenizer {
       line.owner_field_blank =
           pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t');
       int depth = 0;
+      int open_line = 0;  // where the outermost '(' was opened
       bool saw_token = false;
       while (pos_ < text_.size()) {
         char c = text_[pos_];
@@ -49,23 +55,28 @@ class Tokenizer {
           continue;
         }
         if (c == '(') {
-          ++depth;
+          if (depth++ == 0) open_line = line_number_;
           ++pos_;
           continue;
         }
         if (c == ')') {
+          if (depth == 0) return Fail(ErrorAt(line_number_, "')' without '('"));
           --depth;
           ++pos_;
           continue;
         }
         if (c == '"') {
-          // Quoted character string (TXT).
+          // Quoted character string (TXT); it must close on its own line.
           ++pos_;
           std::string token;
-          while (pos_ < text_.size() && text_[pos_] != '"') {
+          while (pos_ < text_.size() && text_[pos_] != '"' &&
+                 text_[pos_] != '\n') {
             token += text_[pos_++];
           }
-          if (pos_ < text_.size()) ++pos_;  // closing quote
+          if (pos_ == text_.size() || text_[pos_] == '\n') {
+            return Fail(ErrorAt(line_number_, "unterminated quoted string"));
+          }
+          ++pos_;  // closing quote
           line.tokens.push_back("\"" + token);
           saw_token = true;
           continue;
@@ -79,20 +90,31 @@ class Tokenizer {
         line.tokens.push_back(std::move(token));
         saw_token = true;
       }
+      if (depth > 0) return Fail(ErrorAt(open_line, "'(' never closed"));
       if (saw_token) return line;
       // Blank/comment-only line: keep scanning.
     }
     return std::nullopt;
   }
 
+  // Empty unless NextLine() stopped at malformed input.
+  const std::string& error() const { return error_; }
+
  private:
   void SkipToEol() {
     while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
   }
 
+  std::nullopt_t Fail(std::string error) {
+    error_ = std::move(error);
+    pos_ = text_.size();
+    return std::nullopt;
+  }
+
   const std::string& text_;
   size_t pos_ = 0;
   int line_number_ = 1;
+  std::string error_;
 };
 
 util::StatusOr<dns::Name> ResolveName(const std::string& token,
@@ -130,10 +152,6 @@ bool IsAllDigits(const std::string& token) {
     if (!std::isdigit(static_cast<unsigned char>(c))) return false;
   }
   return true;
-}
-
-std::string ErrorAt(int line, const std::string& what) {
-  return "line " + std::to_string(line) + ": " + what;
 }
 
 }  // namespace
@@ -315,6 +333,7 @@ util::StatusOr<Zone> ParseZoneFile(const std::string& text,
     }
     records.push_back(std::move(rr));
   }
+  if (!tokenizer.error().empty()) return util::ParseError(tokenizer.error());
 
   if (!zone_origin) zone_origin = origin;
   Zone zone(*zone_origin);
@@ -325,6 +344,7 @@ util::StatusOr<Zone> ParseZoneFile(const std::string& text,
     }
     zone.Add(std::move(rr));
   }
+  zone.Seal();
   return zone;
 }
 

@@ -22,9 +22,10 @@ struct ZoneFileOptions {
   uint32_t default_ttl = 3600;
 };
 
-// Parses master-file text into a Zone. `origin` seeds $ORIGIN (a leading
-// $ORIGIN directive overrides it). Returns a parse error naming the first
-// offending line.
+// Parses master-file text into a sealed Zone. `origin` seeds $ORIGIN (a
+// leading $ORIGIN directive overrides it). Returns a parse error naming the
+// first offending line; a quoted string left open at the end of its line, a
+// '(' still open at the end of input and a ')' with no open '(' are errors.
 util::StatusOr<Zone> ParseZoneFile(const std::string& text,
                                    const dns::Name& origin,
                                    ZoneFileOptions options = ZoneFileOptions());

@@ -34,6 +34,7 @@ TEST_F(FailureInjectionTest, CyclicGluelessDelegationTerminates) {
   // Rebuild the gov zone with the cycle plus its own apex data.
   gov->Add(MakeNs(Name::FromString("gov.xx"), Name::FromString("ns1.nic.gov.xx")));
   gov->Add(MakeA(Name::FromString("ns1.nic.gov.xx"), TinyInternet::Ip(10, 0, 2, 1)));
+  gov->Seal();
   world_.gov_server->AddZone(gov);
 
   auto result = resolver_.Resolve(Name::FromString("www.a.gov.xx"),
@@ -48,6 +49,7 @@ TEST_F(FailureInjectionTest, SelfReferentialGluelessDelegationTerminates) {
   gov->Add(MakeNs(Name::FromString("gov.xx"), Name::FromString("ns1.nic.gov.xx")));
   gov->Add(MakeA(Name::FromString("ns1.nic.gov.xx"), TinyInternet::Ip(10, 0, 2, 1)));
   world_.gov_server->RemoveZone(Name::FromString("gov.xx"));
+  gov->Seal();
   world_.gov_server->AddZone(gov);
   auto result =
       resolver_.Resolve(Name::FromString("www.loop.gov.xx"), dns::RRType::kA);
@@ -173,6 +175,7 @@ TEST_F(FailureInjectionTest, ParkingWildcardDoesNotLookLame) {
                   Name::FromString("ns1.oldco.gov.xx")));
   gov->Add(MakeA(Name::FromString("ns1.oldco.gov.xx"), TinyInternet::Ip(10, 0, 8, 1)));
   world_.gov_server->RemoveZone(Name::FromString("gov.xx"));
+  gov->Seal();
   world_.gov_server->AddZone(gov);
 
   static zone::AuthServer parking("ns1.parkit.gov.xx",

@@ -19,6 +19,12 @@ bool Has(const std::vector<LintFinding>& findings, LintRule rule) {
                      [&](const LintFinding& f) { return f.rule == rule; });
 }
 
+// Lint reads the zone, so every zone is sealed after its last Add().
+Zone Sealed(Zone z) {
+  z.Seal();
+  return z;
+}
+
 Zone HealthyZone() {
   Zone z(Name::FromString("gov.xx"));
   z.Add(MakeSoa(z.origin(), Name::FromString("ns1.gov.xx"),
@@ -32,7 +38,7 @@ Zone HealthyZone() {
 }
 
 TEST(LintTest, HealthyZoneIsClean) {
-  auto findings = LintZone(HealthyZone());
+  auto findings = LintZone(Sealed(HealthyZone()));
   EXPECT_TRUE(findings.empty())
       << (findings.empty() ? "" : findings[0].ToString());
 }
@@ -41,6 +47,7 @@ TEST(LintTest, MissingSoa) {
   Zone z(Name::FromString("gov.xx"));
   z.Add(MakeNs(z.origin(), Name::FromString("ns1.other.yy")));
   z.Add(MakeNs(z.origin(), Name::FromString("ns2.other.yy")));
+  z.Seal();
   EXPECT_TRUE(Has(LintZone(z), LintRule::kMissingSoa));
 }
 
@@ -48,6 +55,7 @@ TEST(LintTest, MultipleSoa) {
   Zone z = HealthyZone();
   z.Add(MakeSoa(z.origin(), Name::FromString("ns2.gov.xx"),
                 Name::FromString("hostmaster.gov.xx"), 8));
+  z.Seal();
   EXPECT_TRUE(Has(LintZone(z), LintRule::kMultipleSoa));
 }
 
@@ -55,6 +63,7 @@ TEST(LintTest, MissingAndSingleApexNs) {
   Zone no_ns(Name::FromString("gov.xx"));
   no_ns.Add(MakeSoa(no_ns.origin(), Name::FromString("ns1.gov.xx"),
                     Name::FromString("h.gov.xx"), 1));
+  no_ns.Seal();
   EXPECT_TRUE(Has(LintZone(no_ns), LintRule::kMissingApexNs));
 
   Zone single(Name::FromString("gov.xx"));
@@ -62,6 +71,7 @@ TEST(LintTest, MissingAndSingleApexNs) {
                      Name::FromString("h.gov.xx"), 1));
   single.Add(MakeNs(single.origin(), Name::FromString("ns1.gov.xx")));
   single.Add(MakeA(Name::FromString("ns1.gov.xx"), geo::IPv4(10, 0, 0, 1)));
+  single.Seal();
   auto findings = LintZone(single);
   ASSERT_TRUE(Has(findings, LintRule::kSingleApexNs));
   // Warning by default, error under strict replication policy.
@@ -82,11 +92,13 @@ TEST(LintTest, MissingAndSingleApexNs) {
 TEST(LintTest, CnameProblems) {
   Zone z = HealthyZone();
   z.Add(MakeCname(z.origin(), Name::FromString("portal.gov.xx")));
+  z.Seal();
   EXPECT_TRUE(Has(LintZone(z), LintRule::kCnameAtApex));
 
   Zone z2 = HealthyZone();
   z2.Add(MakeCname(Name::FromString("www.gov.xx"),
                    Name::FromString("portal.gov.xx")));
+  z2.Seal();
   EXPECT_TRUE(Has(LintZone(z2), LintRule::kCnameAndOtherData));
 }
 
@@ -95,6 +107,7 @@ TEST(LintTest, NsPointsToCname) {
   z.Add(MakeNs(z.origin(), Name::FromString("nsalias.gov.xx")));
   z.Add(MakeCname(Name::FromString("nsalias.gov.xx"),
                   Name::FromString("ns1.gov.xx")));
+  z.Seal();
   EXPECT_TRUE(Has(LintZone(z), LintRule::kNsPointsToCname));
 }
 
@@ -102,6 +115,7 @@ TEST(LintTest, RelativeNsTarget) {
   // The paper's §IV-D example: a lost-origin single-label NS target.
   Zone z = HealthyZone();
   z.Add(MakeNs(z.origin(), Name::FromString("ns")));
+  z.Seal();
   EXPECT_TRUE(Has(LintZone(z), LintRule::kRelativeNsTarget));
 }
 
@@ -111,12 +125,14 @@ TEST(LintTest, MissingGlueAndUnresolvableTarget) {
   z.Add(MakeNs(Name::FromString("moe.gov.xx"),
                Name::FromString("ns1.moe.gov.xx")));
   z.Add(dns::MakeTxt(Name::FromString("ns1.moe.gov.xx"), "exists"));
+  z.Seal();
   auto findings = LintZone(z);
   EXPECT_TRUE(Has(findings, LintRule::kMissingGlue));
 
   Zone z2 = HealthyZone();
   z2.Add(MakeNs(Name::FromString("edu.gov.xx"),
                 Name::FromString("ns1.edu.gov.xx")));
+  z2.Seal();
   EXPECT_TRUE(Has(LintZone(z2), LintRule::kUnresolvableNsTarget));
 }
 
@@ -127,6 +143,7 @@ TEST(LintTest, OrphanGlue) {
   z.Add(MakeA(Name::FromString("ns1.moe.gov.xx"), geo::IPv4(10, 0, 1, 1)));
   // Occluded data under the cut that is not glue.
   z.Add(MakeA(Name::FromString("www.moe.gov.xx"), geo::IPv4(10, 0, 1, 2)));
+  z.Seal();
   auto findings = LintZone(z);
   EXPECT_TRUE(Has(findings, LintRule::kOrphanGlue));
   // The legitimate glue itself is not flagged.
@@ -145,6 +162,7 @@ TEST(LintTest, TtlZeroAndSerialZero) {
   z.Add(MakeNs(z.origin(), Name::FromString("ns2.gov.xx")));
   z.Add(MakeA(Name::FromString("ns1.gov.xx"), geo::IPv4(10, 0, 0, 1), 0));
   z.Add(MakeA(Name::FromString("ns2.gov.xx"), geo::IPv4(10, 0, 0, 2)));
+  z.Seal();
   auto findings = LintZone(z);
   EXPECT_TRUE(Has(findings, LintRule::kSoaSerialZero));
   EXPECT_TRUE(Has(findings, LintRule::kTtlZero));
@@ -152,6 +170,7 @@ TEST(LintTest, TtlZeroAndSerialZero) {
 
 TEST(LintDelegationTest, MatchingSetsAreClean) {
   Zone z = HealthyZone();
+  z.Seal();
   auto findings = LintDelegation(
       z, {Name::FromString("ns2.gov.xx"), Name::FromString("ns1.gov.xx")});
   EXPECT_TRUE(findings.empty());  // order-insensitive
@@ -159,6 +178,7 @@ TEST(LintDelegationTest, MatchingSetsAreClean) {
 
 TEST(LintDelegationTest, MismatchNamesBothSides) {
   Zone z = HealthyZone();
+  z.Seal();
   auto findings = LintDelegation(
       z, {Name::FromString("ns1.gov.xx"), Name::FromString("nsold.gov.xx")});
   ASSERT_EQ(findings.size(), 1u);
@@ -183,6 +203,7 @@ ns1 IN A 10.0.0.1
 TEST(LintTest, FindingToStringIsReadable) {
   Zone z(Name::FromString("gov.xx"));
   z.Add(MakeNs(z.origin(), Name::FromString("ns1.other.yy")));
+  z.Seal();
   auto findings = LintZone(z);
   ASSERT_FALSE(findings.empty());
   std::string text = findings[0].ToString();

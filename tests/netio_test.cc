@@ -48,6 +48,7 @@ std::shared_ptr<zone::Zone> TestZone() {
   z->Add(MakeNs(z->origin(), Name::FromString("ns1.gov.xx")));
   z->Add(MakeA(Name::FromString("ns1.gov.xx"), geo::IPv4(10, 0, 0, 1)));
   z->Add(MakeA(Name::FromString("www.gov.xx"), geo::IPv4(10, 0, 0, 2)));
+  z->Seal();
   return z;
 }
 

@@ -78,6 +78,7 @@ RandomZone MakeRandomZone(util::Rng& rng) {
       }
     }
   }
+  out.zone->Seal();
   return out;
 }
 
@@ -104,6 +105,10 @@ TEST_P(ZoneOracleProperty, FindMatchesBruteForce) {
           if (rr.name == name && rr.type() == type) expected.push_back(rr);
         }
         EXPECT_EQ(got.size(), expected.size())
+            << name.ToString() << " " << dns::RRTypeName(type);
+        // The whole RRset, in insertion order.
+        EXPECT_EQ(std::vector<dns::ResourceRecord>(got.begin(), got.end()),
+                  expected)
             << name.ToString() << " " << dns::RRTypeName(type);
       }
     }
@@ -210,8 +215,10 @@ TEST_P(ZoneFileProperty, SerializeParseRoundTrip) {
     for (const Name& name : names) {
       for (RRType type :
            {RRType::kA, RRType::kNS, RRType::kTXT, RRType::kSOA}) {
-        auto a = rz.zone->Find(name, type);
-        auto b = reparsed->Find(name, type);
+        const auto a_view = rz.zone->Find(name, type);
+        const auto b_view = reparsed->Find(name, type);
+        std::vector<dns::ResourceRecord> a(a_view.begin(), a_view.end());
+        std::vector<dns::ResourceRecord> b(b_view.begin(), b_view.end());
         ASSERT_EQ(a.size(), b.size()) << name.ToString();
         std::sort(a.begin(), a.end(), [](const auto& x, const auto& y) {
           return dns::RdataToString(x.rdata) < dns::RdataToString(y.rdata);

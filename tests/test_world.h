@@ -271,6 +271,8 @@ class TinyInternet {
     chain_server2->AddZone(chain_new);
     chain_server3 = AddServer("ns3.chain.gov.yy", {Ip(10, 0, 13, 3)});
     chain_server3->AddZone(chain_new);
+
+    for (const auto& zone : zones_) zone->Seal();
   }
 
   static geo::IPv4 Ip(uint8_t a, uint8_t b, uint8_t c, uint8_t d) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <set>
 #include <utility>
@@ -154,15 +155,48 @@ TEST(RngTest, BernoulliApproximatesProbability) {
 
 TEST(RngTest, ZipfFavorsLowRanks) {
   Rng rng(8);
+  const ZipfTable zipf(10, 1.0);
   int64_t rank1 = 0, rank10 = 0;
   for (int i = 0; i < 20000; ++i) {
-    uint64_t r = rng.Zipf(10, 1.0);
+    uint64_t r = zipf.Draw(rng);
     ASSERT_GE(r, 1u);
     ASSERT_LE(r, 10u);
     if (r == 1) ++rank1;
     if (r == 10) ++rank10;
   }
   EXPECT_GT(rank1, rank10 * 4);
+}
+
+// The draw ZipfTable replaced (formerly Rng::Zipf), copied as the
+// reference: it sums the normalizer again on every draw.
+uint64_t ReferenceZipf(Rng& rng, uint64_t n, double s) {
+  if (n == 1) return 1;
+  double total = 0.0;
+  for (uint64_t k = 1; k <= n; ++k) total += 1.0 / std::pow(double(k), s);
+  double target = rng.UniformDouble() * total;
+  double run = 0.0;
+  for (uint64_t k = 1; k <= n; ++k) {
+    run += 1.0 / std::pow(double(k), s);
+    if (run >= target) return k;
+  }
+  return n;
+}
+
+TEST(RngTest, ZipfTableMatchesReferenceDraws) {
+  for (uint64_t n : {1, 2, 3, 7, 64, 1000, 4096}) {
+    for (double s : {0.5, 1.0, 1.5}) {
+      const ZipfTable table(n, s);
+      ASSERT_EQ(table.n(), n);
+      Rng a(n * 31 + static_cast<uint64_t>(s * 10));
+      Rng b = a;
+      for (int i = 0; i < 10000; ++i) {
+        ASSERT_EQ(table.Draw(a), ReferenceZipf(b, n, s))
+            << "n=" << n << " s=" << s << " draw " << i;
+      }
+      // Same ranks from the same number of draws: the streams stay in step.
+      EXPECT_EQ(a.NextU64(), b.NextU64()) << "n=" << n << " s=" << s;
+    }
+  }
 }
 
 TEST(RngTest, WeightedIndexProportional) {

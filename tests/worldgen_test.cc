@@ -10,6 +10,7 @@
 #include "worldgen/countries.h"
 #include "worldgen/providers.h"
 #include "worldgen/world.h"
+#include "zone/zonefile.h"
 
 namespace govdns::worldgen {
 namespace {
@@ -199,6 +200,20 @@ TEST_F(WorldTest, RegistrarStateMatchesGroundTruth) {
   }
 }
 
+TEST_F(WorldTest, FindDomainFindsEveryDomainAndNothingElse) {
+  for (size_t i = 0; i < world_->domains().size(); i += 53) {
+    const dns::Name& name = world_->domains()[i].name;
+    const DomainTruth* found = world_->FindDomain(name);
+    ASSERT_NE(found, nullptr) << name.ToString();
+    EXPECT_EQ(found->name, name);
+    EXPECT_EQ(world_->FindDomain(name.Child("absent-child")), nullptr)
+        << name.ToString();
+  }
+  EXPECT_EQ(world_->FindDomain(dns::Name::FromString("absent.gov.zz")),
+            nullptr);
+  EXPECT_EQ(world_->FindDomain(dns::Name::Root()), nullptr);
+}
+
 TEST_F(WorldTest, ChinaShrinksInto2020) {
   int cn = CountryIndexByCode("cn");
   int peak_2019 = 0, in_2020 = 0;
@@ -241,6 +256,19 @@ TEST(WorldDeterminismTest, SameSeedSameWorld) {
   EXPECT_EQ(a_pdns.size(), 221381u);
   EXPECT_EQ(ckpt::Crc32(a_pdns), 0xeaf88378u);
   EXPECT_EQ(a->network().endpoint_count(), b->network().endpoint_count());
+  // Pinned zone image: every zone's zone-file text, in creation order. Any
+  // change to the active infrastructure or to a zone's record order shows
+  // up here.
+  std::string zone_image;
+  size_t zone_records = 0;
+  for (const auto& zone : a->zones()) {
+    zone_image += zone::WriteZoneFile(*zone);
+    zone_records += zone->record_count();
+  }
+  EXPECT_EQ(a->zones().size(), 1377u);
+  EXPECT_EQ(zone_records, 13384u);
+  EXPECT_EQ(zone_image.size(), 534843u);
+  EXPECT_EQ(ckpt::Crc32(zone_image), 0x70cd64ceu);
   for (size_t i = 0; i < a->domains().size(); i += 97) {
     EXPECT_EQ(a->domains()[i].name, b->domains()[i].name);
     EXPECT_EQ(a->domains()[i].birth, b->domains()[i].birth);

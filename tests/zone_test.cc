@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <set>
+#include <vector>
+
+#include "util/rng.h"
 #include "zone/auth_server.h"
 #include "zone/zone.h"
 
@@ -32,6 +38,7 @@ std::shared_ptr<Zone> GovCnZone() {
   // CNAME inside the zone.
   z->Add(MakeCname(Name::FromString("portal.gov.cn"),
                    Name::FromString("www.gov.cn")));
+  z->Seal();
   return z;
 }
 
@@ -77,6 +84,7 @@ TEST(ZoneTest, TopmostCutWins) {
   z->Add(MakeNs(Name::FromString("sp.gov.br"), Name::FromString("ns.x.br")));
   z->Add(MakeNs(Name::FromString("city.sp.gov.br"),
                 Name::FromString("ns.y.br")));
+  z->Seal();
   auto cut = z->FindDelegation(Name::FromString("www.city.sp.gov.br"));
   ASSERT_TRUE(cut.has_value());
   EXPECT_EQ(cut->ToString(), "sp.gov.br");
@@ -96,6 +104,189 @@ TEST(ZoneTest, RecordCountAndIteration) {
   z->ForEachRecord([&](const dns::ResourceRecord&) { ++visited; });
   EXPECT_EQ(visited, z->record_count());
   EXPECT_EQ(visited, 11u);
+}
+
+TEST(ZoneDeathTest, ReadBeforeSealFails) {
+  Zone z(Name::FromString("gov.cn"));
+  z.Add(MakeA(Name::FromString("www.gov.cn"), geo::IPv4(10, 0, 0, 3)));
+  EXPECT_DEATH(z.Find(Name::FromString("www.gov.cn"), dns::RRType::kA),
+               "sealed_");
+  EXPECT_DEATH(z.NameExists(Name::FromString("www.gov.cn")), "sealed_");
+  EXPECT_DEATH(z.FindDelegation(Name::FromString("www.gov.cn")), "sealed_");
+  EXPECT_DEATH(z.record_count(), "sealed_");
+}
+
+TEST(ZoneDeathTest, AddAfterSealFails) {
+  Zone z(Name::FromString("gov.cn"));
+  z.Seal();
+  EXPECT_DEATH(
+      z.Add(MakeA(Name::FromString("www.gov.cn"), geo::IPv4(10, 0, 0, 3))),
+      "sealed_");
+  EXPECT_DEATH(z.Seal(), "sealed_");
+}
+
+// ---------------------------------------------------------------------------
+// The sealed image against the nested-map zone it replaced
+// ---------------------------------------------------------------------------
+
+// The former Zone representation, kept as the oracle: owner name -> type ->
+// records, each level a std::map in canonical order.
+class ReferenceZone {
+ public:
+  explicit ReferenceZone(Name origin) : origin_(std::move(origin)) {}
+
+  void Add(dns::ResourceRecord rr) {
+    records_[rr.name][rr.type()].push_back(std::move(rr));
+  }
+
+  std::vector<dns::ResourceRecord> Find(const Name& name,
+                                        dns::RRType type) const {
+    auto it = records_.find(name);
+    if (it == records_.end()) return {};
+    auto jt = it->second.find(type);
+    if (jt == it->second.end()) return {};
+    return jt->second;
+  }
+
+  bool NameExists(const Name& name) const {
+    if (records_.contains(name)) return true;
+    for (auto it = records_.lower_bound(name); it != records_.end(); ++it) {
+      if (!it->first.IsSubdomainOf(name)) break;
+      return true;
+    }
+    return false;
+  }
+
+  std::optional<Name> FindDelegation(const Name& name) const {
+    if (!name.IsSubdomainOf(origin_)) return std::nullopt;
+    const size_t origin_labels = origin_.LabelCount();
+    for (size_t count = origin_labels + 1; count <= name.LabelCount();
+         ++count) {
+      Name candidate = name.Suffix(count);
+      auto it = records_.find(candidate);
+      if (it != records_.end() && it->second.contains(dns::RRType::kNS)) {
+        return candidate;
+      }
+    }
+    return std::nullopt;
+  }
+
+  std::optional<dns::ResourceRecord> Soa() const {
+    auto soas = Find(origin_, dns::RRType::kSOA);
+    if (soas.empty()) return std::nullopt;
+    return soas.front();
+  }
+
+  std::vector<Name> NsTargets(const Name& owner) const {
+    std::vector<Name> out;
+    for (const auto& rr : Find(owner, dns::RRType::kNS)) {
+      out.push_back(std::get<dns::NsRdata>(rr.rdata).nameserver);
+    }
+    return out;
+  }
+
+  // Every record in iteration order.
+  std::vector<dns::ResourceRecord> AllRecords() const {
+    std::vector<dns::ResourceRecord> out;
+    for (const auto& [name, by_type] : records_) {
+      for (const auto& [type, rrs] : by_type) {
+        out.insert(out.end(), rrs.begin(), rrs.end());
+      }
+    }
+    return out;
+  }
+
+ private:
+  Name origin_;
+  std::map<Name, std::map<dns::RRType, std::vector<dns::ResourceRecord>>>
+      records_;
+};
+
+TEST(SealedZoneTest, MatchesReferenceOnRandomRecordStreams) {
+  static const char* kLabels[] = {"a", "b", "ns1", "www", "x"};
+  const Name origin = Name::FromString("gov.zz");
+  util::Rng rng(20260417);
+  for (int round = 0; round < 200; ++round) {
+    Zone sealed(origin);
+    ReferenceZone reference(origin);
+    std::vector<Name> owners;
+    const int count = 1 + static_cast<int>(rng.UniformU64(40));
+    for (int i = 0; i < count; ++i) {
+      // Owners one to three labels below the origin (or the origin itself);
+      // a deep owner whose ancestors carry no records leaves empty
+      // non-terminals. Reusing an earlier owner repeats (owner, type) pairs.
+      Name owner = origin;
+      if (!owners.empty() && rng.Bernoulli(0.3)) {
+        owner = owners[rng.UniformU64(owners.size())];
+      } else {
+        const int depth = static_cast<int>(rng.UniformU64(4));
+        for (int d = 0; d < depth; ++d) {
+          owner = owner.Child(kLabels[rng.UniformU64(std::size(kLabels))]);
+        }
+      }
+      owners.push_back(owner);
+      const Name target =
+          origin.Child(kLabels[rng.UniformU64(std::size(kLabels))]);
+      dns::ResourceRecord rr;
+      switch (rng.UniformU64(5)) {
+        case 0:
+          rr = MakeA(owner, geo::IPv4(static_cast<uint32_t>(rng.NextU64())));
+          break;
+        case 1:
+          rr = MakeNs(owner, target);
+          break;
+        case 2:
+          rr = MakeSoa(owner, target, origin.Child("hostmaster"),
+                       static_cast<uint32_t>(rng.UniformU64(100)));
+          break;
+        case 3:
+          rr = MakeCname(owner, target);
+          break;
+        default:
+          rr = dns::MakeTxt(owner, "t" + std::to_string(rng.UniformU64(9)));
+          break;
+      }
+      reference.Add(rr);
+      sealed.Add(std::move(rr));
+    }
+    sealed.Seal();
+
+    // Every owner, each of its ancestors (empty non-terminals and names
+    // above the origin), a child that holds nothing, and unrelated names.
+    std::set<Name> queries = {Name::FromString("missing.gov.zz"),
+                              Name::FromString("x.missing.gov.zz"),
+                              Name::FromString("elsewhere.yy"), Name::Root()};
+    for (const Name& owner : owners) {
+      for (size_t k = 0; k <= owner.LabelCount(); ++k) {
+        queries.insert(owner.Suffix(k));
+      }
+      queries.insert(owner.Child("absent"));
+    }
+    for (const Name& name : queries) {
+      for (dns::RRType type :
+           {dns::RRType::kA, dns::RRType::kNS, dns::RRType::kSOA,
+            dns::RRType::kCNAME, dns::RRType::kTXT, dns::RRType::kMX,
+            dns::RRType::kAAAA}) {
+        const auto got = sealed.Find(name, type);
+        EXPECT_EQ(std::vector<dns::ResourceRecord>(got.begin(), got.end()),
+                  reference.Find(name, type))
+            << name.ToString() << " " << dns::RRTypeName(type);
+      }
+      EXPECT_EQ(sealed.NameExists(name), reference.NameExists(name))
+          << name.ToString();
+      EXPECT_EQ(sealed.FindDelegation(name), reference.FindDelegation(name))
+          << name.ToString();
+      EXPECT_EQ(sealed.NsTargets(name), reference.NsTargets(name))
+          << name.ToString();
+    }
+    EXPECT_EQ(sealed.Soa(), reference.Soa());
+    std::vector<dns::ResourceRecord> walked;
+    sealed.ForEachRecord(
+        [&](const dns::ResourceRecord& rr) { walked.push_back(rr); });
+    const auto all = reference.AllRecords();
+    EXPECT_EQ(walked, all);
+    EXPECT_EQ(sealed.record_count(), all.size());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -182,6 +373,7 @@ TEST_F(AuthServerTest, MostSpecificZoneWins) {
   auto moe = std::make_shared<Zone>(Name::FromString("moe.gov.cn"));
   moe->Add(MakeNs(moe->origin(), Name::FromString("ns1.moe.gov.cn")));
   moe->Add(MakeA(Name::FromString("www.moe.gov.cn"), geo::IPv4(10, 9, 9, 9)));
+  moe->Seal();
   server_.AddZone(moe);
   auto r = Ask("www.moe.gov.cn", dns::RRType::kA);
   EXPECT_TRUE(r.header.aa);  // answered from the child zone, not a referral

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "zone/zonefile.h"
 
 namespace govdns::zone {
@@ -106,6 +108,47 @@ TEST(ZoneFileTest, RejectsUnknownTypeAndDirective) {
           .ok());
 }
 
+TEST(ZoneFileTest, RejectsQuoteLeftOpenAtEndOfLine) {
+  // The open quote used to swallow the rest of the file, dropping ns1's A.
+  auto zone = ParseZoneFile("@ IN TXT \"abc\nns1 IN A 10.0.0.1\n",
+                            Name::FromString("x.yy"));
+  ASSERT_FALSE(zone.ok());
+  EXPECT_NE(zone.status().message().find("line 1"), std::string::npos)
+      << zone.status().ToString();
+}
+
+TEST(ZoneFileTest, RejectsParenthesisNeverClosed) {
+  auto zone = ParseZoneFile("@ 3600 IN SOA ns1 hostmaster ( 1 2 3 4 5\n",
+                            Name::FromString("x.yy"));
+  ASSERT_FALSE(zone.ok());
+  EXPECT_NE(zone.status().message().find("line 1"), std::string::npos)
+      << zone.status().ToString();
+}
+
+TEST(ZoneFileTest, RejectsCloseParenthesisWithoutOpen) {
+  // A stray ')' used to drive the nesting depth negative and merge every
+  // later line into one.
+  auto zone = ParseZoneFile("@ IN A 10.0.0.1 )\nwww IN A 10.0.0.2\n",
+                            Name::FromString("x.yy"));
+  ASSERT_FALSE(zone.ok());
+  EXPECT_NE(zone.status().message().find("line 1"), std::string::npos)
+      << zone.status().ToString();
+}
+
+TEST(ZoneFileTest, BalancedMultiLineSoaParses) {
+  auto zone = ParseZoneFile(
+      "@ 3600 IN SOA ns1 hostmaster (\n  1 ; serial\n  2 3\n  4 5 )\n"
+      "@ IN NS ns1\nns1 IN A 10.0.0.1\n",
+      Name::FromString("x.yy"));
+  ASSERT_TRUE(zone.ok()) << zone.status().ToString();
+  EXPECT_EQ(zone->record_count(), 3u);
+  auto soa = zone->Soa();
+  ASSERT_TRUE(soa.has_value());
+  EXPECT_EQ(std::get<dns::SoaRdata>(soa->rdata).serial, 1u);
+  EXPECT_EQ(std::get<dns::SoaRdata>(soa->rdata).minimum, 5u);
+  EXPECT_EQ(zone->Find(Name::FromString("ns1.x.yy"), RRType::kA).size(), 1u);
+}
+
 TEST(ZoneFileTest, RejectsOutOfZoneRecord) {
   auto zone = ParseZoneFile("elsewhere.zz. IN A 1.2.3.4\n",
                             Name::FromString("gov.xx"));
@@ -132,8 +175,9 @@ TEST(ZoneFileTest, RoundTripPreservesRecords) {
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString() << "\n" << text;
   EXPECT_EQ(reparsed->record_count(), zone->record_count());
   // Spot-check semantic equality of a few records.
-  EXPECT_EQ(reparsed->Find(Name::FromString("www.gov.xx"), RRType::kA),
-            zone->Find(Name::FromString("www.gov.xx"), RRType::kA));
+  EXPECT_TRUE(std::ranges::equal(
+      reparsed->Find(Name::FromString("www.gov.xx"), RRType::kA),
+      zone->Find(Name::FromString("www.gov.xx"), RRType::kA)));
   EXPECT_EQ(reparsed->NsTargets(Name::FromString("moe.gov.xx")),
             zone->NsTargets(Name::FromString("moe.gov.xx")));
   EXPECT_EQ(std::get<dns::SoaRdata>(reparsed->Soa()->rdata),
@@ -150,6 +194,7 @@ TEST(ZoneFileTest, GeneratedWorldZonesRoundTrip) {
   zone.Add(dns::MakeA(Name::FromString("ns1.moe.gov.zz"),
                       geo::IPv4(192, 0, 2, 7)));
   zone.Add(dns::MakeTxt(zone.origin(), "v=spf1 -all"));
+  zone.Seal();
   auto reparsed = ParseZoneFile(WriteZoneFile(zone), zone.origin());
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
   EXPECT_EQ(reparsed->record_count(), zone.record_count());

@@ -293,8 +293,9 @@ int main(int argc, char** argv) {
 
     if (vantages > 0) {
       // Multi-vantage orchestration (DESIGN.md §6k). The world was built
-      // once, single-threaded, above; each shard forks, applies its own
-      // vantage overlay to the copy-on-write network, and runs the full
+      // once, above, and no thread outlives BuildWorld (§6m), so this
+      // parent is still thread-free when it forks; each shard applies its
+      // own vantage overlay to the copy-on-write network and runs the full
       // pipeline into its private journal. The parent never builds a Study
       // — it only supervises and merges vantage frames.
       phase = "vantage";

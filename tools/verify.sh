@@ -17,6 +17,31 @@ cmake --preset release >/dev/null
 cmake --build --preset release -j "${JOBS}"
 timeout "${CTEST_TIMEOUT}" ctest --preset release -j "${JOBS}"
 
+echo "==> smoke: BENCH_trajectory.json rows are complete"
+# The perf trajectory (one row per perf change, the machine-readable form of
+# the CHANGES.md before/after tables) must parse and carry every key.
+python3 - BENCH_trajectory.json <<'EOF'
+import json, sys
+rows = json.load(open(sys.argv[1]))["rows"]
+assert rows, "no rows"
+row_keys = {"pr", "parent_commit", "claim", "host", "pairs", "workloads"}
+host_keys = {"cores", "compiler", "build_type"}
+stat_keys = {"median", "q1", "q3"}
+for row in rows:
+    assert row_keys <= set(row), (row.get("pr"), sorted(row_keys - set(row)))
+    assert {"metric", "workload"} <= set(row["claim"]), row["pr"]
+    assert host_keys <= set(row["host"]), row["pr"]
+    assert row["workloads"], row["pr"]
+    for workload, metrics in row["workloads"].items():
+        assert {"pairs", "metrics"} <= set(metrics), (row["pr"], workload)
+        for metric, sides in metrics["metrics"].items():
+            for side in ("parent", "change"):
+                assert stat_keys <= set(sides[side]), (row["pr"], workload,
+                                                      metric, side)
+print(f"smoke: BENCH_trajectory.json {len(rows)} rows OK "
+      f"(PRs {', '.join(str(r['pr']) for r in rows)})")
+EOF
+
 echo "==> smoke: govdns_study observability exports parse"
 # The release binary must produce valid JSON from --json/--metrics/--trace
 # on a small world, and the metrics document must carry the measurement
@@ -243,15 +268,18 @@ echo "==> tier-1: tsan build + concurrency suites"
 # under ThreadSanitizer; the binaries are invoked directly so gtest filters
 # stay simple and reliable.
 cmake --preset tsan >/dev/null
+# worldgen_test builds worlds with passive DNS on a second thread, and the
+# measurement pool reads the sealed zones (zone_test) from every worker.
 cmake --build --preset tsan -j "${JOBS}" --target \
   simnet_test resolver_test measure_test parallel_measure_test \
   chaos_resilience_test pdns_test mining_test parallel_mine_test \
   mining_fold_test ckpt_test ckpt_resume_test degradation_test \
-  quarantine_test netio_test snapshot_file_test
+  quarantine_test netio_test snapshot_file_test worldgen_test zone_test
 for t in simnet_test resolver_test measure_test parallel_measure_test \
          chaos_resilience_test pdns_test mining_test parallel_mine_test \
          mining_fold_test ckpt_test ckpt_resume_test degradation_test \
-         quarantine_test netio_test snapshot_file_test; do
+         quarantine_test netio_test snapshot_file_test worldgen_test \
+         zone_test; do
   echo "==> tsan: ${t}"
   timeout "${CTEST_TIMEOUT}" "./build-tsan/tests/${t}"
 done
