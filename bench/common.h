@@ -1,9 +1,11 @@
 // Shared environment for the benchmark harnesses.
 //
-// Every bench binary regenerates one table or figure of the paper. They all
-// share one lazily-built world + study pipeline so google-benchmark times
-// only the analysis under test, not world generation. Scale defaults to the
-// paper's global scale (1.0, ~190k domains in the 2020 PDNS snapshot); set
+// The bench binaries are the design-choice ablations (DESIGN.md §6) and the
+// engineering benches; the paper's tables and figures come from the study
+// report (core::PrintReport, `govdns_study`). Each binary shares one
+// lazily-built world + study pipeline so google-benchmark times only the
+// code under test, not world generation. Scale defaults to the paper's
+// global scale (1.0, ~190k domains in the 2020 PDNS snapshot); set
 // GOVDNS_SCALE to run smaller.
 #pragma once
 
@@ -65,7 +67,7 @@ ScaledStudy MakeScaledStudy(double scale);
 // Writes a BENCH_*.json artifact atomically: the bytes land in
 // `<path>.tmp` first and are renamed into place only after a successful
 // write, so a crashed or interrupted bench run can never leave a
-// half-written artifact for assemble_outputs.sh to scoop up. `env_var`
+// half-written artifact for tools/verify.sh to read. `env_var`
 // overrides `default_path` when set. Logs a `[bench] wrote ...` (or
 // `cannot write ...`) line to stderr either way.
 void WriteArtifactJson(const char* env_var, const char* default_path,

@@ -140,6 +140,13 @@ struct DiversityAcc {
 std::vector<DiversityRow> AnalyzeDiversity(
     const ActiveDataset& dataset, const geo::AsnDatabase& asn_db,
     const std::vector<std::string>& country_codes) {
+  return AnalyzeDiversity(dataset, asn_db, country_codes, nullptr);
+}
+
+std::vector<DiversityRow> AnalyzeDiversity(
+    const ActiveDataset& dataset, const geo::AsnDatabase& asn_db,
+    const std::vector<std::string>& country_codes,
+    std::vector<LevelDiversityRow>* by_level) {
   DiversityAcc total;
   std::map<std::string, DiversityAcc> per_country;
   std::map<int, std::string> wanted;  // country index -> code
@@ -148,6 +155,7 @@ std::vector<DiversityRow> AnalyzeDiversity(
       if (dataset.metas[i].code == code) wanted[static_cast<int>(i)] = code;
     }
   }
+  std::vector<DiversityAcc> levels;  // indexed by label count
 
   for (size_t i = 0; i < dataset.results.size(); ++i) {
     const MeasurementResult& r = dataset.results[i];
@@ -174,6 +182,9 @@ std::vector<DiversityRow> AnalyzeDiversity(
       auto it = wanted.find(c);
       if (it != wanted.end()) bump(per_country[it->second]);
     }
+    const size_t level = r.domain.LabelCount();
+    if (levels.size() <= level) levels.resize(level + 1);
+    bump(levels[level]);
   }
 
   std::vector<DiversityRow> rows;
@@ -183,32 +194,16 @@ std::vector<DiversityRow> AnalyzeDiversity(
     rows.push_back(it == per_country.end() ? DiversityRow{code, 0, 0, 0, 0}
                                            : it->second.Finish(code));
   }
+  if (by_level != nullptr) {
+    by_level->clear();
+    for (size_t level = 0; level < levels.size(); ++level) {
+      const DiversityAcc& acc = levels[level];
+      if (acc.domains == 0) continue;
+      by_level->push_back({static_cast<int>(level), acc.domains,
+                           double(acc.multi_24) / double(acc.domains)});
+    }
+  }
   return rows;
-}
-
-std::vector<LevelDiversityRow> AnalyzeDiversityByLevel(
-    const ActiveDataset& dataset) {
-  std::map<int, std::pair<int64_t, int64_t>> acc;  // level -> (multi24, total)
-  for (const MeasurementResult& r : dataset.results) {
-    if (!r.parent_has_records || r.AllNs().size() < 2) continue;
-    std::vector<geo::IPv4> addrs = r.NsAddresses();
-    if (addrs.empty()) continue;
-    std::set<uint32_t> prefixes;
-    for (geo::IPv4 ip : addrs) prefixes.insert(ip.Slash24().bits());
-    int level = static_cast<int>(r.domain.LabelCount());
-    ++acc[level].second;
-    if (prefixes.size() > 1) ++acc[level].first;
-  }
-  std::vector<LevelDiversityRow> out;
-  for (const auto& [level, counts] : acc) {
-    LevelDiversityRow row;
-    row.level = level;
-    row.domains = counts.second;
-    row.pct_multi_24 =
-        counts.second > 0 ? double(counts.first) / double(counts.second) : 0.0;
-    out.push_back(row);
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -70,11 +70,6 @@ struct DiversityRow {
   double pct_multi_24 = 0.0;     // |/24| > 1
   double pct_multi_asn = 0.0;    // |ASN| > 1
 };
-// Rows: Total + the given country codes (the paper's top 10).
-std::vector<DiversityRow> AnalyzeDiversity(
-    const ActiveDataset& dataset, const geo::AsnDatabase& asn_db,
-    const std::vector<std::string>& country_codes);
-
 // Per-level (second vs third+ of the DNS hierarchy) multi-/24 shares, used
 // for the §IV-A hierarchy discussion.
 struct LevelDiversityRow {
@@ -82,8 +77,17 @@ struct LevelDiversityRow {
   int64_t domains = 0;
   double pct_multi_24 = 0.0;
 };
-std::vector<LevelDiversityRow> AnalyzeDiversityByLevel(
-    const ActiveDataset& dataset);
+
+// Rows: Total + the given country codes (the paper's top 10).
+std::vector<DiversityRow> AnalyzeDiversity(
+    const ActiveDataset& dataset, const geo::AsnDatabase& asn_db,
+    const std::vector<std::string>& country_codes);
+// As above; the same pass also fills `by_level` with one row per DNS level
+// that has a multi-NS domain, ascending. The level rows partition Total.
+std::vector<DiversityRow> AnalyzeDiversity(
+    const ActiveDataset& dataset, const geo::AsnDatabase& asn_db,
+    const std::vector<std::string>& country_codes,
+    std::vector<LevelDiversityRow>* by_level);
 
 // ---- Defective delegations (Figure 10) -------------------------------------
 

@@ -1,9 +1,11 @@
 // Machine-readable export of study results.
 //
-// ExportReportJson turns a StudyReport into one JSON document carrying
-// every figure/table series the paper reports; downstream tooling (plots,
+// ExportReportJson turns a StudyReport into one JSON document carrying the
+// figure/table series the paper reports; downstream tooling (plots,
 // dashboards, regression tracking) consumes this instead of scraping the
-// text tables. ExportMetricsJson/Csv and ExportTraceJson serialize the
+// text tables. Two series are text-only, rendered by PrintReport and absent
+// from the JSON: Fig. 4's per-country domain counts and Table I's
+// per-level rows. ExportMetricsJson/Csv and ExportTraceJson serialize the
 // observability layer (DESIGN.md §6d): metrics snapshots, sampled query
 // traces, and the shared-cut publish log.
 #pragma once
@@ -44,10 +46,11 @@ std::string ExportMetricsCsv(const obs::MetricsSnapshot& snapshot);
 std::string ExportTraceJson(const obs::TraceRing& traces,
                             const obs::CutTraceLog& cut_log);
 
-// One analysis table as CSV (matching the bench tables): selector is one of
-// "pdns_per_year", "d1ns_churn", "private_share", "diversity",
+// One analysis table as CSV (matching the report's tables): selector is
+// one of "pdns_per_year", "d1ns_churn", "private_share", "diversity",
 // "delegations_by_country", "hijack_by_country", "consistency_by_country".
-// Unknown selectors return an empty string.
+// A known selector always yields at least its header row, even for an
+// empty report; unknown selectors return an empty string.
 std::string ExportCsv(const StudyReport& report, const std::string& table);
 
 }  // namespace govdns::core

@@ -69,15 +69,25 @@ struct QuarantineReport {
 
 QuarantineReport BuildQuarantineReport(const ActiveDataset& dataset);
 
+// One country's domain count in the passive-DNS data (Fig. 4).
+struct CountryDomains {
+  std::string name;
+  int64_t domains = 0;
+};
+
 struct StudyReport {
   // §III: pipeline funnel.
   SelectionStats selection;
   std::vector<YearlyCounts> pdns_per_year;     // Figs. 2-3
+  // Fig. 4: every country with data in the last year, most domains first
+  // (ties: the later country in the country list first).
+  std::vector<CountryDomains> domains_per_country;
   ActiveDataset::Funnel funnel;
 
   // §IV-A.
   ReplicationSummary replication;              // Figs. 8-9
   std::vector<DiversityRow> diversity;         // Table I
+  std::vector<LevelDiversityRow> diversity_by_level;  // Table I, per level
   std::vector<D1nsChurnRow> d1ns_churn;        // Fig. 6
   std::vector<PrivateShareRow> private_share;  // Fig. 7
 
@@ -110,7 +120,10 @@ struct StudyReport {
 StudyReport BuildReport(Study& study,
                         const std::vector<std::string>& diversity_countries);
 
-// Renders the report as the paper's §IV narrative with measured numbers.
+// Renders every paper artifact from the report alone, one section each in
+// the paper's order (Figs. 2-4, 6-14, Tables I-III and §IV-D), each with
+// its paper anchors, followed by the run's resilience, coverage and phase
+// sections. Deterministic: two same-seed reports render the same bytes.
 void PrintReport(const StudyReport& report, std::ostream& os);
 
 }  // namespace govdns::core

@@ -1,6 +1,8 @@
 #include "util/strings.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace govdns::util {
@@ -76,6 +78,26 @@ std::string Percent(double ratio, int decimals) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.*f%%", decimals, ratio * 100.0);
   return buf;
+}
+
+std::optional<uint64_t> ParseUint(std::string_view text, uint64_t max) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value > max) return std::nullopt;
+  return value;
+}
+
+std::optional<double> ParseDouble(std::string_view text, double min,
+                                  double max) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
+      value < min || value > max) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 }  // namespace govdns::util

@@ -1,8 +1,6 @@
-// Plain-text table rendering for benchmark harnesses and examples.
-//
-// Every bench binary regenerates a table or figure from the paper; TextTable
-// renders the rows with aligned columns, and WriteCsv provides a
-// machine-readable twin.
+// Plain-text table rendering for the study report, benchmark harnesses and
+// examples: TextTable renders the rows with aligned columns, and ToCsv
+// provides a machine-readable twin.
 #pragma once
 
 #include <ostream>

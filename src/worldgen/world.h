@@ -246,4 +246,9 @@ std::unique_ptr<World> BuildWorld(const WorldConfig& config);
 // disagreement analysis without drowning it.
 VantageProfile MakeDefaultVantageProfile(int index);
 
+// The largest default roster: indices [0, kMaxDefaultVantages) keep every
+// affliction probability of MakeDefaultVantageProfile at or below 1 (the
+// jitter share, 0.05 per index, reaches 1 at index 20).
+inline constexpr int kMaxDefaultVantages = 21;
+
 }  // namespace govdns::worldgen

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <regex>
 #include <sstream>
 
 #include "core/report.h"
@@ -63,6 +64,16 @@ TEST_F(ReportTest, ReportIsInternallyConsistent) {
             report.funnel.parent_has_records);
 }
 
+// The heading of every paper artifact PrintReport renders.
+const char* const kArtifactHeadings[] = {
+    "Fig. 2 —",   "Fig. 3 —",  "Fig. 4 —",  "Fig. 6 —",
+    "Fig. 7 —",   "Fig. 8 —",  "Fig. 9 —",  "Table I —",
+    "By hierarchy level",      "Table II —",
+    "Table III (2011) —",      "Table III (2020) —",
+    "Fig. 10 —",  "Fig. 11 —", "Fig. 12 —", "Fig. 13 —",
+    "§IV-D dangling-but-responsive",        "Fig. 14 —",
+};
+
 TEST_F(ReportTest, PrintReportMentionsEverySection) {
   StudyReport report = BuildReport(*bound_->study, {"cn"});
   std::ostringstream os;
@@ -73,6 +84,65 @@ TEST_F(ReportTest, PrintReportMentionsEverySection) {
         "defective delegations", "parent/child consistency"}) {
     EXPECT_NE(text.find(needle), std::string::npos) << needle;
   }
+  for (const char* needle : kArtifactHeadings) {
+    EXPECT_NE(text.find(needle), std::string::npos) << needle;
+  }
+}
+
+TEST_F(ReportTest, DiversityLevelRowsPartitionTheTotalRow) {
+  StudyReport report = BuildReport(*bound_->study, {"cn"});
+  ASSERT_FALSE(report.diversity_by_level.empty());
+  int64_t domains = 0;
+  int previous_level = 0;
+  for (const LevelDiversityRow& row : report.diversity_by_level) {
+    EXPECT_GT(row.level, previous_level);  // ascending, one row per level
+    EXPECT_GT(row.domains, 0);
+    EXPECT_GE(row.pct_multi_24, 0.0);
+    EXPECT_LE(row.pct_multi_24, 1.0);
+    previous_level = row.level;
+    domains += row.domains;
+  }
+  EXPECT_EQ(domains, report.diversity[0].domains);
+}
+
+TEST_F(ReportTest, DomainsPerCountrySumToTheLastYear) {
+  StudyReport report = BuildReport(*bound_->study, {});
+  const YearlyCounts& last = report.pdns_per_year.back();
+  ASSERT_EQ(static_cast<int64_t>(report.domains_per_country.size()),
+            last.countries);
+  int64_t domains = 0;
+  for (size_t i = 0; i < report.domains_per_country.size(); ++i) {
+    const CountryDomains& row = report.domains_per_country[i];
+    EXPECT_GT(row.domains, 0);
+    EXPECT_FALSE(row.name.empty());
+    if (i > 0) {
+      EXPECT_LE(row.domains, report.domains_per_country[i - 1].domains);
+    }
+    domains += row.domains;
+  }
+  EXPECT_EQ(domains, last.domains);
+}
+
+// A scale-0 world has 192 domains, one per country with data, no d_1NS and
+// no available d_ns, so the empty paths of Figs. 8, 11, 12 and 14 and of
+// Table III run.
+TEST(ReportEmptyWorldTest, PrintReportRendersEverySectionWithoutNanOrInf) {
+  worldgen::WorldConfig config;
+  config.scale = 0.0;
+  auto world = worldgen::BuildWorld(config);
+  worldgen::BoundStudy bound = worldgen::MakeStudy(*world);
+  bound.study->RunAll();
+  StudyReport report = BuildReport(*bound.study, {"cn", "th"});
+  EXPECT_EQ(report.replication.d1ns_count, 0);
+  EXPECT_EQ(report.hijack.available_ns_domains, 0);
+  std::ostringstream os;
+  PrintReport(report, os);
+  const std::string text = os.str();
+  for (const char* needle : kArtifactHeadings) {
+    EXPECT_NE(text.find(needle), std::string::npos) << needle;
+  }
+  EXPECT_FALSE(std::regex_search(text, std::regex(R"(\b(nan|inf)\b)")))
+      << text;
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -367,6 +368,32 @@ TEST(StringsTest, WithCommas) {
 TEST(StringsTest, Percent) {
   EXPECT_EQ(Percent(0.2954), "29.5%");
   EXPECT_EQ(Percent(1.0, 0), "100%");
+}
+
+TEST(StringsTest, ParseUintTakesOnlyAWholeInRangeToken) {
+  EXPECT_EQ(ParseUint("0", 10), 0u);
+  EXPECT_EQ(ParseUint("21", 21), 21u);
+  EXPECT_EQ(ParseUint("18446744073709551615", UINT64_MAX), UINT64_MAX);
+  EXPECT_EQ(ParseUint("22", 21), std::nullopt);
+  EXPECT_EQ(ParseUint("18446744073709551616", UINT64_MAX), std::nullopt);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1x", "abc", "1.5",
+                          "0x10", "nan", "inf"}) {
+    EXPECT_EQ(ParseUint(bad, UINT64_MAX), std::nullopt) << bad;
+  }
+}
+
+TEST(StringsTest, ParseDoubleTakesOnlyAWholeFiniteInRangeToken) {
+  EXPECT_EQ(ParseDouble("0", 0.0, 10.0), 0.0);
+  EXPECT_EQ(ParseDouble("0.25", 0.0, 10.0), 0.25);
+  EXPECT_EQ(ParseDouble("1e1", 0.0, 10.0), 10.0);
+  EXPECT_EQ(ParseDouble("-0.5", -1.0, 1.0), -0.5);
+  EXPECT_EQ(ParseDouble("-1", 0.0, 10.0), std::nullopt);
+  EXPECT_EQ(ParseDouble("10.5", 0.0, 10.0), std::nullopt);
+  EXPECT_EQ(ParseDouble("1e400", 0.0, 1e308), std::nullopt);
+  for (const char* bad : {"", "abc", "nan", "-nan", "inf", "-inf",
+                          "infinity", "+1", " 1", "1 ", "1x", "1,5"}) {
+    EXPECT_EQ(ParseDouble(bad, -1e308, 1e308), std::nullopt) << bad;
+  }
 }
 
 // ---------------------------------------------------------------------------

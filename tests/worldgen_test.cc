@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "ckpt/journal.h"
 #include "pdns/db.h"
@@ -274,6 +276,27 @@ TEST(WorldDeterminismTest, SameSeedSameWorld) {
     EXPECT_EQ(a->domains()[i].birth, b->domains()[i].birth);
     EXPECT_EQ(a->domains()[i].fate, b->domains()[i].fate);
   }
+}
+
+// Every probability a vantage overlay can carry, for the roster bound.
+std::vector<double> ChaosProbabilities(const simnet::ChaosProfile& c) {
+  return {c.p_flapping, c.p_rate_limited, c.p_truncating, c.p_wrong_id,
+          c.p_corrupting, c.p_bursty,     c.p_jittery,    c.p_hang,
+          c.p_blackhole,  c.p_slow_drip};
+}
+
+TEST(VantageRosterTest, DefaultRosterBoundKeepsEveryProbabilityAtMostOne) {
+  // Profiles are plain values: no shard is forked to check the bound.
+  for (int v = 0; v < kMaxDefaultVantages; ++v) {
+    for (double p : ChaosProbabilities(MakeDefaultVantageProfile(v).chaos)) {
+      EXPECT_GE(p, 0.0) << v;
+      EXPECT_LE(p, 1.0) << v;
+    }
+  }
+  // The bound is tight: one more vantage would carry a probability above 1.
+  const std::vector<double> past = ChaosProbabilities(
+      MakeDefaultVantageProfile(kMaxDefaultVantages).chaos);
+  EXPECT_GT(*std::max_element(past.begin(), past.end()), 1.0);
 }
 
 TEST(WorldDeterminismTest, DifferentSeedsDiffer) {

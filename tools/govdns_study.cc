@@ -17,7 +17,13 @@
 // and/or writes machine-readable exports. --metrics and --trace attach the
 // observability layer and dump the metrics snapshot / sampled query traces
 // (DESIGN.md §6d); both documents are deterministic for a given seed except
-// for series tagged "diagnostic".
+// for series tagged "diagnostic". The report is the figure run: one section
+// per paper table and figure (core::PrintReport).
+//
+// Every flag value is parsed strictly: a missing value, a value that is not
+// wholly a number, or one outside its flag's range (--scale in [0, 1000],
+// --vantages at most worldgen::kMaxDefaultVantages) exits 2 with the usage
+// line before any world is built, and so does an unknown --csv table.
 //
 // Checkpointing (DESIGN.md §6f): --checkpoint-dir journals every phase into
 // DIR; --resume picks up from the last complete phase (and, inside active
@@ -52,17 +58,18 @@
 // NAME:N arms a first-attempt fault plan at the Nth journal write, and
 // --vantage-stall NAME:MS wedges a first attempt so the deadline fires.
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <atomic>
 #include <chrono>
 #include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -101,16 +108,19 @@ void PrintStructuredError(const std::string& phase, const std::string& cause) {
 // "NAME:VALUE" test-hook argument (split on the last ':', so vantage names
 // may not contain one — the default roster doesn't).
 std::optional<std::pair<std::string, uint64_t>> ParseNameValue(
-    const char* raw) {
-  if (raw == nullptr) return std::nullopt;
-  std::string s = raw;
+    const std::string& s) {
   size_t colon = s.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= s.size()) {
-    return std::nullopt;
-  }
-  return std::make_pair(s.substr(0, colon),
-                        std::strtoull(s.c_str() + colon + 1, nullptr, 10));
+  if (colon == std::string::npos || colon == 0) return std::nullopt;
+  auto value = govdns::util::ParseUint(std::string_view(s).substr(colon + 1),
+                                       UINT64_MAX);
+  if (!value) return std::nullopt;
+  return std::make_pair(s.substr(0, colon), *value);
 }
+
+// Far beyond any world that fits in memory (scale 1 peaks near 0.7 GB) and
+// small enough that every count the generator derives from it fits its
+// integer type.
+constexpr double kMaxScale = 1000.0;
 
 }  // namespace
 
@@ -140,101 +150,128 @@ int main(int argc, char** argv) {
   std::optional<std::pair<std::string, uint64_t>> vantage_kill_after;
   std::optional<std::pair<std::string, uint64_t>> vantage_stall;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+  // Every flag but the switches takes one value. A missing value, a value
+  // that is not wholly a number in the flag's range, or an unknown flag is
+  // a usage error, reported before the world is built.
+  bool bad = false;
+  for (int i = 1; i < argc && !bad; ++i) {
+    const std::string arg = argv[i];
+    auto text = [&]() -> std::string {
+      if (i + 1 >= argc) {
+        bad = true;
+        return "";
+      }
+      return argv[++i];
     };
+    auto whole = [&](uint64_t max) -> uint64_t {
+      std::optional<uint64_t> v = util::ParseUint(text(), max);
+      if (!v) bad = true;
+      return v.value_or(0);
+    };
+    auto count = [&](int max) { return static_cast<int>(whole(max)); };
+    auto real = [&](double max) -> double {
+      std::optional<double> v = util::ParseDouble(text(), 0.0, max);
+      if (!v) bad = true;
+      return v.value_or(0.0);
+    };
+    auto hook = [&]() {
+      auto kv = ParseNameValue(text());
+      if (!kv) bad = true;
+      return kv;
+    };
+    constexpr int kIntMax = std::numeric_limits<int>::max();
     if (arg == "--scale") {
-      if (const char* v = next()) config.scale = std::atof(v);
+      config.scale = real(kMaxScale);
     } else if (arg == "--seed") {
-      if (const char* v = next()) config.seed = std::strtoull(v, nullptr, 10);
+      config.seed = whole(UINT64_MAX);
     } else if (arg == "--json") {
-      if (const char* v = next()) json_path = v;
+      json_path = text();
     } else if (arg == "--csv") {
-      if (const char* v = next()) csv_tables = v;
+      csv_tables = text();
     } else if (arg == "--metrics") {
-      if (const char* v = next()) metrics_path = v;
+      metrics_path = text();
     } else if (arg == "--trace") {
-      if (const char* v = next()) trace_path = v;
+      trace_path = text();
     } else if (arg == "--trace-sample") {
-      if (const char* v = next()) trace_sample = std::strtoull(v, nullptr, 10);
+      trace_sample = whole(UINT64_MAX);
     } else if (arg == "--mine-workers") {
-      if (const char* v = next()) mine_workers = std::atoi(v);
+      mine_workers = count(kIntMax);
     } else if (arg == "--checkpoint-dir") {
-      if (const char* v = next()) checkpoint_dir = v;
+      checkpoint_dir = text();
     } else if (arg == "--resume") {
       ckpt_options.resume = true;
     } else if (arg == "--ckpt-batch") {
-      if (const char* v = next()) {
-        ckpt_options.batch_size =
-            static_cast<size_t>(std::strtoull(v, nullptr, 10));
-      }
+      ckpt_options.batch_size = static_cast<size_t>(whole(SIZE_MAX));
     } else if (arg == "--ckpt-kill-after") {
-      if (const char* v = next()) kill_after = std::strtoull(v, nullptr, 10);
+      kill_after = whole(UINT64_MAX);
     } else if (arg == "--phase-deadline") {
-      if (const char* v = next()) {
-        measure_options.phase_deadline_logical_ms =
-            std::strtoull(v, nullptr, 10);
-      }
+      measure_options.phase_deadline_logical_ms = whole(UINT64_MAX);
     } else if (arg == "--country-budget") {
-      if (const char* v = next()) {
-        measure_options.max_logical_ms_per_country =
-            std::strtoull(v, nullptr, 10);
-      }
+      measure_options.max_logical_ms_per_country = whole(UINT64_MAX);
     } else if (arg == "--domain-budget") {
-      if (const char* v = next()) {
-        measure_options.max_logical_ms_per_domain =
-            std::strtoull(v, nullptr, 10);
-      }
+      measure_options.max_logical_ms_per_domain = whole(UINT64_MAX);
     } else if (arg == "--quarantine-report") {
-      if (const char* v = next()) quarantine_path = v;
+      quarantine_path = text();
     } else if (arg == "--snapshot-file") {
-      if (const char* v = next()) snapshot_out_path = v;
+      snapshot_out_path = text();
     } else if (arg == "--map-snapshot") {
-      if (const char* v = next()) map_snapshot_path = v;
+      map_snapshot_path = text();
     } else if (arg == "--engine") {
       use_engine = true;
     } else if (arg == "--max-inflight") {
-      if (const char* v = next()) engine_options.max_inflight = std::atoi(v);
+      engine_options.max_inflight = count(kIntMax);
     } else if (arg == "--per-ns-qps") {
-      if (const char* v = next()) engine_options.per_server_qps = std::atof(v);
+      engine_options.per_server_qps =
+          real(std::numeric_limits<double>::max());
     } else if (arg == "--lanes") {
-      if (const char* v = next()) measure_options.async_lanes = std::atoi(v);
+      measure_options.async_lanes = count(kIntMax);
     } else if (arg == "--vantages") {
-      if (const char* v = next()) vantages = std::atoi(v);
+      vantages = count(worldgen::kMaxDefaultVantages);
     } else if (arg == "--vantage-deadline") {
-      if (const char* v = next()) {
-        vantage_options.deadline_ms = std::strtoull(v, nullptr, 10);
-      }
+      vantage_options.deadline_ms = whole(UINT64_MAX);
     } else if (arg == "--vantage-restarts") {
-      if (const char* v = next()) vantage_options.max_restarts = std::atoi(v);
+      vantage_options.max_restarts = count(kIntMax);
     } else if (arg == "--vantage-sigkill") {
-      if (auto kv = ParseNameValue(next())) {
-        vantage_options.kill_once = {kv->first, kv->second};
-      }
+      if (auto kv = hook()) vantage_options.kill_once = {kv->first, kv->second};
     } else if (arg == "--vantage-kill-after") {
-      vantage_kill_after = ParseNameValue(next());
+      vantage_kill_after = hook();
     } else if (arg == "--vantage-stall") {
-      vantage_stall = ParseNameValue(next());
+      vantage_stall = hook();
     } else if (arg == "--report") {
       print_report = true;
     } else if (arg == "--no-report") {
       print_report = false;
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--scale S] [--seed N] [--json out.json] "
-                   "[--csv t1,t2] [--metrics out.json] [--trace out.json] "
-                   "[--trace-sample N] [--mine-workers N] [--no-report] "
-                   "[--checkpoint-dir DIR] [--resume] [--ckpt-batch N] "
-                   "[--ckpt-kill-after N] [--phase-deadline MS] "
-                   "[--country-budget MS] [--domain-budget MS] "
-                   "[--quarantine-report PATH] [--engine] [--max-inflight N] "
-                   "[--per-ns-qps Q] [--lanes N] [--snapshot-file PATH] "
-                   "[--map-snapshot PATH] [--vantages N] "
-                   "[--vantage-deadline MS] [--vantage-restarts K]\n",
-                   argv[0]);
-      return 2;
+      bad = true;
+    }
+    if (bad) {
+      std::fprintf(stderr, "%s: unknown flag, or bad or missing value: %s\n",
+                   argv[0], arg.c_str());
+    }
+  }
+  if (bad) {
+    std::fprintf(stderr,
+                 "usage: %s [--scale S] [--seed N] [--json out.json] "
+                 "[--csv t1,t2] [--metrics out.json] [--trace out.json] "
+                 "[--trace-sample N] [--mine-workers N] [--no-report] "
+                 "[--checkpoint-dir DIR] [--resume] [--ckpt-batch N] "
+                 "[--ckpt-kill-after N] [--phase-deadline MS] "
+                 "[--country-budget MS] [--domain-budget MS] "
+                 "[--quarantine-report PATH] [--engine] [--max-inflight N] "
+                 "[--per-ns-qps Q] [--lanes N] [--snapshot-file PATH] "
+                 "[--map-snapshot PATH] [--vantages N (max %d)] "
+                 "[--vantage-deadline MS] [--vantage-restarts K]\n",
+                 argv[0], worldgen::kMaxDefaultVantages);
+    return 2;
+  }
+  if (!csv_tables.empty()) {
+    // A known table renders its header row even from an empty report, so an
+    // empty export names a table that does not exist.
+    for (const std::string& table : util::Split(csv_tables, ',')) {
+      if (core::ExportCsv({}, table).empty()) {
+        PrintStructuredError("setup", "unknown csv table: " + table);
+        return 2;
+      }
     }
   }
   if ((ckpt_options.resume || kill_after != 0) && checkpoint_dir.empty()) {
@@ -542,14 +579,12 @@ int main(int argc, char** argv) {
     }
     if (!csv_tables.empty()) {
       for (const std::string& table : util::Split(csv_tables, ',')) {
-        std::string csv = core::ExportCsv(report, table);
-        if (csv.empty()) {
-          std::fprintf(stderr, "unknown csv table: %s\n", table.c_str());
-          continue;
-        }
-        std::string path = table + ".csv";
+        const std::string path = table + ".csv";
         std::ofstream out(path);
-        out << csv;
+        if (!(out << core::ExportCsv(report, table) << std::flush)) {
+          PrintStructuredError(phase, "cannot write " + path);
+          return 1;
+        }
         std::fprintf(stderr, "wrote %s\n", path.c_str());
       }
     }

@@ -67,6 +67,44 @@ assert trace["folded_domains"] >= len(trace["domains"])
 print("smoke: report/metrics/trace exports parse OK")
 EOF
 
+echo "==> smoke: govdns_study rejects bad flag values before building a world"
+# A negative, NaN or non-numeric scale, a flag with no value, and a vantage
+# roster past worldgen::kMaxDefaultVantages must each exit 2 with the usage
+# line, and must not get as far as the "building world" progress line.
+for ARGS in "--scale -1" "--scale nan" "--scale abc" "--scale" \
+            "--vantages 22"; do
+  set +e
+  # shellcheck disable=SC2086  # the flag and its value split on purpose
+  ./build/tools/govdns_study --no-report ${ARGS} >/dev/null \
+    2>"${SMOKE_DIR}/flag.err"
+  STATUS=$?
+  set -e
+  if [ "${STATUS}" -ne 2 ] || ! grep -q "^usage:" "${SMOKE_DIR}/flag.err" ||
+     grep -q "building world" "${SMOKE_DIR}/flag.err"; then
+    echo "smoke: govdns_study ${ARGS} exited ${STATUS}:" >&2
+    cat "${SMOKE_DIR}/flag.err" >&2
+    exit 1
+  fi
+done
+echo "smoke: bad flag values exit 2 with the usage line OK"
+
+echo "==> smoke: bench_output.txt rebuilds byte for byte"
+# The committed artifact is every paper table and figure from one
+# govdns_study run at scale 1 (about 9 s and 0.7 GB on a 4-core host) plus
+# the four ablations at scale 0.25 (about 14 s). All of it is deterministic,
+# so a fresh rebuild must match the committed file exactly; any drift in a
+# published number fails here.
+if ! ./assemble_outputs.sh "${SMOKE_DIR}/bench_output.txt" \
+     2>"${SMOKE_DIR}/assemble.err"; then
+  cat "${SMOKE_DIR}/assemble.err" >&2
+  exit 1
+fi
+if ! cmp bench_output.txt "${SMOKE_DIR}/bench_output.txt"; then
+  diff bench_output.txt "${SMOKE_DIR}/bench_output.txt" | head -40 >&2
+  exit 1
+fi
+echo "smoke: bench_output.txt rebuilt byte-identical OK"
+
 echo "==> smoke: bench_parallel_mine (identity at every worker count, both sweeps)"
 # The mining pool is only allowed to change wall-clock time, never bytes —
 # at every worker count, from the in-memory store and from the mapped file,
