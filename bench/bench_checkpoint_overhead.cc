@@ -36,14 +36,6 @@ namespace fs = std::filesystem;
 
 constexpr uint64_t kWorldFp = 0xBE7CC4F7ull;
 
-double Scale() {
-  if (const char* s = std::getenv("GOVDNS_SCALE")) {
-    const double v = std::atof(s);
-    if (v > 0.0) return v;
-  }
-  return 1.0;
-}
-
 struct ArmPoint {
   double seconds = 0.0;  // pipeline only; world build is excluded
   std::string report_json;
@@ -57,7 +49,7 @@ struct ArmPoint {
 // otherwise a journal is attached (resuming whatever the dir holds).
 ArmPoint RunArm(const std::string& dir, bool resume) {
   govdns::worldgen::WorldConfig config;
-  config.scale = Scale();
+  config.scale = govdns::bench::ScaleFromEnv();
   auto world = govdns::worldgen::BuildWorld(config);
   auto bound = govdns::worldgen::MakeStudy(*world);
 
@@ -153,7 +145,7 @@ void PrintArtifact() {
 
   govdns::util::JsonWriter w;
   w.BeginObject();
-  w.Kv("scale", Scale());
+  w.Kv("scale", govdns::bench::ScaleFromEnv());
   w.Kv("domains", int64_t(on.domains));
   w.Kv("reps", int64_t(kReps));
   w.Kv("off_seconds", off_s);

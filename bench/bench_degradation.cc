@@ -34,14 +34,6 @@ namespace {
 // server, plus backoff) cannot finish, generous for healthy domains.
 constexpr uint64_t kDomainDeadlineMs = 8000;
 
-double Scale() {
-  if (const char* s = std::getenv("GOVDNS_SCALE")) {
-    const double v = std::atof(s);
-    if (v > 0.0) return v;
-  }
-  return 1.0;
-}
-
 struct SweepPoint {
   double p_blackhole = 0.0;
   double seconds = 0.0;  // pipeline only; world build is excluded
@@ -55,7 +47,7 @@ std::string RunPipeline(double p_blackhole, int workers, double* seconds,
                         govdns::core::QuarantineReport* quarantine,
                         size_t* domains) {
   govdns::worldgen::WorldConfig config;
-  config.scale = Scale();
+  config.scale = govdns::bench::ScaleFromEnv();
   config.chaos.p_blackhole = p_blackhole;
   auto world = govdns::worldgen::BuildWorld(config);
   auto bound = govdns::worldgen::MakeStudy(*world);
@@ -134,7 +126,7 @@ void PrintArtifact() {
 
   govdns::util::JsonWriter w;
   w.BeginObject();
-  w.Kv("scale", Scale());
+  w.Kv("scale", govdns::bench::ScaleFromEnv());
   w.Kv("domain_deadline_ms", static_cast<int64_t>(kDomainDeadlineMs));
   w.Key("sweep").BeginArray();
   for (const SweepPoint& point : points) {

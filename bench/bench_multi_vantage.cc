@@ -38,14 +38,8 @@ namespace fs = std::filesystem;
 
 constexpr uint64_t kWorldFp = 0xBE4C876616E74ull;
 constexpr int kVantages = 2;
-
-double Scale() {
-  if (const char* s = std::getenv("GOVDNS_SCALE")) {
-    const double v = std::atof(s);
-    if (v > 0.0) return v;
-  }
-  return 0.02;  // forks 2x the pipeline per run; default smaller than 1.0
-}
+// Each run forks 2x the pipeline, so the default is smaller than 1.0.
+constexpr double kUnsetScale = 0.02;
 
 struct Fault {
   uint64_t kill_at_write = 0;  // shard 0, attempt 0, after-commit _exit
@@ -68,7 +62,7 @@ ArmPoint RunArm(const std::string& dir, const Fault& fault,
   using namespace govdns;
   fs::remove_all(dir);
   worldgen::WorldConfig config;
-  config.scale = Scale();
+  config.scale = govdns::bench::ScaleFromEnv(kUnsetScale);
   auto world = worldgen::BuildWorld(config);
 
   std::vector<worldgen::VantageProfile> profiles;
@@ -224,7 +218,7 @@ void PrintArtifact() {
 
   govdns::util::JsonWriter w;
   w.BeginObject();
-  w.Kv("scale", Scale());
+  w.Kv("scale", govdns::bench::ScaleFromEnv(kUnsetScale));
   w.Kv("vantages", int64_t(kVantages));
   w.Kv("clean_seconds", clean.seconds);
   w.Kv("crash_seconds", crashed.seconds);

@@ -3,8 +3,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 
 #include "util/json.h"
+#include "util/strings.h"
 
 namespace govdns::bench {
 
@@ -13,11 +15,20 @@ BenchEnv& BenchEnv::Get() {
   return env;
 }
 
-BenchEnv::BenchEnv() {
-  if (const char* s = std::getenv("GOVDNS_SCALE")) {
-    scale_ = std::atof(s);
-    if (scale_ <= 0.0) scale_ = 1.0;
+double ScaleFromEnv(double unset) {
+  const char* text = std::getenv("GOVDNS_SCALE");
+  if (text == nullptr) return unset;
+  const std::optional<double> scale =
+      util::ParseDouble(text, 0.0, worldgen::kMaxScale);
+  if (!scale) {
+    std::fprintf(stderr, "[bench] GOVDNS_SCALE=%s: want a number in [0, %g]\n",
+                 text, worldgen::kMaxScale);
+    std::exit(2);
   }
+  return *scale;
+}
+
+BenchEnv::BenchEnv() : scale_(ScaleFromEnv()) {
   std::fprintf(stderr, "[bench] building world at scale %.3f ...\n", scale_);
   worldgen::WorldConfig config;
   config.scale = scale_;

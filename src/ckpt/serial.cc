@@ -156,11 +156,18 @@ bool Reader::Count(size_t* v) {
 }
 
 bool Reader::Str(std::string* s) {
+  std::string_view view;
+  if (!View(&view)) return false;
+  s->assign(view);
+  return true;
+}
+
+bool Reader::View(std::string_view* s) {
   size_t len = 0;
   if (!Count(&len)) return false;
   const char* p = Take(len);
   if (p == nullptr) return false;
-  s->assign(p, len);
+  *s = std::string_view(p, len);
   return true;
 }
 

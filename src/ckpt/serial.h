@@ -79,6 +79,8 @@ class Reader {
   // never drive a multi-gigabyte allocation before the bounds checks hit.
   bool Count(size_t* v);
   bool Str(std::string* s);
+  // Str without the copy: a view into the buffer being read.
+  bool View(std::string_view* s);
 
   bool ok() const { return ok_; }
   // True when every byte was consumed cleanly — trailing garbage is as much

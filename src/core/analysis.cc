@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string_view>
+#include <unordered_map>
 
 namespace govdns::core {
 
@@ -11,6 +13,47 @@ namespace {
 // criterion: listed but "does not answer queries for that zone").
 bool HostDefective(const NsHostResult& host) {
   return host.status != NsHostStatus::kAuthoritative;
+}
+
+// Longest-match seed attribution by suffix lookup. The seeds enclosing a
+// name are among its ancestors, and two enclosing seeds with the same label
+// count are the same name (duplicate seed rows, possibly with conflicting
+// country metadata). So walking the name's ancestors from the longest down
+// and stopping at the first seed name finds the longest match, in at most
+// LabelCount() + 1 probes; each name maps to its first seed in input order,
+// so attribution never depends on which duplicate is listed last.
+class SeedIndex {
+ public:
+  // Keeps views of the seeds' names: `seeds` must outlive the index and
+  // stay unmodified.
+  explicit SeedIndex(const std::vector<SeedDomain>& seeds);
+
+  // The seed whose d_gov is the longest one `name` equals or lies under
+  // (the first in input order among duplicates); nullptr if none does.
+  const SeedDomain* Find(const dns::Name& name) const;
+
+ private:
+  std::unordered_map<std::string_view, const SeedDomain*> first_;
+};
+
+SeedIndex::SeedIndex(const std::vector<SeedDomain>& seeds) {
+  first_.reserve(seeds.size());
+  // emplace never replaces, so a duplicate name keeps its first seed.
+  for (const SeedDomain& seed : seeds) {
+    first_.emplace(seed.d_gov.CanonicalKey(), &seed);
+  }
+}
+
+const SeedDomain* SeedIndex::Find(const dns::Name& name) const {
+  // The ancestors' keys are the prefixes of the name's key that end at a
+  // label boundary, down to the root's empty key.
+  std::string_view key = name.CanonicalKey();
+  for (;;) {
+    if (const auto it = first_.find(key); it != first_.end()) return it->second;
+    if (key.empty()) return nullptr;
+    const size_t sep = key.rfind('\0');
+    key = key.substr(0, sep == std::string_view::npos ? 0 : sep);
+  }
 }
 
 }  // namespace
@@ -23,22 +66,13 @@ ActiveDataset ActiveDataset::Build(std::vector<MeasurementResult> results,
   out.seeds = std::move(seeds);
   out.metas = std::move(metas);
   out.country.resize(out.results.size(), -1);
-  // Longest-match over seeds (jis.gov.jm-style seeds can nest under a TLD
-  // another seed also uses). Strictly-longer-only so the first seed in input
-  // order wins among equal-length matches: two same-length seeds that both
-  // enclose the domain are necessarily the same d_gov (duplicate seed rows,
-  // possibly with conflicting country metadata), and attribution must not
-  // depend on which duplicate happens to be listed last.
+  // Longest match (jis.gov.jm-style seeds can nest under a TLD another seed
+  // also uses), first seed in input order among duplicates.
+  const SeedIndex index(out.seeds);
   for (size_t i = 0; i < out.results.size(); ++i) {
-    int best = -1;
-    size_t best_labels = 0;
-    for (const SeedDomain& seed : out.seeds) {
-      if (!out.results[i].domain.IsSubdomainOf(seed.d_gov)) continue;
-      if (best >= 0 && seed.d_gov.LabelCount() <= best_labels) continue;
-      best = seed.country;
-      best_labels = seed.d_gov.LabelCount();
+    if (const SeedDomain* seed = index.Find(out.results[i].domain)) {
+      out.country[i] = seed->country;
     }
-    out.country[i] = best;
   }
   return out;
 }
@@ -340,11 +374,9 @@ HijackSummary AnalyzeHijackRisk(const ActiveDataset& dataset,
                                 const registrar::RegistrarClient& registrar) {
   HijackSummary out;
 
+  const SeedIndex seeds(dataset.seeds);
   auto is_government = [&](const dns::Name& name) {
-    for (const SeedDomain& seed : dataset.seeds) {
-      if (name.IsSubdomainOf(seed.d_gov)) return true;
-    }
-    return false;
+    return seeds.Find(name) != nullptr;
   };
 
   struct NsDomainInfo {

@@ -24,7 +24,8 @@ struct ActiveDataset {
   std::vector<CountryMeta> metas;
   std::vector<SeedDomain> seeds;
 
-  // Maps each measured domain to the seed whose d_gov contains it.
+  // Maps each measured domain to the seed whose d_gov contains it: the
+  // longest such d_gov, the first seed in input order among duplicates.
   static ActiveDataset Build(std::vector<MeasurementResult> results,
                              std::vector<SeedDomain> seeds,
                              std::vector<CountryMeta> metas);
@@ -35,6 +36,8 @@ struct ActiveDataset {
     int64_t parent_responded = 0;
     int64_t parent_has_records = 0;
     int64_t child_authoritative = 0;
+
+    friend bool operator==(const Funnel&, const Funnel&) = default;
   };
   Funnel ComputeFunnel() const;
 };
@@ -56,8 +59,13 @@ struct ReplicationSummary {
     int64_t d1ns = 0;
     int64_t d1ns_stale = 0;    // no authoritative response
     int64_t min_two = 0;       // domains with >=2 NS
+
+    friend bool operator==(const CountryRow&, const CountryRow&) = default;
   };
   std::vector<CountryRow> by_country;  // every country with data
+
+  friend bool operator==(const ReplicationSummary&,
+                         const ReplicationSummary&) = default;
 };
 ReplicationSummary AnalyzeReplication(const ActiveDataset& dataset);
 
@@ -69,6 +77,8 @@ struct DiversityRow {
   double pct_multi_ip = 0.0;     // |IP| > 1
   double pct_multi_24 = 0.0;     // |/24| > 1
   double pct_multi_asn = 0.0;    // |ASN| > 1
+
+  friend bool operator==(const DiversityRow&, const DiversityRow&) = default;
 };
 // Per-level (second vs third+ of the DNS hierarchy) multi-/24 shares, used
 // for the §IV-A hierarchy discussion.
@@ -76,6 +86,9 @@ struct LevelDiversityRow {
   int level = 0;
   int64_t domains = 0;
   double pct_multi_24 = 0.0;
+
+  friend bool operator==(const LevelDiversityRow&,
+                         const LevelDiversityRow&) = default;
 };
 
 // Rows: Total + the given country codes (the paper's top 10).
@@ -107,8 +120,13 @@ struct DelegationSummary {
     int64_t domains = 0;
     int64_t partial = 0;
     int64_t full = 0;
+
+    friend bool operator==(const CountryRow&, const CountryRow&) = default;
   };
   std::vector<CountryRow> by_country;
+
+  friend bool operator==(const DelegationSummary&,
+                         const DelegationSummary&) = default;
 };
 DelegationSummary AnalyzeDelegations(const ActiveDataset& dataset);
 
@@ -135,10 +153,15 @@ struct ConsistencySummary {
     std::string code;
     int64_t comparable = 0;
     int64_t disagree = 0;
+
+    friend bool operator==(const CountryRow&, const CountryRow&) = default;
   };
   std::vector<CountryRow> by_country;  // Fig. 14 input
   // §IV-D: share of P != C domains that also have a partial defect.
   double pct_disagree_with_partial_defect = 0.0;
+
+  friend bool operator==(const ConsistencySummary&,
+                         const ConsistencySummary&) = default;
 };
 ConsistencySummary AnalyzeConsistency(const ActiveDataset& dataset);
 
@@ -156,6 +179,8 @@ struct HijackSummary {
     std::string code;
     int64_t affected_domains = 0;
     int64_t available_ns_domains = 0;
+
+    friend bool operator==(const CountryRow&, const CountryRow&) = default;
   };
   std::vector<CountryRow> by_country;  // Fig. 11
 
@@ -164,6 +189,8 @@ struct HijackSummary {
   int64_t dangling_domains = 0;
   int64_t dangling_countries = 0;
   std::vector<double> dangling_prices_usd;
+
+  friend bool operator==(const HijackSummary&, const HijackSummary&) = default;
 };
 HijackSummary AnalyzeHijackRisk(const ActiveDataset& dataset,
                                 const registrar::PublicSuffixList& psl,

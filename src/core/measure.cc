@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <set>
-#include <thread>
 
 #include "core/cut_cache.h"
 #include "core/watchdog.h"
+#include "util/pool.h"
 
 namespace govdns::core {
 
@@ -508,14 +508,9 @@ std::vector<MeasurementResult> ActiveMeasurer::MeasureAll(
   // measured hermetically, so which worker picks it up cannot change its
   // result — writing into out[i] by input index makes the whole vector
   // byte-identical to a serial run.
-  int workers = options_.async_lanes > 0 ? options_.async_lanes
-                : options_.workers > 0
-                    ? options_.workers
-                    : static_cast<int>(std::thread::hardware_concurrency());
-  if (workers < 1) workers = 1;
-  if (static_cast<size_t>(workers) > domains.size() && !domains.empty()) {
-    workers = static_cast<int>(domains.size());
-  }
+  const int workers = util::PoolWorkers(
+      options_.async_lanes > 0 ? options_.async_lanes : options_.workers,
+      domains.size());
 
   // Observability mirrors the worker ownership split: each worker updates a
   // private metrics shard (commutative sums, absorbed post-join) and writes
@@ -573,14 +568,7 @@ std::vector<MeasurementResult> ActiveMeasurer::MeasureAll(
     worker_queries[w] = resolver.queries_sent();
     worker_shards[w] = std::move(shard);
   };
-  if (workers == 1) {
-    run(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (int w = 0; w < workers; ++w) pool.emplace_back(run, w);
-    for (std::thread& t : pool) t.join();
-  }
+  util::RunOnPool(workers, run);
 
   merged_counters_ = ResolverCounters{};
   merged_queries_sent_ = 0;

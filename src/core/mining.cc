@@ -3,16 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <functional>
 #include <iterator>
 #include <limits>
 #include <optional>
 #include <span>
 #include <string_view>
-#include <thread>
 #include <utility>
 
 #include "util/arena.h"
+#include "util/pool.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -379,20 +378,6 @@ void CollectInternViews(const MiningConfig& config,
   acc.erase(std::unique(acc.begin(), acc.end()), acc.end());
 }
 
-// Runs `body(worker_index)` on `workers` threads (inline when workers == 1).
-void RunOnPool(int workers, const std::function<void(int)>& body) {
-  if (workers <= 1) {
-    body(0);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    pool.emplace_back([&body, w] { body(w); });
-  }
-  for (std::thread& t : pool) t.join();
-}
-
 }  // namespace
 
 MinedDataset PdnsMiner::Mine(const pdns::PdnsSnapshot& snapshot,
@@ -417,13 +402,7 @@ MinedDataset PdnsMiner::Mine(const pdns::PdnsSnapshot& snapshot,
     year_end[y] = util::YearEnd(config_.first_year + y);
   }
 
-  int workers = options_.workers > 0
-                    ? options_.workers
-                    : static_cast<int>(std::thread::hardware_concurrency());
-  if (workers < 1) workers = 1;
-  if (static_cast<size_t>(workers) > seeds.size() && !seeds.empty()) {
-    workers = static_cast<int>(seeds.size());
-  }
+  const int workers = util::PoolWorkers(options_.workers, seeds.size());
 
   // --- Phase 2: intern pre-pass ("mining.fold.intern"). The global NS-name
   // table is built once, up front, in parallel: each worker sweeps whole
@@ -443,7 +422,7 @@ MinedDataset PdnsMiner::Mine(const pdns::PdnsSnapshot& snapshot,
     std::vector<util::CacheAligned<std::vector<std::string_view>>> acc(
         static_cast<size_t>(workers));
     util::CacheAligned<std::atomic<size_t>> next;
-    RunOnPool(workers, [&](int w) {
+    util::RunOnPool(workers, [&](int w) {
       CollectInternViews(config_, snapshot, seeds, next.value,
                          acc[static_cast<size_t>(w)].value);
     });
@@ -475,7 +454,7 @@ MinedDataset PdnsMiner::Mine(const pdns::PdnsSnapshot& snapshot,
       scope->set_items(static_cast<int64_t>(seeds.size()));
     }
     util::CacheAligned<std::atomic<size_t>> next;
-    RunOnPool(workers, [&](int) {
+    util::RunOnPool(workers, [&](int) {
       SweepScratch scratch(table.size());
       for (;;) {
         const size_t s = next.value.fetch_add(1, std::memory_order_relaxed);
@@ -535,7 +514,7 @@ MinedDataset PdnsMiner::Mine(const pdns::PdnsSnapshot& snapshot,
       std::vector<util::CacheAligned<int64_t>> resorted(
           static_cast<size_t>(workers));
       util::CacheAligned<std::atomic<size_t>> next;
-      RunOnPool(workers, [&](int w) {
+      util::RunOnPool(workers, [&](int w) {
         int64_t local = 0;
         for (;;) {
           const size_t s = next.value.fetch_add(1, std::memory_order_relaxed);
@@ -582,7 +561,7 @@ MinedDataset PdnsMiner::Mine(const pdns::PdnsSnapshot& snapshot,
       }
       out.domains.resize(offset.back());
       util::CacheAligned<std::atomic<size_t>> next;
-      RunOnPool(workers, [&](int) {
+      util::RunOnPool(workers, [&](int) {
         for (;;) {
           const size_t s = next.value.fetch_add(1, std::memory_order_relaxed);
           if (s >= shards.size()) break;

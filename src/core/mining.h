@@ -182,6 +182,8 @@ struct YearlyCounts {
   int64_t domains = 0;
   int64_t countries = 0;
   int64_t nameservers = 0;  // distinct hostnames
+
+  friend bool operator==(const YearlyCounts&, const YearlyCounts&) = default;
 };
 // Figures 2 and 3.
 std::vector<YearlyCounts> CountPerYear(const MinedDataset& dataset);
@@ -192,6 +194,8 @@ struct D1nsChurnRow {
   double pct_overlap_2011 = 0.0;   // share of this year's d_1NS also 1-NS in 2011
   double pct_new_vs_prev = 0.0;    // share not d_1NS the year before
   double pct_2011_cohort_gone = 0.0;  // of 2011's d_1NS, share w/o data now
+
+  friend bool operator==(const D1nsChurnRow&, const D1nsChurnRow&) = default;
 };
 // Figure 6.
 std::vector<D1nsChurnRow> D1nsChurn(const MinedDataset& dataset);
@@ -200,6 +204,9 @@ struct PrivateShareRow {
   int year = 0;
   double pct_d1ns_private = 0.0;
   double pct_all_private = 0.0;
+
+  friend bool operator==(const PrivateShareRow&,
+                         const PrivateShareRow&) = default;
 };
 // Figure 7: a domain-year counts as private when every stable NS hostname
 // that year sits inside the domain's own d_gov (a lower bound, as in the

@@ -59,6 +59,9 @@ struct ProviderYearRow {
   int64_t groups = 0;     // sub-region groups (top-10 split out) covered
   int64_t countries = 0;  // countries covered
   bool major = false;
+
+  friend bool operator==(const ProviderYearRow&,
+                         const ProviderYearRow&) = default;
 };
 
 struct ProviderYearTable {
@@ -66,6 +69,9 @@ struct ProviderYearTable {
   int64_t total_domains = 0;  // domains with data that year
   int64_t total_groups = 0;   // number of grouping units that exist
   std::vector<ProviderYearRow> rows;
+
+  friend bool operator==(const ProviderYearTable&,
+                         const ProviderYearTable&) = default;
 };
 
 class ProviderAnalyzer {

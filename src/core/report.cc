@@ -1,9 +1,14 @@
 #include "core/report.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <functional>
+#include <iterator>
 
 #include "util/json.h"
+#include "util/pool.h"
 #include "util/stats.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -103,8 +108,6 @@ QuarantineReport BuildQuarantineReport(const ActiveDataset& dataset) {
   return report;
 }
 
-namespace {
-
 std::vector<CountryDomains> DomainsPerCountry(
     const MinedDataset& dataset, const std::vector<CountryMeta>& countries) {
   const int y = dataset.config.last_year - dataset.config.first_year;
@@ -127,76 +130,115 @@ std::vector<CountryDomains> DomainsPerCountry(
   return rows;
 }
 
-}  // namespace
-
 StudyReport BuildReport(Study& study,
                         const std::vector<std::string>& diversity_countries) {
   GOVDNS_CHECK(study.has_mined() && study.has_active());
+  const MinedDataset& mined = study.mined();
+  const ActiveDataset& active = study.active();
+  const StudyInputs& inputs = study.inputs();
   StudyReport report;
   report.selection = study.selection_stats();
-  report.pdns_per_year = CountPerYear(study.mined());
-  report.domains_per_country =
-      DomainsPerCountry(study.mined(), study.inputs().countries);
-  report.funnel = study.active().ComputeFunnel();
 
-  // Analyzers run over in-memory datasets — no transport, so logical time is
-  // structurally zero; each phase still records item counts and (diagnostic)
-  // wall time. `items` is the number of measured domains each analyzer
-  // consumed unless noted.
-  obs::PhaseProfiler prof;
-  const int64_t active_n = static_cast<int64_t>(study.active().results.size());
-  const int64_t mined_n = static_cast<int64_t>(study.mined().domains.size());
-  auto analyze = [&](const char* name, int64_t items, auto&& body) {
-    obs::PhaseProfiler::Scope phase(&prof, name);
-    phase.set_items(items);
-    body();
+  // The analyzer rows of profile[], in their fixed order. Analyzers run over
+  // in-memory datasets, with no transport, so logical time is structurally
+  // zero; `items` is the dataset each analyzer consumes, and wall_ms
+  // (diagnostic) is filled in after the tasks join.
+  const int64_t active_n = static_cast<int64_t>(active.results.size());
+  const int64_t mined_n = static_cast<int64_t>(mined.domains.size());
+  std::vector<obs::PhaseRecord> rows = {
+      {"analyze.replication", active_n},  {"analyze.diversity", active_n},
+      {"analyze.d1ns_churn", mined_n},    {"analyze.private_share", mined_n},
+      {"analyze.providers", mined_n},     {"analyze.delegations", active_n},
+      {"analyze.hijack", active_n},       {"analyze.consistency", active_n},
+      {"analyze.resilience", active_n},   {"analyze.quarantine", active_n},
   };
 
-  analyze("analyze.replication", active_n, [&] {
-    report.replication = AnalyzeReplication(study.active());
-  });
-  analyze("analyze.diversity", active_n, [&] {
-    report.diversity =
-        AnalyzeDiversity(study.active(), *study.inputs().asn_db,
-                         diversity_countries, &report.diversity_by_level);
-  });
-  analyze("analyze.d1ns_churn", mined_n, [&] {
-    report.d1ns_churn = D1nsChurn(study.mined());
-  });
-  analyze("analyze.private_share", mined_n, [&] {
-    report.private_share = PrivateShare(study.mined(), study.seeds());
-  });
-
   static const ProviderMatcher kMatcher(DefaultProviderRules());
-  ProviderAnalyzer analyzer(&kMatcher, study.inputs().countries);
-  analyze("analyze.providers", mined_n, [&] {
-    report.providers_first_year =
-        analyzer.Analyze(study.mined(), study.mined().config.first_year);
-    report.providers_last_year =
-        analyzer.Analyze(study.mined(), study.mined().config.last_year);
+  const ProviderAnalyzer providers(&kMatcher, inputs.countries);
+
+  // The analyzers are independent passes over the same finished datasets,
+  // so each runs as one task on the pool. A task writes only its own
+  // members of `report` and reads only immutable inputs (asn_db, psl and
+  // registrar each have one reader), so no two tasks share anything
+  // mutable. Listed longest first, the order they are handed out in; the
+  // provider tables are split by year, the longest analyzer halved. `row`
+  // names the profile row the task's wall time adds to.
+  struct Task {
+    const char* row;  // nullptr: no row
+    std::function<void()> run;
+    double wall_ms = 0.0;
+  };
+  std::vector<Task> tasks = {
+      {"analyze.diversity",
+       [&] {
+         report.diversity =
+             AnalyzeDiversity(active, *inputs.asn_db, diversity_countries,
+                              &report.diversity_by_level);
+       }},
+      {"analyze.providers",
+       [&] {
+         report.providers_last_year =
+             providers.Analyze(mined, mined.config.last_year);
+       }},
+      {"analyze.hijack",
+       [&] {
+         report.hijack =
+             AnalyzeHijackRisk(active, *inputs.psl, *inputs.registrar);
+       }},
+      {"analyze.private_share",
+       [&] { report.private_share = PrivateShare(mined, study.seeds()); }},
+      {"analyze.consistency",
+       [&] { report.consistency = AnalyzeConsistency(active); }},
+      {"analyze.providers",
+       [&] {
+         report.providers_first_year =
+             providers.Analyze(mined, mined.config.first_year);
+       }},
+      {"analyze.replication",
+       [&] { report.replication = AnalyzeReplication(active); }},
+      {nullptr,
+       [&] {
+         report.pdns_per_year = CountPerYear(mined);
+         report.domains_per_country =
+             DomainsPerCountry(mined, inputs.countries);
+         report.funnel = active.ComputeFunnel();
+       }},
+      {"analyze.d1ns_churn", [&] { report.d1ns_churn = D1nsChurn(mined); }},
+      {"analyze.delegations",
+       [&] { report.delegations = AnalyzeDelegations(active); }},
+      {"analyze.resilience",
+       [&] { report.resilience = BuildResilienceReport(active); }},
+      {"analyze.quarantine",
+       [&] { report.quarantine = BuildQuarantineReport(active); }},
+  };
+  std::atomic<size_t> next{0};
+  util::RunOnPool(util::PoolWorkers(0, tasks.size()), [&](int) {
+    for (;;) {
+      const size_t t = next.fetch_add(1, std::memory_order_relaxed);
+      if (t >= tasks.size()) break;
+      const auto start = std::chrono::steady_clock::now();
+      tasks[t].run();
+      tasks[t].wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+    }
   });
 
-  analyze("analyze.delegations", active_n, [&] {
-    report.delegations = AnalyzeDelegations(study.active());
-  });
-  analyze("analyze.hijack", active_n, [&] {
-    report.hijack = AnalyzeHijackRisk(study.active(), *study.inputs().psl,
-                                      *study.inputs().registrar);
-  });
-  analyze("analyze.consistency", active_n, [&] {
-    report.consistency = AnalyzeConsistency(study.active());
-  });
-  analyze("analyze.resilience", active_n, [&] {
-    report.resilience = BuildResilienceReport(study.active());
-  });
-  analyze("analyze.quarantine", active_n, [&] {
-    report.quarantine = BuildQuarantineReport(study.active());
-  });
-
-  report.profile = study.profiler().records();
-  for (obs::PhaseRecord& r : prof.records()) {
-    report.profile.push_back(std::move(r));
+  // After the join, in the fixed row order: which task finished first never
+  // reaches the report.
+  for (const Task& task : tasks) {
+    if (task.row == nullptr) continue;
+    const auto row =
+        std::find_if(rows.begin(), rows.end(), [&](const obs::PhaseRecord& r) {
+          return r.name == task.row;
+        });
+    GOVDNS_CHECK(row != rows.end());
+    row->wall_ms += task.wall_ms;
   }
+  report.profile = study.profiler().records();
+  report.profile.insert(report.profile.end(),
+                        std::make_move_iterator(rows.begin()),
+                        std::make_move_iterator(rows.end()));
   return report;
 }
 

@@ -73,7 +73,15 @@ QuarantineReport BuildQuarantineReport(const ActiveDataset& dataset);
 struct CountryDomains {
   std::string name;
   int64_t domains = 0;
+
+  friend bool operator==(const CountryDomains&,
+                         const CountryDomains&) = default;
 };
+
+// Fig. 4: every country with data in the last year, most domains first
+// (ties: the later country in `countries` first).
+std::vector<CountryDomains> DomainsPerCountry(
+    const MinedDataset& dataset, const std::vector<CountryMeta>& countries);
 
 struct StudyReport {
   // §III: pipeline funnel.

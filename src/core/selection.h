@@ -41,6 +41,9 @@ struct SelectionStats {
   int squatted_links = 0;  // linked domain parked by a third party
   int msq_fallbacks = 0;
   int registered_domain_fallbacks = 0;
+
+  friend bool operator==(const SelectionStats&,
+                         const SelectionStats&) = default;
 };
 
 struct SelectorOptions {

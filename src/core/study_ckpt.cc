@@ -1,8 +1,11 @@
 #include "core/study_ckpt.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <map>
+#include <span>
+#include <string_view>
 #include <utility>
 
 #include "ckpt/serial.h"
@@ -48,14 +51,16 @@ void PutName(ckpt::Writer& w, const dns::Name& name) {
   for (const std::string_view label : name.labels()) w.Str(label);
 }
 
+// Decodes in place: the labels are views into the frame, validated and
+// copied once, straight into the name's key.
 bool GetName(ckpt::Reader& r, dns::Name* out) {
   uint8_t count = 0;
-  if (!r.U8(&count)) return false;
-  std::vector<std::string> labels(count);
+  if (!r.U8(&count) || count > dns::Name::kMaxLabels) return false;
+  std::array<std::string_view, dns::Name::kMaxLabels> labels;
   for (uint8_t i = 0; i < count; ++i) {
-    if (!r.Str(&labels[i])) return false;
+    if (!r.View(&labels[i])) return false;
   }
-  auto name = dns::Name::FromLabels(std::move(labels));
+  auto name = dns::Name::FromLabels(std::span(labels.data(), count));
   if (!name.ok()) return false;
   *out = *std::move(name);
   return true;
@@ -459,7 +464,10 @@ std::vector<MeasurementResult> StudyCheckpoint::LoadActiveBatches(
   results_journaled_ = 0;
   delta_crc_ = mining_crc_;
   next_delta_ = 0;
+  // The study fills this vector to exactly expected_total, loaded or
+  // measured, so one reservation serves both and it never regrows.
   std::vector<MeasurementResult> out;
+  out.reserve(expected_total);
   if (!options_.resume) return out;
   while (out.size() < expected_total) {
     auto frame = journal_.Load(BatchFrameName(next_batch_), chain_crc_);
@@ -474,16 +482,18 @@ std::vector<MeasurementResult> StudyCheckpoint::LoadActiveBatches(
       ++stats_.decode_rejects;
       break;
     }
-    std::vector<MeasurementResult> part(count);
+    // Decode straight into place; a reject truncates back to the batch's
+    // start, so only whole batches are ever loaded.
+    out.resize(begin + count);
     bool ok = true;
-    for (size_t i = 0; ok && i < count; ++i) {
-      ok = GetResult(r, &part[i]);
+    for (size_t i = begin; ok && i < out.size(); ++i) {
+      ok = GetResult(r, &out[i]);
     }
     if (!ok || !r.AtEnd()) {
+      out.resize(begin);
       ++stats_.decode_rejects;
       break;
     }
-    for (MeasurementResult& res : part) out.push_back(std::move(res));
     chain_crc_ = frame->crc;
     ++next_batch_;
     ++stats_.batches_loaded;

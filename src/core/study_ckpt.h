@@ -97,8 +97,10 @@ class StudyCheckpoint {
   // --- Intra-phase journal for active measurement --------------------------
   // Loads the longest valid prefix of batch frames; the returned results
   // cover query-list indices [0, size) contiguously. Stops (cleanly) at the
-  // first missing/invalid/discontiguous frame. Also restarts the cut-cache
-  // delta chain at index 0; RestoreCutCache moves it past what it loads.
+  // first missing/invalid/discontiguous frame. The vector comes back with
+  // capacity for `expected_total`, so the caller can append the rest in
+  // place. Also restarts the cut-cache delta chain at index 0;
+  // RestoreCutCache moves it past what it loads.
   std::vector<MeasurementResult> LoadActiveBatches(size_t expected_total);
   // Journals one completed batch starting at `begin_index`.
   void AppendActiveBatch(size_t begin_index,

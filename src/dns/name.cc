@@ -100,14 +100,21 @@ Name Name::FromString(std::string_view text) {
   return *std::move(parsed);
 }
 
-util::StatusOr<Name> Name::FromLabels(const std::vector<std::string>& labels) {
+util::StatusOr<Name> Name::FromLabels(
+    std::span<const std::string_view> labels) {
   KeyBuilder key;
   for (auto it = labels.rbegin(); it != labels.rend(); ++it) {
     if (!key.Append(*it)) {
-      return util::ParseError("invalid label or name over 255 octets: " + *it);
+      return util::ParseError("invalid label or name over 255 octets: " +
+                              std::string(*it));
     }
   }
   return Name(key.key(), key.count());
+}
+
+util::StatusOr<Name> Name::FromLabels(const std::vector<std::string>& labels) {
+  const std::vector<std::string_view> views(labels.begin(), labels.end());
+  return FromLabels(views);
 }
 
 util::StatusOr<Name> Name::FromCanonicalKey(std::string_view key) {

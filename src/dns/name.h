@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -81,6 +82,9 @@ class Name {
     size_t count_;
   };
 
+  // The most labels a name can have: 127 one-octet labels fill 255 octets.
+  static constexpr size_t kMaxLabels = 127;
+
   // The root name (zero labels).
   Name() = default;
   Name(const Name& other) { CopyFrom(other); }
@@ -111,7 +115,11 @@ class Name {
 
   static Name Root() { return Name(); }
 
-  // Builds from labels ordered leftmost-first (e.g. {"www", "gov", "au"}).
+  // Builds from labels ordered leftmost-first (e.g. {"www", "gov", "au"}),
+  // validating and lowercasing each straight into the key. Rejects an
+  // invalid label or a name over 255 wire octets.
+  static util::StatusOr<Name> FromLabels(
+      std::span<const std::string_view> labels);
   static util::StatusOr<Name> FromLabels(const std::vector<std::string>& labels);
 
   bool IsRoot() const { return count_ == 0; }

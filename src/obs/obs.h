@@ -2,8 +2,9 @@
 //
 // One Observability instance spans a study run: the measurer folds worker
 // shards into `metrics`, per-domain traces into `traces`, and the shared cut
-// cache logs publishes into `cut_log`. Phases are not recorded here: Study
-// and BuildReport own the PhaseProfilers that feed the report's profile[].
+// cache logs publishes into `cut_log`. Phases are not recorded here: the
+// Study's PhaseProfiler feeds the report's profile[], and BuildReport
+// appends one row per analyzer, timed by its own pool tasks.
 // Everything is optional — components take a nullable Observability* and
 // skip all instrumentation work when it is absent, so the uninstrumented
 // hot path costs one pointer test.

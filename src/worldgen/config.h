@@ -37,10 +37,16 @@ struct VantageProfile {
   std::vector<CountryChaos> country_chaos;
 };
 
+// The largest WorldConfig::scale a caller may ask for: far beyond any world
+// that fits in memory (scale 1 peaks near 0.7 GB) and small enough that
+// every count the generator derives from it fits its integer type.
+inline constexpr double kMaxScale = 1000.0;
+
 struct WorldConfig {
   uint64_t seed = 2022;
 
-  // Volume multiplier on every per-country domain-count target.
+  // Volume multiplier on every per-country domain-count target, in
+  // [0, kMaxScale].
   double scale = 1.0;
 
   // The PDNS observation window (paper: 2011..2020 inclusive).

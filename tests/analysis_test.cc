@@ -2,7 +2,11 @@
 // classification branch, without any network involved.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/analysis.h"
+#include "util/rng.h"
 
 namespace govdns::core {
 namespace {
@@ -234,6 +238,101 @@ TEST(ActiveDatasetTest, CountryTiebreakIsFirstSeedWins) {
   EXPECT_EQ(dataset3.country[0], 1);
 }
 
+// The O(results x seeds) attribution loop ActiveDataset::Build used before
+// the suffix lookup, kept as the reference it must reproduce.
+std::vector<int> LinearScanCountries(
+    const std::vector<MeasurementResult>& results,
+    const std::vector<SeedDomain>& seeds) {
+  std::vector<int> country(results.size(), -1);
+  for (size_t i = 0; i < results.size(); ++i) {
+    int best = -1;
+    size_t best_labels = 0;
+    for (const SeedDomain& seed : seeds) {
+      if (!results[i].domain.IsSubdomainOf(seed.d_gov)) continue;
+      if (best >= 0 && seed.d_gov.LabelCount() <= best_labels) continue;
+      best = seed.country;
+      best_labels = seed.d_gov.LabelCount();
+    }
+    country[i] = best;
+  }
+  return country;
+}
+
+TEST(ActiveDatasetTest, SeedAttributionMatchesLinearScan) {
+  // A small label alphabet makes seeds nest, repeat and enclose the
+  // measured domains often. Every seed carries a valid country index, as
+  // selection's seeds do.
+  const std::vector<std::string> words = {"gov", "go", "jis", "moh", "a"};
+  const std::vector<std::string> tlds = {"aa", "bb", "jm"};
+  const std::vector<CountryMeta> metas = {{"aa", "Aland", "N", false},
+                                          {"bb", "Borduria", "E", false},
+                                          {"jm", "Jamaica", "C", false},
+                                          {"cc", "Cocos", "A", false}};
+  util::Rng rng(20221);
+  auto random_name = [&](size_t labels) {
+    Name name = Name::FromString(rng.Pick(tlds));
+    for (size_t k = 1; k < labels; ++k) name = name.Child(rng.Pick(words));
+    return name;
+  };
+  // What the random inputs covered, so the equality below is not vacuous.
+  int equal_to_seed = 0, under_no_seed = 0, nested = 0, conflicting = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<SeedDomain> seeds;
+    const size_t seed_count = 1 + rng.UniformU64(12);
+    for (size_t s = 0; s < seed_count; ++s) {
+      SeedDomain seed;
+      seed.country = static_cast<int>(rng.UniformU64(metas.size()));
+      const uint64_t kind = seeds.empty() ? 0 : rng.UniformU64(3);
+      if (kind == 0) {
+        seed.d_gov = random_name(1 + rng.UniformU64(3));
+      } else if (kind == 1) {  // a duplicate name, its country drawn anew
+        seed.d_gov = rng.Pick(seeds).d_gov;
+      } else {  // nested below, or enclosing, an earlier seed
+        const Name& base = rng.Pick(seeds).d_gov;
+        seed.d_gov = base.LabelCount() == 1 || rng.Bernoulli(0.5)
+                         ? base.Child(rng.Pick(words))
+                         : base.Parent();
+      }
+      seeds.push_back(seed);
+    }
+    std::vector<MeasurementResult> results(40);
+    for (MeasurementResult& r : results) {
+      const uint64_t kind = rng.UniformU64(3);
+      if (kind == 0) {
+        r.domain = rng.Pick(seeds).d_gov;
+      } else if (kind == 1) {
+        r.domain = rng.Pick(seeds).d_gov.Child(rng.Pick(words));
+      } else {
+        r.domain = random_name(1 + rng.UniformU64(5));
+      }
+    }
+    const std::vector<int> expected = LinearScanCountries(results, seeds);
+    const ActiveDataset dataset = ActiveDataset::Build(results, seeds, metas);
+    EXPECT_EQ(dataset.country, expected) << "trial " << trial;
+
+    for (const MeasurementResult& r : results) {
+      std::vector<const SeedDomain*> enclosing;
+      for (const SeedDomain& seed : seeds) {
+        if (r.domain.IsSubdomainOf(seed.d_gov)) enclosing.push_back(&seed);
+        if (r.domain == seed.d_gov) ++equal_to_seed;
+      }
+      if (enclosing.empty()) ++under_no_seed;
+      for (const SeedDomain* a : enclosing) {
+        for (const SeedDomain* b : enclosing) {
+          if (a->d_gov.LabelCount() < b->d_gov.LabelCount()) ++nested;
+          if (a < b && a->d_gov == b->d_gov && a->country != b->country) {
+            ++conflicting;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(equal_to_seed, 0);
+  EXPECT_GT(under_no_seed, 0);
+  EXPECT_GT(nested, 0);
+  EXPECT_GT(conflicting, 0);
+}
+
 TEST(ActiveDatasetTest, Funnel) {
   auto dataset = SmallDataset();
   auto funnel = dataset.ComputeFunnel();
@@ -312,6 +411,43 @@ TEST(AnalyzeHijackRiskTest, FindsAvailableNsDomain) {
   EXPECT_DOUBLE_EQ(summary.prices_usd[0], 11.99);
   // Government-owned dead hosts (n1.y.gov.aa) were excluded.
   EXPECT_EQ(summary.candidate_ns_domains, 1);
+}
+
+class EverythingAvailableRegistrar : public registrar::RegistrarClient {
+ public:
+  bool IsAvailable(const dns::Name&) const override { return true; }
+  std::optional<double> PriceUsd(const dns::Name&) const override {
+    return 9.99;
+  }
+};
+
+// A dead host under a seed nested below a name that is no seed itself (a
+// jis.gov.jm-style seed) is government infrastructure: the suffix lookup
+// has to find the deeper seed and skip the host, even where the registrar
+// would sell its registered domain. A dead host beside that seed, under no
+// seed, stays a candidate.
+TEST(AnalyzeHijackRiskTest, SkipsDefectiveHostsUnderNestedSeeds) {
+  ActiveDataset dataset = SmallDataset();
+  dataset.seeds.push_back({1, Name::FromString("jis.gov.cc"),
+                           SeedVerification::kRegisteredDomain, false});
+  dataset.results.push_back(Result(
+      "p.gov.bb", {"n1.p.gov.bb", "ns1.jis.gov.cc", "ns1.other.gov.cc"},
+      {"n1.p.gov.bb"},
+      {Host("n1.p.gov.bb", NsHostStatus::kAuthoritative, true, true),
+       Host("ns1.jis.gov.cc", NsHostStatus::kNoResponse, true, false),
+       Host("ns1.other.gov.cc", NsHostStatus::kNoResponse, true, false)}));
+  dataset.country.push_back(1);
+  registrar::PublicSuffixList psl;
+  for (const char* suffix : {"com", "aa", "bb", "cc", "gov.aa", "gov.bb",
+                             "gov.cc"}) {
+    psl.AddSuffix(Name::FromString(suffix));
+  }
+  const HijackSummary summary =
+      AnalyzeHijackRisk(dataset, psl, EverythingAvailableRegistrar());
+  // deadhost.com and other.gov.cc; jis.gov.cc is a seed's own name.
+  EXPECT_EQ(summary.candidate_ns_domains, 2);
+  EXPECT_EQ(summary.available_ns_domains, 2);
+  EXPECT_EQ(summary.affected_domains, 2);
 }
 
 }  // namespace

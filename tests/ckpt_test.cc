@@ -969,5 +969,109 @@ TEST(StudyCheckpointTest, FreshRunWipesAStaleJournal) {
   fs::remove_all(dir);
 }
 
+// Writes one result in the batch frame's layout (PutResult in
+// core/study_ckpt.cc): the domain label by label as given, every other
+// field as in a default-constructed MeasurementResult.
+void PutBareResult(ckpt::Writer& w, const std::vector<std::string>& labels) {
+  w.U8(static_cast<uint8_t>(labels.size()));
+  for (const std::string& label : labels) w.Str(label);
+  w.Bool(false);  // parent_located
+  w.U8(0);        // parent_zone: the root
+  w.Bool(false);  // parent_responded
+  w.Bool(false);  // parent_has_records
+  w.Bool(false);  // parent_answered_authoritatively
+  w.Size(0);      // parent_ns
+  w.Size(0);      // child_ns
+  w.Bool(false);  // child_any_authoritative
+  w.Size(0);      // hosts
+  w.Bool(false);  // no SOA
+  w.I32(1);       // rounds
+  for (int i = 0; i < 13; ++i) w.U64(0);  // query_stats
+  w.Bool(false);  // degraded
+  w.U64(0);       // logical_ms
+  w.U8(0);        // quarantine_reason: none
+}
+
+// Journals batch 0 (two fabricated results) through the checkpoint, then
+// commits a crafted batch 1 holding a good result and then one whose domain
+// has `labels`, chained with valid CRCs so only the decoder can refuse it.
+// Returns what a resume loads.
+std::vector<core::MeasurementResult> LoadAfterCraftedBatch(
+    const std::string& dir, const std::vector<std::string>& labels,
+    core::StudyCheckpointStats* stats) {
+  {
+    core::StudyCheckpoint ckpt(dir, 77);
+    ckpt.Bind(11);
+    SeedPhases(ckpt);
+    ckpt.AppendActiveBatch(0, {FabricateResult(0), FabricateResult(1)});
+  }
+  ckpt::Journal journal(dir, ckpt::MixFingerprint(77, 11));
+  uint32_t crc = 0;
+  for (const char* frame : {"selection", "mining", "active_000000"}) {
+    auto loaded = journal.Load(frame, crc);
+    EXPECT_TRUE(loaded.ok()) << frame;
+    if (!loaded.ok()) return {};
+    crc = loaded->crc;
+  }
+  ckpt::Writer w;
+  w.U8(3);  // the batch frame's kind tag
+  w.U64(2);
+  w.Size(2);
+  PutBareResult(w, {"ok", "gov", "aa"});
+  PutBareResult(w, labels);
+  EXPECT_TRUE(journal.Commit("active_000001", w.Take(), crc).ok());
+
+  core::StudyCheckpointOptions opts;
+  opts.resume = true;
+  core::StudyCheckpoint resumed(dir, 77, opts);
+  resumed.Bind(11);
+  EXPECT_TRUE(resumed.TryLoadSelection().has_value());
+  EXPECT_TRUE(resumed.TryLoadMining(core::MiningConfig{}).has_value());
+  std::vector<core::MeasurementResult> loaded =
+      resumed.LoadActiveBatches(/*expected_total=*/4);
+  EXPECT_GE(loaded.capacity(), 4u);
+  EXPECT_EQ(resumed.journal_stats().Rejections(), 0u);
+  *stats = resumed.stats();
+  return loaded;
+}
+
+TEST(StudyCheckpointTest, BadNameInABatchIsOneDecodeRejectOfTheWholeBatch) {
+  const std::vector<core::MeasurementResult> batch0 = {FabricateResult(0),
+                                                       FabricateResult(1)};
+  {  // The crafted layout itself decodes: a frame of good names loads.
+    const std::string dir = TempDir("crafted_good");
+    core::StudyCheckpointStats stats;
+    const auto loaded = LoadAfterCraftedBatch(dir, {"ok2", "gov", "aa"},
+                                              &stats);
+    core::MeasurementResult ok, ok2;
+    ok.domain = N("ok.gov.aa");
+    ok2.domain = N("ok2.gov.aa");
+    EXPECT_EQ(loaded, (std::vector<core::MeasurementResult>{
+                          batch0[0], batch0[1], ok, ok2}));
+    EXPECT_EQ(stats.decode_rejects, 0);
+    EXPECT_EQ(stats.batches_loaded, 2);
+    fs::remove_all(dir);
+  }
+  const std::vector<std::pair<const char*, std::vector<std::string>>> bad = {
+      {"64-octet label", {std::string(64, 'a'), "gov", "aa"}},
+      {"byte outside the label alphabet", {"b@d", "gov", "aa"}},
+      {"over 255 wire octets",  // 4 x (1 + 63) + 1 = 257
+       {std::string(63, 'a'), std::string(63, 'b'), std::string(63, 'c'),
+        std::string(63, 'd')}},
+      {"more labels than fit in 255 octets",
+       std::vector<std::string>(dns::Name::kMaxLabels + 1, "a")},
+  };
+  for (const auto& [what, labels] : bad) {
+    const std::string dir = TempDir("crafted_bad");
+    core::StudyCheckpointStats stats;
+    const auto loaded = LoadAfterCraftedBatch(dir, labels, &stats);
+    EXPECT_EQ(loaded, batch0) << what;
+    EXPECT_EQ(stats.decode_rejects, 1) << what;
+    EXPECT_EQ(stats.batches_loaded, 1) << what;
+    EXPECT_EQ(stats.results_loaded, 2) << what;
+    fs::remove_all(dir);
+  }
+}
+
 }  // namespace
 }  // namespace govdns

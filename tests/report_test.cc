@@ -3,6 +3,7 @@
 #include <regex>
 #include <sstream>
 
+#include "core/export.h"
 #include "core/report.h"
 #include "worldgen/adapter.h"
 
@@ -62,6 +63,76 @@ TEST_F(ReportTest, ReportIsInternallyConsistent) {
   // Comparable consistency domains are a subset of responsive domains.
   EXPECT_LE(report.consistency.comparable,
             report.funnel.parent_has_records);
+}
+
+// BuildReport runs its analyzers concurrently; each member must still be
+// exactly what its analyzer returns when called on its own, the analyzer
+// rows of profile[] must keep their names, items and order, and two builds
+// must export the same bytes.
+TEST_F(ReportTest, ConcurrentReportMatchesEachAnalyzer) {
+  Study& study = *bound_->study;
+  const MinedDataset& mined = study.mined();
+  const ActiveDataset& active = study.active();
+  const StudyInputs& inputs = study.inputs();
+  const std::vector<std::string> countries = {"cn", "br"};
+  const StudyReport report = BuildReport(study, countries);
+
+  EXPECT_EQ(report.selection, study.selection_stats());
+  EXPECT_EQ(report.pdns_per_year, CountPerYear(mined));
+  EXPECT_EQ(report.domains_per_country,
+            DomainsPerCountry(mined, inputs.countries));
+  EXPECT_EQ(report.funnel, active.ComputeFunnel());
+  EXPECT_EQ(report.replication, AnalyzeReplication(active));
+  std::vector<LevelDiversityRow> by_level;
+  EXPECT_EQ(report.diversity,
+            AnalyzeDiversity(active, *inputs.asn_db, countries, &by_level));
+  EXPECT_EQ(report.diversity_by_level, by_level);
+  EXPECT_EQ(report.d1ns_churn, D1nsChurn(mined));
+  EXPECT_EQ(report.private_share, PrivateShare(mined, study.seeds()));
+  const ProviderMatcher matcher(DefaultProviderRules());
+  const ProviderAnalyzer providers(&matcher, inputs.countries);
+  EXPECT_EQ(report.providers_first_year,
+            providers.Analyze(mined, mined.config.first_year));
+  EXPECT_EQ(report.providers_last_year,
+            providers.Analyze(mined, mined.config.last_year));
+  EXPECT_EQ(report.delegations, AnalyzeDelegations(active));
+  EXPECT_EQ(report.hijack,
+            AnalyzeHijackRisk(active, *inputs.psl, *inputs.registrar));
+  EXPECT_EQ(report.consistency, AnalyzeConsistency(active));
+  EXPECT_EQ(report.resilience, BuildResilienceReport(active));
+  EXPECT_EQ(report.quarantine, BuildQuarantineReport(active));
+
+  // profile[]: the study's phases, then one row per analyzer in this order.
+  const std::vector<obs::PhaseRecord> phases = study.profiler().records();
+  const int64_t active_n = static_cast<int64_t>(active.results.size());
+  const int64_t mined_n = static_cast<int64_t>(mined.domains.size());
+  const std::vector<std::pair<std::string, int64_t>> analyzer_rows = {
+      {"analyze.replication", active_n},  {"analyze.diversity", active_n},
+      {"analyze.d1ns_churn", mined_n},    {"analyze.private_share", mined_n},
+      {"analyze.providers", mined_n},     {"analyze.delegations", active_n},
+      {"analyze.hijack", active_n},       {"analyze.consistency", active_n},
+      {"analyze.resilience", active_n},   {"analyze.quarantine", active_n},
+  };
+  ASSERT_EQ(report.profile.size(), phases.size() + analyzer_rows.size());
+  for (size_t i = 0; i < phases.size(); ++i) {
+    EXPECT_EQ(report.profile[i].name, phases[i].name);
+    EXPECT_EQ(report.profile[i].items, phases[i].items);
+    EXPECT_EQ(report.profile[i].logical_ms, phases[i].logical_ms);
+  }
+  for (size_t i = 0; i < analyzer_rows.size(); ++i) {
+    const obs::PhaseRecord& row = report.profile[phases.size() + i];
+    EXPECT_EQ(row.name, analyzer_rows[i].first);
+    EXPECT_EQ(row.items, analyzer_rows[i].second) << row.name;
+    EXPECT_EQ(row.logical_ms, 0u) << row.name;
+    EXPECT_GE(row.wall_ms, 0.0) << row.name;
+  }
+
+  const StudyReport again = BuildReport(study, countries);
+  EXPECT_EQ(ExportReportJson(again), ExportReportJson(report));
+  std::ostringstream text, text_again;
+  PrintReport(report, text);
+  PrintReport(again, text_again);
+  EXPECT_EQ(text_again.str(), text.str());
 }
 
 // The heading of every paper artifact PrintReport renders.

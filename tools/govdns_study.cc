@@ -117,11 +117,6 @@ std::optional<std::pair<std::string, uint64_t>> ParseNameValue(
   return std::make_pair(s.substr(0, colon), *value);
 }
 
-// Far beyond any world that fits in memory (scale 1 peaks near 0.7 GB) and
-// small enough that every count the generator derives from it fits its
-// integer type.
-constexpr double kMaxScale = 1000.0;
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -181,7 +176,7 @@ int main(int argc, char** argv) {
     };
     constexpr int kIntMax = std::numeric_limits<int>::max();
     if (arg == "--scale") {
-      config.scale = real(kMaxScale);
+      config.scale = real(worldgen::kMaxScale);
     } else if (arg == "--seed") {
       config.seed = whole(UINT64_MAX);
     } else if (arg == "--json") {

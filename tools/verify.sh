@@ -88,6 +88,25 @@ for ARGS in "--scale -1" "--scale nan" "--scale abc" "--scale" \
 done
 echo "smoke: bad flag values exit 2 with the usage line OK"
 
+echo "==> smoke: benches reject a bad GOVDNS_SCALE before building a world"
+# The benches read their scale from the environment with the same strict
+# parse and range as --scale; a bad value must exit 2 and never reach the
+# "[bench] building world" progress line.
+for VALUE in nan abc -1 inf; do
+  set +e
+  GOVDNS_SCALE="${VALUE}" ./build/bench/bench_ablation_nsdaily_stat \
+    --benchmark_filter='^$' >/dev/null 2>"${SMOKE_DIR}/scale.err"
+  STATUS=$?
+  set -e
+  if [ "${STATUS}" -ne 2 ] ||
+     grep -q "\[bench\] building world" "${SMOKE_DIR}/scale.err"; then
+    echo "smoke: GOVDNS_SCALE=${VALUE} exited ${STATUS}:" >&2
+    cat "${SMOKE_DIR}/scale.err" >&2
+    exit 1
+  fi
+done
+echo "smoke: bad GOVDNS_SCALE values exit 2 before any world OK"
+
 echo "==> smoke: bench_output.txt rebuilds byte for byte"
 # The committed artifact is every paper table and figure from one
 # govdns_study run at scale 1 (about 9 s and 0.7 GB on a 4-core host) plus
@@ -306,18 +325,20 @@ echo "==> tier-1: tsan build + concurrency suites"
 # under ThreadSanitizer; the binaries are invoked directly so gtest filters
 # stay simple and reliable.
 cmake --preset tsan >/dev/null
-# worldgen_test builds worlds with passive DNS on a second thread, and the
-# measurement pool reads the sealed zones (zone_test) from every worker.
+# worldgen_test builds worlds with passive DNS on a second thread, the
+# measurement pool reads the sealed zones (zone_test) from every worker, and
+# BuildReport runs its analyzers on the pool (report_test, analysis_test).
 cmake --build --preset tsan -j "${JOBS}" --target \
   simnet_test resolver_test measure_test parallel_measure_test \
   chaos_resilience_test pdns_test mining_test parallel_mine_test \
   mining_fold_test ckpt_test ckpt_resume_test degradation_test \
-  quarantine_test netio_test snapshot_file_test worldgen_test zone_test
+  quarantine_test netio_test snapshot_file_test worldgen_test zone_test \
+  report_test analysis_test
 for t in simnet_test resolver_test measure_test parallel_measure_test \
          chaos_resilience_test pdns_test mining_test parallel_mine_test \
          mining_fold_test ckpt_test ckpt_resume_test degradation_test \
          quarantine_test netio_test snapshot_file_test worldgen_test \
-         zone_test; do
+         zone_test report_test analysis_test; do
   echo "==> tsan: ${t}"
   timeout "${CTEST_TIMEOUT}" "./build-tsan/tests/${t}"
 done
