@@ -62,7 +62,7 @@ ArmPoint RunArm(const std::string& dir, const Fault& fault,
   using namespace govdns;
   fs::remove_all(dir);
   worldgen::WorldConfig config;
-  config.scale = govdns::bench::ScaleFromEnv(kUnsetScale);
+  config.scale = govdns::bench::ScaleFromEnv("GOVDNS_SCALE", kUnsetScale);
   auto world = worldgen::BuildWorld(config);
 
   std::vector<worldgen::VantageProfile> profiles;
@@ -218,7 +218,7 @@ void PrintArtifact() {
 
   govdns::util::JsonWriter w;
   w.BeginObject();
-  w.Kv("scale", govdns::bench::ScaleFromEnv(kUnsetScale));
+  w.Kv("scale", govdns::bench::ScaleFromEnv("GOVDNS_SCALE", kUnsetScale));
   w.Kv("vantages", int64_t(kVantages));
   w.Kv("clean_seconds", clean.seconds);
   w.Kv("crash_seconds", crashed.seconds);

@@ -24,7 +24,6 @@
 // BENCH_mining.json (path overridable via GOVDNS_MINING_JSON).
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <optional>
@@ -45,6 +44,9 @@ namespace fs = std::filesystem;
 using govdns::bench::BenchEnv;
 
 constexpr uint64_t kSnapshotFingerprint = 0xBE4C11731E5CA1Eull;
+
+// The second sweep's scale, read at the top of main (0 disables it).
+double g_mine_scale = 0.0;
 
 struct PhaseWalls {
   double intern = 0.0;
@@ -285,14 +287,10 @@ void PrintArtifact() {
   // base scale, 0 disables) on its own world, so the scaling statement is
   // made where the serial fold used to hurt the most.
   std::optional<SweepResult> big_sweep;
-  double mine_scale = env.scale() * 10.0;
-  if (const char* s = std::getenv("GOVDNS_MINE_SCALE")) {
-    mine_scale = std::atof(s);
-  }
-  if (mine_scale > 0.0) {
-    auto scaled = govdns::bench::MakeScaledStudy(mine_scale);
+  if (g_mine_scale > 0.0) {
+    auto scaled = govdns::bench::MakeScaledStudy(g_mine_scale);
     scaled.study().RunSelection();
-    big_sweep = RunSweep(scaled.study(), mine_scale);
+    big_sweep = RunSweep(scaled.study(), g_mine_scale);
     PrintSweepTable(*big_sweep);
   }
 
@@ -320,4 +318,10 @@ void PrintArtifact() {
 
 }  // namespace
 
-GOVDNS_BENCH_MAIN(PrintArtifact)
+int main(int argc, char** argv) {
+  // Both scales are parsed before google-benchmark runs anything, so a bad
+  // GOVDNS_MINE_SCALE exits 2 before any world is built.
+  g_mine_scale = govdns::bench::ScaleFromEnv(
+      "GOVDNS_MINE_SCALE", govdns::bench::ScaleFromEnv() * 10.0);
+  return govdns::bench::BenchMain(argc, argv, PrintArtifact);
+}

@@ -15,13 +15,13 @@ BenchEnv& BenchEnv::Get() {
   return env;
 }
 
-double ScaleFromEnv(double unset) {
-  const char* text = std::getenv("GOVDNS_SCALE");
+double ScaleFromEnv(const char* var, double unset) {
+  const char* text = std::getenv(var);
   if (text == nullptr) return unset;
   const std::optional<double> scale =
       util::ParseDouble(text, 0.0, worldgen::kMaxScale);
   if (!scale) {
-    std::fprintf(stderr, "[bench] GOVDNS_SCALE=%s: want a number in [0, %g]\n",
+    std::fprintf(stderr, "[bench] %s=%s: want a number in [0, %g]\n", var,
                  text, worldgen::kMaxScale);
     std::exit(2);
   }

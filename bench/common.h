@@ -52,11 +52,12 @@ class BenchEnv {
   bool active_done_ = false;
 };
 
-// GOVDNS_SCALE, parsed as strictly as `govdns_study --scale`: one whole
-// finite number in [0, worldgen::kMaxScale]; `unset` when the variable is
-// not set. A bad value names the variable and exits 2, before any world is
-// built.
-double ScaleFromEnv(double unset = 1.0);
+// A scale from the environment variable `var` (GOVDNS_SCALE, or
+// bench_parallel_mine's GOVDNS_MINE_SCALE), parsed as strictly as
+// `govdns_study --scale`: one whole finite number in
+// [0, worldgen::kMaxScale]; `unset` when the variable is not set. A bad
+// value names the variable and exits 2, before any world is built.
+double ScaleFromEnv(const char* var = "GOVDNS_SCALE", double unset = 1.0);
 
 // An independent world + study at an explicit scale, for benches that sweep
 // scale itself (e.g. bench_parallel_mine's GOVDNS_MINE_SCALE sweep) and so

@@ -8,7 +8,6 @@
 // registrable dangling nameserver domains.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
@@ -16,6 +15,7 @@
 #include "core/analysis.h"
 #include "core/providers.h"
 #include "core/study.h"
+#include "scale_arg.h"
 #include "util/strings.h"
 #include "util/table.h"
 #include "worldgen/adapter.h"
@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   using namespace govdns;
   std::string code = argc > 1 ? argv[1] : "br";
   worldgen::WorldConfig config;
-  config.scale = argc > 2 ? std::atof(argv[2]) : 0.05;
+  config.scale = examples::ScaleArg(argc, argv, 2, "[cc] [scale]");
   auto world = worldgen::BuildWorld(config);
   auto bound = worldgen::MakeStudy(*world);
   core::Study& study = *bound.study;

@@ -2,16 +2,16 @@
 // consolidated study report (core::BuildReport / core::PrintReport).
 //
 //   ./full_report [scale]    (default 0.05)
-#include <cstdlib>
 #include <iostream>
 
 #include "core/report.h"
+#include "scale_arg.h"
 #include "worldgen/adapter.h"
 
 int main(int argc, char** argv) {
   using namespace govdns;
   worldgen::WorldConfig config;
-  config.scale = argc > 1 ? std::atof(argv[1]) : 0.05;
+  config.scale = examples::ScaleArg(argc, argv, 1, "[scale]");
   auto world = worldgen::BuildWorld(config);
   auto bound = worldgen::MakeStudy(*world);
   bound.study->RunAll();

@@ -5,12 +5,12 @@
 //   ./hijack_scan [scale]    (default 0.05)
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <set>
 
 #include "core/analysis.h"
 #include "core/study.h"
+#include "scale_arg.h"
 #include "util/stats.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -19,7 +19,7 @@
 int main(int argc, char** argv) {
   using namespace govdns;
   worldgen::WorldConfig config;
-  config.scale = argc > 1 ? std::atof(argv[1]) : 0.05;
+  config.scale = examples::ScaleArg(argc, argv, 1, "[scale]");
   auto world = worldgen::BuildWorld(config);
   auto bound = worldgen::MakeStudy(*world);
   core::Study& study = *bound.study;

@@ -4,12 +4,12 @@
 //
 //   ./longitudinal_trends [scale]    (default 0.05)
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "core/mining.h"
 #include "core/providers.h"
 #include "core/study.h"
+#include "scale_arg.h"
 #include "util/strings.h"
 #include "util/table.h"
 #include "worldgen/adapter.h"
@@ -17,7 +17,7 @@
 int main(int argc, char** argv) {
   using namespace govdns;
   worldgen::WorldConfig config;
-  config.scale = argc > 1 ? std::atof(argv[1]) : 0.05;
+  config.scale = examples::ScaleArg(argc, argv, 1, "[scale]");
   auto world = worldgen::BuildWorld(config);
   auto bound = worldgen::MakeStudy(*world);
   core::Study& study = *bound.study;

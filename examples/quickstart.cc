@@ -4,10 +4,10 @@
 //
 //   ./quickstart [scale]     (default scale 0.05)
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/analysis.h"
 #include "core/study.h"
+#include "scale_arg.h"
 #include "util/strings.h"
 #include "worldgen/adapter.h"
 
@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   // 1. A world to measure. At scale 1.0 this reproduces the paper's global
   //    scale (~190k domains); smaller scales shrink every country's share.
   worldgen::WorldConfig config;
-  config.scale = argc > 1 ? std::atof(argv[1]) : 0.05;
+  config.scale = examples::ScaleArg(argc, argv, 1, "[scale]");
   config.seed = 2022;
   std::printf("building world (scale %.2f, seed %llu)...\n", config.scale,
               static_cast<unsigned long long>(config.seed));

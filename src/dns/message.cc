@@ -1,5 +1,6 @@
 #include "dns/message.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "dns/wire.h"
@@ -55,56 +56,73 @@ util::StatusOr<Message> Message::Decode(const std::vector<uint8_t>& wire) {
   return Decode(wire.data(), wire.size());
 }
 
+namespace {
+
+// The fewest octets a question (root name, type, class) and a record (root
+// name, type, class, TTL, RDLENGTH) can occupy. A section reserves its
+// header count capped by the bytes left over these, so a crafted count
+// cannot drive a large allocation (the guard of ckpt::Reader::Count).
+constexpr size_t kMinQuestionOctets = 5;
+constexpr size_t kMinRecordOctets = 11;
+
+size_t ReserveCount(const WireReader& r, uint16_t count, size_t min_octets) {
+  return std::min<size_t>(count, r.remaining() / min_octets);
+}
+
+bool ReadQuestion(WireReader& r, Question* q) {
+  uint16_t type = 0;
+  uint16_t klass = 0;
+  if (!r.ReadName(&q->name) || !r.ReadU16(&type) || !r.ReadU16(&klass)) {
+    return false;
+  }
+  if (klass != static_cast<uint16_t>(RRClass::kIN)) {
+    return r.Fail("unsupported question class");
+  }
+  q->type = static_cast<RRType>(type);
+  return true;
+}
+
+// Decodes the whole message into *msg, each question and record straight
+// into its section; false with the reason latched in `r` on any failure.
+bool DecodeInto(WireReader& r, Message* msg) {
+  uint16_t flags = 0;
+  if (!r.ReadU16(&msg->header.id) || !r.ReadU16(&flags)) return false;
+  if (((flags >> 11) & 0x0F) != 0) return r.Fail("unsupported opcode");
+  Header& h = msg->header;
+  h.qr = flags & 0x8000;
+  h.opcode = Opcode::kQuery;
+  h.aa = flags & 0x0400;
+  h.tc = flags & 0x0200;
+  h.rd = flags & 0x0100;
+  h.ra = flags & 0x0080;
+  h.rcode = static_cast<Rcode>(flags & 0x0F);
+
+  uint16_t counts[4] = {};
+  for (uint16_t& count : counts) {
+    if (!r.ReadU16(&count)) return false;
+  }
+  msg->questions.reserve(ReserveCount(r, counts[0], kMinQuestionOctets));
+  for (uint16_t i = 0; i < counts[0]; ++i) {
+    if (!ReadQuestion(r, &msg->questions.emplace_back())) return false;
+  }
+  std::vector<ResourceRecord>* sections[] = {&msg->answers, &msg->authority,
+                                             &msg->additional};
+  for (int s = 0; s < 3; ++s) {
+    sections[s]->reserve(ReserveCount(r, counts[s + 1], kMinRecordOctets));
+    for (uint16_t i = 0; i < counts[s + 1]; ++i) {
+      if (!r.ReadRecord(&sections[s]->emplace_back())) return false;
+    }
+  }
+  if (!r.AtEnd()) return r.Fail("trailing bytes in message");
+  return true;
+}
+
+}  // namespace
+
 util::StatusOr<Message> Message::Decode(const uint8_t* data, size_t len) {
   WireReader r(data, len);
   Message msg;
-  auto id = r.ReadU16();
-  if (!id.ok()) return id.status();
-  msg.header.id = *id;
-  auto flags_or = r.ReadU16();
-  if (!flags_or.ok()) return flags_or.status();
-  uint16_t flags = *flags_or;
-  msg.header.qr = flags & 0x8000;
-  uint8_t opcode = (flags >> 11) & 0x0F;
-  if (opcode != 0) return util::ParseError("unsupported opcode");
-  msg.header.opcode = Opcode::kQuery;
-  msg.header.aa = flags & 0x0400;
-  msg.header.tc = flags & 0x0200;
-  msg.header.rd = flags & 0x0100;
-  msg.header.ra = flags & 0x0080;
-  msg.header.rcode = static_cast<Rcode>(flags & 0x0F);
-
-  uint16_t counts[4];
-  for (auto& count : counts) {
-    auto v = r.ReadU16();
-    if (!v.ok()) return v.status();
-    count = *v;
-  }
-  for (uint16_t i = 0; i < counts[0]; ++i) {
-    Question q;
-    auto name = r.ReadName();
-    if (!name.ok()) return name.status();
-    q.name = *std::move(name);
-    auto type = r.ReadU16();
-    if (!type.ok()) return type.status();
-    q.type = static_cast<RRType>(*type);
-    auto klass = r.ReadU16();
-    if (!klass.ok()) return klass.status();
-    if (*klass != static_cast<uint16_t>(RRClass::kIN)) {
-      return util::ParseError("unsupported question class");
-    }
-    msg.questions.push_back(std::move(q));
-  }
-  std::vector<ResourceRecord>* sections[] = {&msg.answers, &msg.authority,
-                                             &msg.additional};
-  for (int s = 0; s < 3; ++s) {
-    for (uint16_t i = 0; i < counts[s + 1]; ++i) {
-      auto rr = r.ReadRecord();
-      if (!rr.ok()) return rr.status();
-      sections[s]->push_back(*std::move(rr));
-    }
-  }
-  if (!r.AtEnd()) return util::ParseError("trailing bytes in message");
+  if (!DecodeInto(r, &msg)) return util::ParseError(r.error());
   return msg;
 }
 

@@ -1,9 +1,25 @@
-// RFC 1035 wire-format primitives: bounded reader, writer with name
-// compression, and rdata codecs.
+// RFC 1035 wire format: a latching reader that decodes in place, a writer
+// with name compression, and DNS-over-TCP framing.
 //
-// The simulated network carries real wire-format packets so that the
-// measurement client exercises genuine encode/parse paths, including
-// compression pointers and truncation handling.
+// The simulated network carries real wire-format packets, so every
+// measured exchange runs this codec four times (the client encodes the
+// query and decodes the reply, the server the reverse). That makes it the
+// reproduction's hot loop, and it exercises genuine compression pointers
+// and truncation handling.
+//
+// Reading follows the ckpt::Reader idiom. Every read returns bool and
+// writes its output only on success; the first failure latches (every
+// later read fails too) and its reason is a static string, so a clean
+// decode builds no error text. ReadName walks labels and compression
+// pointers once, collecting views into the message, and builds the Name
+// through Name::FromLabels, which validates, lowercases and bounds each
+// label as it copies it into the key. ReadRecord decodes straight into
+// the caller's record, and Message::Decode reads each question and record
+// into its section's emplace_back().
+//
+// Writing reserves RFC 1035's 512-octet UDP limit before the first byte,
+// and room for the compression table, so a typical message is encoded
+// into one buffer that never regrows.
 #pragma once
 
 #include <cstdint>
@@ -13,12 +29,13 @@
 
 #include "dns/name.h"
 #include "dns/rr.h"
-#include "util/status.h"
 
 namespace govdns::dns {
 
 class WireWriter {
  public:
+  WireWriter();
+
   void WriteU8(uint8_t v);
   void WriteU16(uint16_t v);
   void WriteU32(uint32_t v);
@@ -65,34 +82,45 @@ class WireReader {
   explicit WireReader(const std::vector<uint8_t>& buf)
       : WireReader(buf.data(), buf.size()) {}
 
-  util::StatusOr<uint8_t> ReadU8();
-  util::StatusOr<uint16_t> ReadU16();
-  util::StatusOr<uint32_t> ReadU32();
-  util::Status ReadBytes(uint8_t* out, size_t len);
+  // Each read returns false, leaving its output untouched, when the bytes
+  // run out or are malformed, or once an earlier read has failed.
+  bool ReadU8(uint8_t* v);
+  bool ReadU16(uint16_t* v);
+  bool ReadU32(uint32_t* v);
+  bool ReadBytes(uint8_t* out, size_t len);
 
-  // Reads a (possibly compressed) domain name, building its canonical key
-  // straight from the wire labels. Rejects pointer loops, forward pointers
-  // and invalid labels.
-  util::StatusOr<Name> ReadName();
+  // Reads a (possibly compressed) domain name. Follows at most 32
+  // compression pointers, each strictly backwards; rejects a reserved label
+  // type, a name over 255 wire octets and any byte outside the legal label
+  // set ('\0' included, so no label can forge a key separator).
+  bool ReadName(Name* out);
 
-  // Decodes a full resource record starting at the current position.
-  util::StatusOr<ResourceRecord> ReadRecord();
+  // Decodes a full resource record straight into *out. A failed read may
+  // leave *out partly written.
+  bool ReadRecord(ResourceRecord* out);
 
-  size_t position() const { return pos_; }
+  // Latches `reason`, a string literal, unless a failure is already
+  // latched; returns false. For checks a caller makes on what it read.
+  bool Fail(const char* reason);
+
+  bool ok() const { return error_ == nullptr; }
+  // The first failure's reason; nullptr while ok().
+  const char* error() const { return error_; }
   size_t remaining() const { return len_ - pos_; }
-  bool AtEnd() const { return pos_ == len_; }
+  // True when every byte was consumed cleanly.
+  bool AtEnd() const { return ok() && pos_ == len_; }
 
  private:
+  // Claims n bytes or latches failure.
+  const uint8_t* Take(size_t n);
+  // Decodes the rdata of `type` in the next `rdlength` bytes into *out.
+  bool ReadRdata(uint16_t type, uint16_t rdlength, Rdata* out);
+
   const uint8_t* data_;
   size_t len_;
   size_t pos_ = 0;
+  const char* error_ = nullptr;
 };
-
-// Decodes typed rdata from its wire form. `reader` must be positioned at the
-// start of the rdata; `rdlength` bounds it. Name-bearing rdata may contain
-// compression pointers into the whole message.
-util::StatusOr<Rdata> ReadRdata(WireReader& reader, RRType type,
-                                uint16_t rdlength);
 
 // DNS-over-TCP framing (RFC 1035 §4.2.2): each message on a stream is
 // prefixed by a two-byte big-endian length.

@@ -88,24 +88,36 @@ for ARGS in "--scale -1" "--scale nan" "--scale abc" "--scale" \
 done
 echo "smoke: bad flag values exit 2 with the usage line OK"
 
-echo "==> smoke: benches reject a bad GOVDNS_SCALE before building a world"
-# The benches read their scale from the environment with the same strict
-# parse and range as --scale; a bad value must exit 2 and never reach the
-# "[bench] building world" progress line.
-for VALUE in nan abc -1 inf; do
+echo "==> smoke: benches and examples reject a bad scale before building a world"
+# The benches read their scales from the environment (GOVDNS_SCALE, and
+# bench_parallel_mine's GOVDNS_MINE_SCALE) and the examples from argv, all
+# with the same strict parse and range as --scale; a bad value must exit 2
+# and never reach a "building world" progress line.
+scale_rejected() {  # scale_rejected LABEL CMD...: CMD must exit 2, no world
+  local label=$1
+  shift
   set +e
-  GOVDNS_SCALE="${VALUE}" ./build/bench/bench_ablation_nsdaily_stat \
-    --benchmark_filter='^$' >/dev/null 2>"${SMOKE_DIR}/scale.err"
-  STATUS=$?
+  "$@" >"${SMOKE_DIR}/scale.err" 2>&1
+  local status=$?
   set -e
-  if [ "${STATUS}" -ne 2 ] ||
-     grep -q "\[bench\] building world" "${SMOKE_DIR}/scale.err"; then
-    echo "smoke: GOVDNS_SCALE=${VALUE} exited ${STATUS}:" >&2
+  if [ "${status}" -ne 2 ] ||
+     grep -Eq "building (extra )?world" "${SMOKE_DIR}/scale.err"; then
+    echo "smoke: ${label} exited ${status}:" >&2
     cat "${SMOKE_DIR}/scale.err" >&2
     exit 1
   fi
+}
+for VALUE in nan abc -1 inf; do
+  scale_rejected "GOVDNS_SCALE=${VALUE}" env GOVDNS_SCALE="${VALUE}" \
+    ./build/bench/bench_ablation_nsdaily_stat --benchmark_filter='^$'
 done
-echo "smoke: bad GOVDNS_SCALE values exit 2 before any world OK"
+scale_rejected "quickstart abc" ./build/examples/quickstart abc
+scale_rejected "full_report nan" ./build/examples/full_report nan
+scale_rejected "GOVDNS_MINE_SCALE=abc" env GOVDNS_SCALE=0.01 \
+  GOVDNS_MINE_SCALE=abc ./build/bench/bench_parallel_mine \
+  --benchmark_filter='^$'
+echo "smoke: bad GOVDNS_SCALE/GOVDNS_MINE_SCALE and example scales exit 2" \
+  "before any world OK"
 
 echo "==> smoke: bench_output.txt rebuilds byte for byte"
 # The committed artifact is every paper table and figure from one
