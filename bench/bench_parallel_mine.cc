@@ -140,7 +140,7 @@ SweepResult RunSweep(govdns::core::Study& study, double scale) {
   const auto serial =
       MinePoint(store, seeds, config, 1, &r.serial_seconds, &serial_phases);
   r.domains = serial.domains.size();
-  r.ns_names = serial.ns_names.size();
+  r.ns_names = serial.ns_count();
   r.entries_scanned = serial.stats.entries_scanned;
   r.serial_phase_seconds = serial_phases.intern_merge + serial_phases.renumber;
   const double parallel_part = r.serial_seconds - r.serial_phase_seconds;

@@ -19,12 +19,20 @@
 #include "util/strings.h"
 #include "util/table.h"
 #include "worldgen/adapter.h"
+#include "worldgen/countries.h"
 
 int main(int argc, char** argv) {
   using namespace govdns;
   std::string code = argc > 1 ? argv[1] : "br";
   worldgen::WorldConfig config;
   config.scale = examples::ScaleArg(argc, argv, 2, "[cc] [scale]");
+  // The country codes are known before any world exists.
+  if (worldgen::CountryIndexByCode(code) < 0) {
+    std::fprintf(stderr,
+                 "usage: %s [cc] [scale]\n  cc: a country code, not '%s'\n",
+                 argv[0], code.c_str());
+    return 2;
+  }
   auto world = worldgen::BuildWorld(config);
   auto bound = worldgen::MakeStudy(*world);
   core::Study& study = *bound.study;

@@ -144,10 +144,10 @@ bool Reader::Size(uint64_t* v) {
   return false;
 }
 
-bool Reader::Count(size_t* v) {
+bool Reader::Count(size_t* v, size_t min_octets) {
   uint64_t n = 0;
   if (!Size(&n)) return false;
-  if (n > remaining()) {
+  if (n > remaining() / min_octets) {
     ok_ = false;
     return false;
   }

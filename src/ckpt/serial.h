@@ -77,7 +77,12 @@ class Reader {
   // Size() plus a resize-bomb guard: an element count must be coverable by
   // the bytes that remain (>= 1 byte per element), so a corrupted count can
   // never drive a multi-gigabyte allocation before the bounds checks hit.
-  bool Count(size_t* v);
+  bool Count(size_t* v) { return Count(v, 1); }
+  // The same guard for elements that each take at least `min_octets` (> 0)
+  // bytes: a count the remaining bytes cannot hold is refused up front. As
+  // long as `min_octets` is a true lower bound, this refuses exactly the
+  // counts whose elements would run out of bytes later.
+  bool Count(size_t* v, size_t min_octets);
   bool Str(std::string* s);
   // Str without the copy: a view into the buffer being read.
   bool View(std::string_view* s);

@@ -35,6 +35,13 @@ uint64_t MiningConfigFingerprint(const MiningConfig& config) {
   return state;
 }
 
+void MinedDataset::AppendNsName(std::string_view name) {
+  GOVDNS_CHECK(ns_bytes.size() + name.size() <=
+               std::numeric_limits<uint32_t>::max());
+  ns_bytes.append(name);
+  ns_ends.push_back(static_cast<uint32_t>(ns_bytes.size()));
+}
+
 PdnsMiner::PdnsMiner(MiningConfig config, MinerOptions options)
     : config_(config), options_(options) {
   GOVDNS_CHECK(config.first_year <= config.last_year);
@@ -160,12 +167,16 @@ struct SweepScratch {
   }
 };
 
-// Output of mining one seed. ns ids are global sorted-table ids;
-// `first_use` records them in first-use order so the fold's renumber pass
-// can replay seed-order first appearances without re-hashing a single
-// string.
+// Output of mining one seed, in the dataset's column layout: one row per
+// (domain, year), each row's ids ending at its `id_ends` entry. ns ids are
+// global sorted-table ids; `first_use` records them in first-use order so
+// the fold's renumber pass can replay seed-order first appearances without
+// re-hashing a single string.
 struct SeedShard {
   std::vector<MinedDomain> domains;
+  std::vector<int32_t> modes;      // one per row
+  std::vector<uint32_t> id_ends;   // one per row, offsets into `ids`
+  std::vector<int32_t> ids;        // each row's distinct ids, ascending
   std::vector<int32_t> first_use;  // sorted-table ids, first-use order
   MiningStats stats;               // partial sums (seeds field unused)
 };
@@ -231,6 +242,9 @@ void MineSeed(const MiningConfig& config, const pdns::PdnsSnapshot& snapshot,
   scratch.BeginSeed();
   util::ArenaVec<std::pair<util::CivilDay, int>> delta(&scratch.arena);
   util::ArenaVec<std::pair<int, int64_t>> days_at_count(&scratch.arena);
+  // One domain's (year offset, sorted-table id) sightings; sorted and
+  // deduplicated, they are the domain's rows of ids in year order.
+  util::ArenaVec<std::pair<int32_t, int32_t>> year_ids(&scratch.arena);
 
   // Resolves an intern-eligible rdata to its global sorted id (the pre-pass
   // collected every such string, so a miss is a broken invariant, not a
@@ -260,8 +274,8 @@ void MineSeed(const MiningConfig& config, const pdns::PdnsSnapshot& snapshot,
     domain.country = seed.country;
     domain.seed_index = seed_index;
     domain.disposable = PdnsMiner::LooksDisposable(domain.name);
-    domain.years.resize(years);
 
+    year_ids.clear();
     for (const auto& entry : entries) {
       if (!is_ns(entry)) continue;
       ++shard.stats.entries_scanned;
@@ -282,14 +296,26 @@ void MineSeed(const MiningConfig& config, const pdns::PdnsSnapshot& snapshot,
       for (int y = 0; y < years; ++y) {
         if (entry.seen.last < year_start[y] || entry.seen.first > year_end[y])
           continue;
-        domain.years[y].ns_ids.push_back(gid);
+        year_ids.emplace_back(y, gid);
       }
     }
+    // Dedupe by sorted-table id within each year; the fold's renumber pass
+    // re-sorts each row after converting to first-seen ids.
+    std::sort(year_ids.begin(), year_ids.end());
+    year_ids.resize_down(static_cast<size_t>(
+        std::unique(year_ids.begin(), year_ids.end()) - year_ids.begin()));
 
     // Mode of daily counts, per year (paper Fig. 5). A sweep over the
     // +1/-1 deltas of each stable entry's in-year interval.
+    size_t next = 0;  // the domain's first sighting of year y in year_ids
     for (int y = 0; y < years; ++y) {
-      if (domain.years[y].ns_ids.empty()) continue;
+      const size_t first = next;
+      while (next < year_ids.size() && year_ids[next].first == y) ++next;
+      if (next == first) {  // no stable records that year
+        shard.modes.push_back(0);
+        shard.id_ends.push_back(static_cast<uint32_t>(shard.ids.size()));
+        continue;
+      }
       delta.clear();
       for (const auto& entry : entries) {
         if (!is_ns(entry) || !stable(entry)) continue;
@@ -329,13 +355,11 @@ void MineSeed(const MiningConfig& config, const pdns::PdnsSnapshot& snapshot,
       }
       days_at_count.resize_down(w);
 
-      domain.years[y].mode_ns_count =
-          YearlyValue(config.statistic, days_at_count);
-      // Dedupe by sorted-table id; the fold's renumber pass re-sorts after
-      // converting to first-seen ids.
-      auto& ids = domain.years[y].ns_ids;
-      std::sort(ids.begin(), ids.end());
-      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+      shard.modes.push_back(YearlyValue(config.statistic, days_at_count));
+      for (size_t i = first; i < next; ++i) {
+        shard.ids.push_back(year_ids[i].second);
+      }
+      shard.id_ends.push_back(static_cast<uint32_t>(shard.ids.size()));
     }
 
     ++shard.stats.domains;
@@ -497,14 +521,21 @@ MinedDataset PdnsMiner::Mine(const pdns::PdnsSnapshot& snapshot,
       // Every collected name must have been used (InternEligible is the
       // single predicate on both sides), so the permutation is total.
       GOVDNS_CHECK(static_cast<size_t>(next_id) == table.size());
-      out.ns_names.resize(table.size());
+      std::vector<int32_t> by_new_id(table.size());
+      size_t bytes = 0;
       for (size_t i = 0; i < table.size(); ++i) {
-        out.ns_names[static_cast<size_t>(perm[i])].assign(table.name(i));
+        by_new_id[static_cast<size_t>(perm[i])] = static_cast<int32_t>(i);
+        bytes += table.name(i).size();
+      }
+      out.ns_bytes.reserve(bytes);
+      out.ns_ends.reserve(table.size());
+      for (const int32_t i : by_new_id) {
+        out.AppendNsName(table.name(static_cast<size_t>(i)));
       }
     }
 
     // 4b ("mining.fold.sort"): rewrite sorted-table ids to first-seen ids
-    // and restore per-year sorted order. Independent per seed, so the pool
+    // and restore each row's sorted order. Independent per seed, so the pool
     // is reused; the result is canonical regardless of scheduling.
     {
       std::optional<obs::PhaseProfiler::Scope> sub;
@@ -519,16 +550,19 @@ MinedDataset PdnsMiner::Mine(const pdns::PdnsSnapshot& snapshot,
         for (;;) {
           const size_t s = next.value.fetch_add(1, std::memory_order_relaxed);
           if (s >= shards.size()) break;
-          for (MinedDomain& domain : shards[s].domains) {
-            for (YearState& year : domain.years) {
-              for (int32_t& id : year.ns_ids) id = perm[id];
-              // Monotonic rewrites (common: a seed whose names were first
-              // seen in sorted order) leave the list sorted; skip then.
-              if (!std::is_sorted(year.ns_ids.begin(), year.ns_ids.end())) {
-                std::sort(year.ns_ids.begin(), year.ns_ids.end());
-                ++local;
-              }
+          SeedShard& shard = shards[s];
+          for (int32_t& id : shard.ids) id = perm[id];
+          uint32_t begin = 0;
+          for (const uint32_t end : shard.id_ends) {
+            const auto first = shard.ids.begin() + begin;
+            const auto last = shard.ids.begin() + end;
+            // Monotonic rewrites (common: a seed whose names were first
+            // seen in sorted order) leave the row sorted; skip then.
+            if (!std::is_sorted(first, last)) {
+              std::sort(first, last);
+              ++local;
             }
+            begin = end;
           }
         }
         resorted[static_cast<size_t>(w)].value = local;
@@ -536,22 +570,25 @@ MinedDataset PdnsMiner::Mine(const pdns::PdnsSnapshot& snapshot,
       if (sub) {
         int64_t total = 0;
         for (const auto& r : resorted) total += r.value;
-        sub->set_items(total);  // deterministic: perm and lists are fixed
+        sub->set_items(total);  // deterministic: perm and rows are fixed
       }
     }
 
-    // 4c ("mining.fold.concat"): place every seed's domains at its
-    // precomputed offset — a parallel move, not a serial append — and fold
-    // the commutative stats sums.
+    // 4c ("mining.fold.concat"): copy every seed's columns to its
+    // prefix-summed row and id offsets — a parallel copy, not a serial
+    // append — freeing each shard once it is placed, and fold the
+    // commutative stats sums.
     {
       std::optional<obs::PhaseProfiler::Scope> sub;
       if (options_.profiler != nullptr) {
         sub.emplace(options_.profiler, "mining.fold.concat");
       }
-      std::vector<size_t> offset(shards.size() + 1, 0);
+      std::vector<size_t> domain_offset(shards.size() + 1, 0);
+      std::vector<size_t> id_offset(shards.size() + 1, 0);
       for (size_t s = 0; s < shards.size(); ++s) {
         const SeedShard& shard = shards[s];
-        offset[s + 1] = offset[s] + shard.domains.size();
+        domain_offset[s + 1] = domain_offset[s] + shard.domains.size();
+        id_offset[s + 1] = id_offset[s] + shard.ids.size();
         out.stats.entries_scanned += shard.stats.entries_scanned;
         out.stats.entries_unstable += shard.stats.entries_unstable;
         out.stats.domains += shard.stats.domains;
@@ -559,20 +596,35 @@ MinedDataset PdnsMiner::Mine(const pdns::PdnsSnapshot& snapshot,
         out.stats.domains_in_active_window +=
             shard.stats.domains_in_active_window;
       }
-      out.domains.resize(offset.back());
+      GOVDNS_CHECK(id_offset.back() <= std::numeric_limits<uint32_t>::max());
+      const size_t rows = domain_offset.back() * static_cast<size_t>(years);
+      out.domains.resize(domain_offset.back());
+      out.modes.resize(rows);
+      out.ids_begin.resize(rows + 1);  // ids_begin[0] stays 0
+      out.ns_ids.resize(id_offset.back());
       util::CacheAligned<std::atomic<size_t>> next;
       util::RunOnPool(workers, [&](int) {
         for (;;) {
           const size_t s = next.value.fetch_add(1, std::memory_order_relaxed);
           if (s >= shards.size()) break;
-          for (size_t i = 0; i < shards[s].domains.size(); ++i) {
-            out.domains[offset[s] + i] = std::move(shards[s].domains[i]);
+          SeedShard& shard = shards[s];
+          std::move(shard.domains.begin(), shard.domains.end(),
+                    out.domains.begin() + domain_offset[s]);
+          const size_t row = domain_offset[s] * static_cast<size_t>(years);
+          std::copy(shard.modes.begin(), shard.modes.end(),
+                    out.modes.begin() + row);
+          const uint32_t base = static_cast<uint32_t>(id_offset[s]);
+          for (size_t r = 0; r < shard.id_ends.size(); ++r) {
+            out.ids_begin[row + r + 1] = base + shard.id_ends[r];
           }
+          std::copy(shard.ids.begin(), shard.ids.end(),
+                    out.ns_ids.begin() + id_offset[s]);
+          shard = SeedShard();
         }
       });
       if (sub) sub->set_items(static_cast<int64_t>(out.domains.size()));
     }
-    if (scope) scope->set_items(static_cast<int64_t>(out.ns_names.size()));
+    if (scope) scope->set_items(static_cast<int64_t>(out.ns_count()));
   }
   return out;
 }
@@ -608,24 +660,25 @@ std::vector<YearlyCounts> CountPerYear(const MinedDataset& dataset) {
   // by one so the SeedDomain default -1 has a row, and grow on demand; NS
   // rows are indexed by interned id.
   std::vector<uint8_t> country_marks;
-  std::vector<uint8_t> ns_marks(dataset.ns_names.size() * years);
+  std::vector<uint8_t> ns_marks(dataset.ns_count() * years);
   auto mark = [](uint8_t& slot) -> int64_t {
     const int64_t fresh = slot == 0;
     slot = 1;
     return fresh;
   };
-  for (const MinedDomain& domain : dataset.domains) {
-    GOVDNS_CHECK(domain.country >= -1);
-    const size_t country_row = static_cast<size_t>(domain.country + 1) * years;
+  for (size_t d = 0; d < dataset.domains.size(); ++d) {
+    const int country = dataset.domains[d].country;
+    GOVDNS_CHECK(country >= -1);
+    const size_t country_row = static_cast<size_t>(country + 1) * years;
     if (country_marks.size() < country_row + years) {
       country_marks.resize(country_row + years);
     }
     for (size_t y = 0; y < years; ++y) {
-      if (!domain.HasData(static_cast<int>(y))) continue;
+      if (!dataset.HasData(d, static_cast<int>(y))) continue;
       YearlyCounts& row = out[y];
       ++row.domains;
       row.countries += mark(country_marks[country_row + y]);
-      for (int32_t id : domain.years[y].ns_ids) {
+      for (int32_t id : dataset.NsIds(d, static_cast<int>(y))) {
         row.nameservers += mark(ns_marks[static_cast<size_t>(id) * years + y]);
       }
     }
@@ -641,17 +694,17 @@ std::vector<D1nsChurnRow> D1nsChurn(const MinedDataset& dataset) {
   // needs is its own first-year and previous-year d_1NS marks.
   std::vector<int64_t> d1ns(years, 0), overlap_first(years, 0);
   std::vector<int64_t> fresh(years, 0), first_gone(years, 0);
-  for (const MinedDomain& domain : dataset.domains) {
-    const bool first_d1ns = years > 0 && domain.years[0].mode_ns_count == 1;
+  for (size_t d = 0; d < dataset.domains.size(); ++d) {
+    const bool first_d1ns = years > 0 && dataset.Mode(d, 0) == 1;
     bool prev_d1ns = false;
     for (int y = 0; y < years; ++y) {
-      const bool is_d1ns = domain.years[y].mode_ns_count == 1;
+      const bool is_d1ns = dataset.Mode(d, y) == 1;
       if (is_d1ns) {
         ++d1ns[y];
         if (first_d1ns) ++overlap_first[y];
         if (!prev_d1ns) ++fresh[y];
       }
-      if (first_d1ns && !domain.HasData(y)) ++first_gone[y];
+      if (first_d1ns && !dataset.HasData(d, y)) ++first_gone[y];
       prev_d1ns = is_d1ns;
     }
   }
@@ -681,8 +734,8 @@ std::vector<PrivateShareRow> PrivateShare(
   // Parse each interned hostname once; every (domain, year) referencing the
   // id then reuses the parsed Name for its subdomain check. nullopt marks a
   // hostname that failed to parse (never inside any d_gov).
-  std::vector<std::optional<dns::Name>> parsed(dataset.ns_names.size());
-  std::vector<bool> parse_tried(dataset.ns_names.size(), false);
+  std::vector<std::optional<dns::Name>> parsed(dataset.ns_count());
+  std::vector<bool> parse_tried(dataset.ns_count(), false);
   auto parsed_ns = [&](int32_t id) -> const std::optional<dns::Name>& {
     auto& slot = parsed[static_cast<size_t>(id)];
     if (!parse_tried[static_cast<size_t>(id)]) {
@@ -692,12 +745,12 @@ std::vector<PrivateShareRow> PrivateShare(
     }
     return slot;
   };
-  for (const MinedDomain& domain : dataset.domains) {
-    const dns::Name& d_gov = seeds[domain.seed_index].d_gov;
+  for (size_t d = 0; d < dataset.domains.size(); ++d) {
+    const dns::Name& d_gov = seeds[dataset.domains[d].seed_index].d_gov;
     for (int y = 0; y < years; ++y) {
-      if (!domain.HasData(y)) continue;
+      if (!dataset.HasData(d, y)) continue;
       bool all_inside = true;
-      for (int32_t id : domain.years[y].ns_ids) {
+      for (int32_t id : dataset.NsIds(d, y)) {
         const std::optional<dns::Name>& ns = parsed_ns(id);
         if (!ns.has_value() || !ns->IsSubdomainOf(d_gov)) {
           all_inside = false;
@@ -706,7 +759,7 @@ std::vector<PrivateShareRow> PrivateShare(
       }
       ++all_total[y];
       if (all_inside) ++all_private[y];
-      if (domain.years[y].mode_ns_count == 1) {
+      if (dataset.Mode(d, y) == 1) {
         ++d1ns_total[y];
         if (all_inside) ++d1ns_private[y];
       }

@@ -3,21 +3,27 @@
 // From each seed d_gov, a left-hand wildcard search discovers every zone in
 // the government namespace. Records are stability-filtered, and each
 // domain-year is summarized by the mode of its daily nameserver counts
-// (paper Fig. 5). The miner also derives the active-measurement query list:
-// domains seen in the collection window, minus disposable-looking names.
+// (paper Fig. 5) and the ids of the distinct NS hostnames seen that year.
+// The miner also derives the active-measurement query list: domains seen in
+// the collection window, minus disposable-looking names.
+//
+// The result is a flat MinedDataset (DESIGN.md §6o): one MinedDomain per
+// mined name for its identity and flags, and the per-year summaries in
+// three columns shared by every domain, one row per (domain, year), plus
+// the interned NS names as one byte blob. A dataset of 86k domains is a
+// handful of heap blocks instead of one per domain and one per year with
+// data, and the longitudinal analyzers walk the rows in memory order.
 //
 // Mine() shards the seed list over a worker pool (MinerOptions::workers)
-// mirroring the measurement engine (DESIGN.md §6c/§6e/§6j) over the
-// immutable PdnsSnapshot: a parallel pre-pass builds the global NS-name
-// intern table up front (unique stable rdata per worker, merged into one
-// byte-sorted table), and each worker then mines whole seeds against
-// zero-copy entry views, resolving rdata -> global id by
-// bucket-accelerated binary search — no per-shard hash tables and no
-// string copies on the hit path. The fold degenerates to a parallel concat
-// plus a commutative stats merge; a final deterministic renumber pass
-// restores first-seen seed-order ids, so the MinedDataset — domains,
-// ns_names order, and stats — is byte-identical for any worker count (and
-// to the pre-pool serial miner).
+// over the immutable PdnsSnapshot (DESIGN.md §6e/§6j). A parallel pre-pass
+// builds the global NS-name intern table: unique stable rdata per worker,
+// merged into one byte-sorted table. Each worker then mines whole seeds
+// against zero-copy entry views, resolving rdata to a global id by
+// bucket-accelerated binary search, and emits its seeds as columns. The
+// fold renumbers the ids to first-seen seed order, re-sorts each row's ids
+// and copies every seed's columns into place, so the MinedDataset (rows,
+// NS-name order and stats) is byte-identical for any worker count and to
+// the pre-pool serial miner.
 //
 // Stability predicate (§III-C): a record is stable when
 //
@@ -33,7 +39,9 @@
 // into every yearly series (see MinerTest.StabilityBoundaryMatchesPaper).
 #pragma once
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/types.h"
@@ -97,27 +105,14 @@ struct MinerOptions {
   obs::PhaseProfiler* profiler = nullptr;
 };
 
-// One domain-year summary.
-struct YearState {
-  // Mode of the daily NS-count list; 0 = no stable records that year.
-  int mode_ns_count = 0;
-  // Interned ids of the distinct NS hostnames seen (stable records only).
-  std::vector<int32_t> ns_ids;
-
-  friend bool operator==(const YearState&, const YearState&) = default;
-};
-
+// One mined name. Its per-year NS summaries are rows of the owning
+// MinedDataset's columns.
 struct MinedDomain {
   dns::Name name;
   int country = -1;    // from the owning seed
   int seed_index = -1;
-  std::vector<YearState> years;  // indexed by year - first_year
   bool disposable = false;
   bool in_active_window = false;
-
-  bool HasData(int year_offset) const {
-    return years[year_offset].mode_ns_count > 0;
-  }
 
   friend bool operator==(const MinedDomain&, const MinedDomain&) = default;
 };
@@ -139,10 +134,49 @@ struct MiningStats {
 struct MinedDataset {
   MiningConfig config;
   std::vector<MinedDomain> domains;
-  std::vector<std::string> ns_names;  // interned hostname table
+  // The per-year summaries, one row per (domain d, year offset y) at row
+  // d * config.year_count() + y, in three columns:
+  //   modes      the yearly statistic of the daily NS-count list (the mode
+  //              by default); 0 = no stable records that year;
+  //   ids_begin  rows + 1 fenceposts: row r's ids are
+  //              ns_ids[ids_begin[r], ids_begin[r + 1]);
+  //   ns_ids     each row's interned ids of the distinct NS hostnames seen
+  //              that year (stable records only), ascending.
+  // The miner never gives a row without data ids; a decoded checkpoint
+  // keeps whatever rows its frame holds (see study_ckpt.h).
+  std::vector<int32_t> modes;
+  std::vector<uint32_t> ids_begin = {0};
+  std::vector<int32_t> ns_ids;
+  // The interned hostname table as one blob: name i is
+  // ns_bytes[i == 0 ? 0 : ns_ends[i - 1], ns_ends[i]).
+  std::string ns_bytes;
+  std::vector<uint32_t> ns_ends;
   MiningStats stats;
 
-  const std::string& NsName(int32_t id) const { return ns_names[id]; }
+  size_t Row(size_t domain, int year_offset) const {
+    return domain * static_cast<size_t>(config.year_count()) +
+           static_cast<size_t>(year_offset);
+  }
+  int Mode(size_t domain, int year_offset) const {
+    return modes[Row(domain, year_offset)];
+  }
+  bool HasData(size_t domain, int year_offset) const {
+    return Mode(domain, year_offset) > 0;
+  }
+  std::span<const int32_t> NsIds(size_t domain, int year_offset) const {
+    const size_t row = Row(domain, year_offset);
+    return std::span<const int32_t>(ns_ids).subspan(
+        ids_begin[row], ids_begin[row + 1] - ids_begin[row]);
+  }
+  size_t ns_count() const { return ns_ends.size(); }
+  std::string_view NsName(int32_t id) const {
+    const size_t i = static_cast<size_t>(id);
+    const size_t begin = i == 0 ? 0 : ns_ends[i - 1];
+    return std::string_view(ns_bytes).substr(begin, ns_ends[i] - begin);
+  }
+  // Appends the name of the next id. Offsets are 32-bit, so the blob holds
+  // at most 4 GiB (CHECKed; a world at 100x scale needs under 1 GiB).
+  void AppendNsName(std::string_view name);
 
   friend bool operator==(const MinedDataset&, const MinedDataset&) = default;
 };

@@ -65,7 +65,7 @@ std::vector<ProviderRule> DefaultProviderRules() {
 ProviderMatcher::ProviderMatcher(std::vector<ProviderRule> rules)
     : rules_(std::move(rules)) {}
 
-int ProviderMatcher::MatchNs(const std::string& hostname) const {
+int ProviderMatcher::MatchNs(std::string_view hostname) const {
   for (size_t i = 0; i < rules_.size(); ++i) {
     const ProviderRule& rule = rules_[i];
     for (const std::string& suffix : rule.ns_suffixes) {
@@ -116,7 +116,7 @@ ProviderYearTable ProviderAnalyzer::Analyze(const MinedDataset& dataset,
   table.total_groups = static_cast<int64_t>(all_groups.size());
 
   // Interned NS id -> rule match, computed lazily once.
-  std::vector<int> ns_match(dataset.ns_names.size(), -2);
+  std::vector<int> ns_match(dataset.ns_count(), -2);
   auto match_of = [&](int32_t id) {
     if (ns_match[id] == -2) ns_match[id] = matcher_->MatchNs(dataset.NsName(id));
     return ns_match[id];
@@ -130,13 +130,13 @@ ProviderYearTable ProviderAnalyzer::Analyze(const MinedDataset& dataset,
   };
   std::vector<Acc> acc(rules.size());
 
-  for (const MinedDomain& domain : dataset.domains) {
-    if (!domain.HasData(y)) continue;
+  for (size_t d = 0; d < dataset.domains.size(); ++d) {
+    if (!dataset.HasData(d, y)) continue;
     ++table.total_domains;
-    const auto& ids = domain.years[y].ns_ids;
+    const int country = dataset.domains[d].country;
     std::set<int> matched;
     bool any_unmatched = false;
-    for (int32_t id : ids) {
+    for (int32_t id : dataset.NsIds(d, y)) {
       int m = match_of(id);
       if (m >= 0) {
         matched.insert(m);
@@ -145,11 +145,11 @@ ProviderYearTable ProviderAnalyzer::Analyze(const MinedDataset& dataset,
       }
     }
     if (matched.empty()) continue;
-    const CountryMeta& meta = countries_[domain.country];
+    const CountryMeta& meta = countries_[country];
     for (int m : matched) {
       ++acc[m].domains;
       acc[m].groups.insert(ProviderGroupKey(meta));
-      acc[m].countries.insert(domain.country);
+      acc[m].countries.insert(country);
       // d_1P: the whole NS set belongs to this single provider.
       if (matched.size() == 1 && !any_unmatched) ++acc[m].d1p;
     }

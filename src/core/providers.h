@@ -10,6 +10,7 @@
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/mining.h"
@@ -38,7 +39,7 @@ class ProviderMatcher {
   explicit ProviderMatcher(std::vector<ProviderRule> rules);
 
   // Matches one NS hostname (presentation form); -1 if no provider.
-  int MatchNs(const std::string& hostname) const;
+  int MatchNs(std::string_view hostname) const;
   // Matches SOA MNAME/RNAME; -1 if no provider.
   int MatchSoa(const dns::SoaRdata& soa) const;
 

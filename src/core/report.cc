@@ -112,12 +112,12 @@ std::vector<CountryDomains> DomainsPerCountry(
     const MinedDataset& dataset, const std::vector<CountryMeta>& countries) {
   const int y = dataset.config.last_year - dataset.config.first_year;
   std::vector<int64_t> counts(countries.size(), 0);
-  for (const MinedDomain& domain : dataset.domains) {
-    if (domain.country < 0 ||
-        static_cast<size_t>(domain.country) >= countries.size()) {
+  for (size_t d = 0; d < dataset.domains.size(); ++d) {
+    const int country = dataset.domains[d].country;
+    if (country < 0 || static_cast<size_t>(country) >= countries.size()) {
       continue;
     }
-    if (domain.HasData(y)) ++counts[domain.country];
+    if (dataset.HasData(d, y)) ++counts[country];
   }
   std::vector<std::pair<int64_t, size_t>> ranked;  // (domains, country)
   for (size_t c = 0; c < counts.size(); ++c) {

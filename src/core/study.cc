@@ -89,7 +89,7 @@ void Study::FoldMiningObs() const {
   m.Add(m.DeclareCounter("mining.domains_in_active_window"),
         s.domains_in_active_window);
   m.Add(m.DeclareCounter("mining.ns_names"),
-        static_cast<int64_t>(mined_->ns_names.size()));
+        static_cast<int64_t>(mined_->ns_count()));
 }
 
 const MinedDataset& Study::RunMining(MinerOptions options) {

@@ -1,8 +1,8 @@
 #include "core/study_ckpt.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <span>
 #include <string_view>
@@ -46,21 +46,55 @@ std::string DeltaFrameName(size_t seq) {
 
 // --- field codecs ----------------------------------------------------------
 
+// The fewest frame octets one element of each decoded sequence takes (a
+// string or list counts its empty form): a name is U8(0), the root; a
+// profile record Str, I64, U64 and F64; a measured host a name, an empty
+// address list, U8 and two Bools; a seed I32, a name, U8 and Bool; a cut
+// cache change a name and Bool(false). A mined domain's floor depends on
+// the year count (DecodeMiningPayload).
+constexpr size_t kMinNameOctets = 1;
+constexpr size_t kMinStrOctets = 1;
+constexpr size_t kMinAddrOctets = 4;
+constexpr size_t kMinProfileOctets = 1 + 8 + 8 + 8;
+constexpr size_t kMinHostOctets = kMinNameOctets + 1 + 1 + 1 + 1;
+constexpr size_t kMinSeedOctets = 4 + kMinNameOctets + 1 + 1;
+constexpr size_t kMinCutChangeOctets = kMinNameOctets + 1;
+
+// Reads the element count of a sequence whose elements each take at least
+// `min_octets` of the frame, and empties `out` with room for them. A count
+// the bytes left cannot hold is refused before anything is reserved, and
+// the reservation never asks for more bytes than are left, so a crafted
+// count cannot drive a request larger than the frame; elements past the
+// reservation grow the vector as they decode.
+template <typename T>
+bool GetCount(ckpt::Reader& r, size_t min_octets, std::vector<T>* out,
+              size_t* count) {
+  if (!r.Count(count, min_octets)) return false;
+  out->clear();
+  out->reserve(std::min(*count, r.remaining() / sizeof(T)));
+  return true;
+}
+
 void PutName(ckpt::Writer& w, const dns::Name& name) {
   w.U8(static_cast<uint8_t>(name.LabelCount()));
   for (const std::string_view label : name.labels()) w.Str(label);
 }
 
 // Decodes in place: the labels are views into the frame, validated and
-// copied once, straight into the name's key.
+// copied once, straight into the name's key. The union leaves the view
+// slots uninitialized, as the wire codec's ReadName does: zero-filling all
+// 127 on every call cost more than decoding a typical name.
 bool GetName(ckpt::Reader& r, dns::Name* out) {
   uint8_t count = 0;
   if (!r.U8(&count) || count > dns::Name::kMaxLabels) return false;
-  std::array<std::string_view, dns::Name::kMaxLabels> labels;
+  union LabelSlots {
+    LabelSlots() {}
+    std::string_view views[dns::Name::kMaxLabels];
+  } labels;
   for (uint8_t i = 0; i < count; ++i) {
-    if (!r.View(&labels[i])) return false;
+    if (!r.View(&labels.views[i])) return false;
   }
-  auto name = dns::Name::FromLabels(std::span(labels.data(), count));
+  auto name = dns::Name::FromLabels(std::span(labels.views, count));
   if (!name.ok()) return false;
   *out = *std::move(name);
   return true;
@@ -73,10 +107,9 @@ void PutNameList(ckpt::Writer& w, const std::vector<dns::Name>& names) {
 
 bool GetNameList(ckpt::Reader& r, std::vector<dns::Name>* out) {
   size_t count = 0;
-  if (!r.Count(&count)) return false;
-  out->resize(count);
+  if (!GetCount(r, kMinNameOctets, out, &count)) return false;
   for (size_t i = 0; i < count; ++i) {
-    if (!GetName(r, &(*out)[i])) return false;
+    if (!GetName(r, &out->emplace_back())) return false;
   }
   return true;
 }
@@ -88,9 +121,7 @@ void PutAddrList(ckpt::Writer& w, const std::vector<geo::IPv4>& addrs) {
 
 bool GetAddrList(ckpt::Reader& r, std::vector<geo::IPv4>* out) {
   size_t count = 0;
-  if (!r.Count(&count)) return false;
-  out->clear();
-  out->reserve(count);
+  if (!GetCount(r, kMinAddrOctets, out, &count)) return false;
   for (size_t i = 0; i < count; ++i) {
     uint32_t bits = 0;
     if (!r.U32(&bits)) return false;
@@ -135,10 +166,9 @@ void PutProfile(ckpt::Writer& w, const std::vector<obs::PhaseRecord>& records) {
 
 bool GetProfile(ckpt::Reader& r, std::vector<obs::PhaseRecord>* out) {
   size_t count = 0;
-  if (!r.Count(&count)) return false;
-  out->resize(count);
+  if (!GetCount(r, kMinProfileOctets, out, &count)) return false;
   for (size_t i = 0; i < count; ++i) {
-    obs::PhaseRecord& rec = (*out)[i];
+    obs::PhaseRecord& rec = out->emplace_back();
     if (!r.Str(&rec.name) || !r.I64(&rec.items) || !r.U64(&rec.logical_ms) ||
         !r.F64(&rec.wall_ms)) {
       return false;
@@ -217,10 +247,9 @@ bool GetResult(ckpt::Reader& r, MeasurementResult* res) {
     return false;
   }
   size_t host_count = 0;
-  if (!r.Count(&host_count)) return false;
-  res->hosts.resize(host_count);
+  if (!GetCount(r, kMinHostOctets, &res->hosts, &host_count)) return false;
   for (size_t i = 0; i < host_count; ++i) {
-    NsHostResult& host = res->hosts[i];
+    NsHostResult& host = res->hosts.emplace_back();
     uint8_t status = 0;
     if (!GetName(r, &host.host) || !GetAddrList(r, &host.addresses) ||
         !r.U8(&status) || !r.Bool(&host.in_parent_set) ||
@@ -257,6 +286,124 @@ bool GetResult(ckpt::Reader& r, MeasurementResult* res) {
 
 }  // namespace
 
+std::string EncodeMiningPayload(const MinedDataset& dataset,
+                                const std::vector<obs::PhaseRecord>& profile) {
+  ckpt::Writer w;
+  w.U8(kKindMining);
+  PutMiningConfig(w, dataset.config);
+  w.Size(dataset.ns_count());
+  for (size_t i = 0; i < dataset.ns_count(); ++i) {
+    w.Str(dataset.NsName(static_cast<int32_t>(i)));
+  }
+  w.Size(dataset.domains.size());
+  const size_t years = static_cast<size_t>(dataset.config.year_count());
+  size_t row = 0;
+  for (const MinedDomain& dom : dataset.domains) {
+    PutName(w, dom.name);
+    w.I32(dom.country);
+    w.I32(dom.seed_index);
+    w.Size(years);
+    for (size_t y = 0; y < years; ++y, ++row) {
+      w.I32(dataset.modes[row]);
+      const uint32_t begin = dataset.ids_begin[row];
+      const uint32_t end = dataset.ids_begin[row + 1];
+      w.Size(end - begin);
+      for (uint32_t i = begin; i < end; ++i) w.I32(dataset.ns_ids[i]);
+    }
+    w.Bool(dom.disposable);
+    w.Bool(dom.in_active_window);
+  }
+  const MiningStats& s = dataset.stats;
+  w.I64(s.seeds);
+  w.I64(s.entries_scanned);
+  w.I64(s.entries_unstable);
+  w.I64(s.domains);
+  w.I64(s.domains_disposable);
+  w.I64(s.domains_in_active_window);
+  PutProfile(w, profile);
+  return w.Take();
+}
+
+bool DecodeMiningPayload(std::string_view payload,
+                         StudyCheckpoint::MiningSnapshot* snap) {
+  ckpt::Reader r(payload);
+  MinedDataset& data = snap->dataset;
+  uint8_t kind = 0;
+  if (!r.U8(&kind) || kind != kKindMining ||
+      !GetMiningConfig(r, &data.config)) {
+    return false;
+  }
+  size_t ns_count = 0;
+  if (!GetCount(r, kMinStrOctets, &data.ns_ends, &ns_count)) return false;
+  data.ns_bytes.clear();
+  for (size_t i = 0; i < ns_count; ++i) {
+    std::string_view name;
+    if (!r.View(&name) || data.ns_bytes.size() + name.size() >
+                              std::numeric_limits<uint32_t>::max()) {
+      return false;
+    }
+    data.AppendNsName(name);
+  }
+
+  // Every domain carries one row per configured year (computed wide: the
+  // years are untrusted until TryLoadMining compares the config), so it
+  // takes at least its name, country, seed index, year count and two flags
+  // plus an I32 mode and an empty id list per year.
+  const int64_t years =
+      int64_t{data.config.last_year} - int64_t{data.config.first_year} + 1;
+  const size_t min_domain_octets =
+      kMinNameOctets + 4 + 4 + 1 + 2 +
+      5 * static_cast<size_t>(std::max<int64_t>(years, 0));
+  size_t domain_count = 0;
+  if (!GetCount(r, min_domain_octets, &data.domains, &domain_count)) {
+    return false;
+  }
+  const size_t rows =
+      years > 0 ? domain_count * static_cast<size_t>(years) : 0;
+  data.modes.clear();
+  data.modes.reserve(rows);
+  data.ids_begin.assign(1, 0);
+  data.ids_begin.reserve(rows + 1);
+  data.ns_ids.clear();
+  for (size_t i = 0; i < domain_count; ++i) {
+    MinedDomain& dom = data.domains.emplace_back();
+    size_t year_count = 0;
+    // The longitudinal analyzers walk every configured year and index
+    // dense marks by country (from the -1 default up) and by NS id.
+    if (!GetName(r, &dom.name) || !r.I32(&dom.country) || dom.country < -1 ||
+        !r.I32(&dom.seed_index) || !r.Count(&year_count) ||
+        static_cast<int64_t>(year_count) != years) {
+      return false;
+    }
+    for (size_t y = 0; y < year_count; ++y) {
+      int32_t mode = 0;
+      size_t id_count = 0;
+      if (!r.I32(&mode) || !r.Count(&id_count, 4)) return false;
+      // Offsets are 32-bit: a frame past 4Gi ids (16 GiB of them) is one
+      // the miner refuses to build.
+      const size_t at = data.ns_ids.size();
+      if (at + id_count > std::numeric_limits<uint32_t>::max()) return false;
+      data.ns_ids.resize(at + id_count);
+      for (size_t k = 0; k < id_count; ++k) {
+        int32_t& id = data.ns_ids[at + k];
+        if (!r.I32(&id) || id < 0 || static_cast<size_t>(id) >= ns_count) {
+          return false;
+        }
+      }
+      data.modes.push_back(mode);
+      data.ids_begin.push_back(static_cast<uint32_t>(at + id_count));
+    }
+    if (!r.Bool(&dom.disposable) || !r.Bool(&dom.in_active_window)) {
+      return false;
+    }
+  }
+  MiningStats& s = data.stats;
+  return r.I64(&s.seeds) && r.I64(&s.entries_scanned) &&
+         r.I64(&s.entries_unstable) && r.I64(&s.domains) &&
+         r.I64(&s.domains_disposable) && r.I64(&s.domains_in_active_window) &&
+         GetProfile(r, &snap->profile) && r.AtEnd();
+}
+
 StudyCheckpoint::StudyCheckpoint(std::string dir, uint64_t config_fingerprint,
                                  StudyCheckpointOptions options)
     : journal_(std::move(dir), config_fingerprint),
@@ -287,11 +434,11 @@ StudyCheckpoint::TryLoadSelection() {
   uint8_t kind = 0;
   SelectionSnapshot snap;
   size_t seed_count = 0;
-  bool ok = r.U8(&kind) && kind == kKindSelection && r.Count(&seed_count);
+  bool ok = r.U8(&kind) && kind == kKindSelection &&
+            GetCount(r, kMinSeedOctets, &snap.seeds, &seed_count);
   if (ok) {
-    snap.seeds.resize(seed_count);
     for (size_t i = 0; ok && i < seed_count; ++i) {
-      SeedDomain& seed = snap.seeds[i];
+      SeedDomain& seed = snap.seeds.emplace_back();
       uint8_t verification = 0;
       ok = r.I32(&seed.country) && GetName(r, &seed.d_gov) &&
            r.U8(&verification) && r.Bool(&seed.used_msq_fallback) &&
@@ -345,60 +492,11 @@ std::optional<StudyCheckpoint::MiningSnapshot> StudyCheckpoint::TryLoadMining(
   if (!options_.resume || !have_selection_) return std::nullopt;
   auto frame = journal_.Load(kMiningFrame, selection_crc_);
   if (!frame.ok()) return std::nullopt;
-  ckpt::Reader r(frame->payload);
-  uint8_t kind = 0;
   MiningSnapshot snap;
-  bool ok = r.U8(&kind) && kind == kKindMining &&
-            GetMiningConfig(r, &snap.dataset.config);
-  size_t ns_count = 0;
-  ok = ok && r.Count(&ns_count);
-  if (ok) {
-    snap.dataset.ns_names.resize(ns_count);
-    for (size_t i = 0; ok && i < ns_count; ++i) {
-      ok = r.Str(&snap.dataset.ns_names[i]);
-    }
-  }
-  size_t domain_count = 0;
-  ok = ok && r.Count(&domain_count);
-  if (ok) {
-    snap.dataset.domains.resize(domain_count);
-    for (size_t i = 0; ok && i < domain_count; ++i) {
-      MinedDomain& dom = snap.dataset.domains[i];
-      size_t year_count = 0;
-      // The longitudinal analyzers walk every configured year and index
-      // dense marks by country (from the -1 default up) and by NS id.
-      ok = GetName(r, &dom.name) && r.I32(&dom.country) &&
-           dom.country >= -1 && r.I32(&dom.seed_index) &&
-           r.Count(&year_count) &&
-           year_count ==
-               static_cast<size_t>(snap.dataset.config.year_count());
-      if (ok) {
-        dom.years.resize(year_count);
-        for (size_t y = 0; ok && y < year_count; ++y) {
-          YearState& ys = dom.years[y];
-          size_t id_count = 0;
-          ok = r.I32(&ys.mode_ns_count) && r.Count(&id_count);
-          if (ok) {
-            ys.ns_ids.resize(id_count);
-            for (size_t k = 0; ok && k < id_count; ++k) {
-              ok = r.I32(&ys.ns_ids[k]) && ys.ns_ids[k] >= 0 &&
-                   static_cast<size_t>(ys.ns_ids[k]) < ns_count;
-            }
-          }
-        }
-      }
-      ok = ok && r.Bool(&dom.disposable) && r.Bool(&dom.in_active_window);
-    }
-  }
-  MiningStats& s = snap.dataset.stats;
-  ok = ok && r.I64(&s.seeds) && r.I64(&s.entries_scanned) &&
-       r.I64(&s.entries_unstable) && r.I64(&s.domains) &&
-       r.I64(&s.domains_disposable) && r.I64(&s.domains_in_active_window) &&
-       GetProfile(r, &snap.profile) && r.AtEnd();
   // A decoded dataset mined under a different MiningConfig is stale data,
   // even though the frame itself validated.
-  ok = ok && snap.dataset.config == expected_config;
-  if (!ok) {
+  if (!DecodeMiningPayload(frame->payload, &snap) ||
+      !(snap.dataset.config == expected_config)) {
     ++stats_.decode_rejects;
     return std::nullopt;
   }
@@ -416,34 +514,9 @@ void StudyCheckpoint::SaveMining(
     const std::vector<obs::PhaseRecord>& profile) {
   GOVDNS_CHECK(bound_);
   GOVDNS_CHECK(have_selection_);
-  ckpt::Writer w;
-  w.U8(kKindMining);
-  PutMiningConfig(w, dataset.config);
-  w.Size(dataset.ns_names.size());
-  for (const std::string& name : dataset.ns_names) w.Str(name);
-  w.Size(dataset.domains.size());
-  for (const MinedDomain& dom : dataset.domains) {
-    PutName(w, dom.name);
-    w.I32(dom.country);
-    w.I32(dom.seed_index);
-    w.Size(dom.years.size());
-    for (const YearState& ys : dom.years) {
-      w.I32(ys.mode_ns_count);
-      w.Size(ys.ns_ids.size());
-      for (const int32_t id : ys.ns_ids) w.I32(id);
-    }
-    w.Bool(dom.disposable);
-    w.Bool(dom.in_active_window);
-  }
-  const MiningStats& s = dataset.stats;
-  w.I64(s.seeds);
-  w.I64(s.entries_scanned);
-  w.I64(s.entries_unstable);
-  w.I64(s.domains);
-  w.I64(s.domains_disposable);
-  w.I64(s.domains_in_active_window);
-  PutProfile(w, profile);
-  auto crc = journal_.Commit(kMiningFrame, w.Take(), selection_crc_);
+  auto crc = journal_.Commit(kMiningFrame,
+                             EncodeMiningPayload(dataset, profile),
+                             selection_crc_);
   if (!crc.ok()) {
     throw PipelineError("checkpoint", "mining: " + crc.status().ToString());
   }
@@ -570,12 +643,13 @@ size_t StudyCheckpoint::RestoreCutCache(SharedCutCache* cache) {
     uint8_t kind = 0;
     uint64_t seq = 0;
     size_t count = 0;
+    std::vector<std::pair<dns::Name, SharedCutCache::Entry>> changes;
     bool ok = r.U8(&kind) && kind == kKindCutCacheDelta && r.U64(&seq) &&
-              seq == next_delta_ && r.Count(&count);
-    std::vector<std::pair<dns::Name, SharedCutCache::Entry>> changes(
-        ok ? count : 0);
-    for (auto& [cut, entry] : changes) {
-      ok = ok && GetName(r, &cut) && r.Bool(&entry.reachable) &&
+              seq == next_delta_ &&
+              GetCount(r, kMinCutChangeOctets, &changes, &count);
+    for (size_t i = 0; ok && i < count; ++i) {
+      auto& [cut, entry] = changes.emplace_back();
+      ok = GetName(r, &cut) && r.Bool(&entry.reachable) &&
            (!entry.reachable || (GetNameList(r, &entry.ns_names) &&
                                  GetAddrList(r, &entry.addresses)));
     }

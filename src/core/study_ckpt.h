@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ckpt/journal.h"
@@ -172,5 +173,21 @@ class StudyCheckpoint {
   uint32_t delta_crc_ = 0;
   size_t next_delta_ = 0;
 };
+
+// The mining frame's payload, apart from the journal that commits it and
+// checks its CRC and chain. SaveMining commits EncodeMiningPayload's bytes;
+// TryLoadMining decodes the loaded payload and then compares the config.
+// Per domain the frame holds Size(year_count) and then, per (domain, year)
+// row, I32(mode), Size(n) and n x I32(id): the bytes the nested
+// per-domain layout wrote, so the columns changed nothing on disk and
+// kFrameVersion stays. The decoder accepts any row, ids on rows whose mode
+// is 0 included, and keeps it as written.
+std::string EncodeMiningPayload(const MinedDataset& dataset,
+                                const std::vector<obs::PhaseRecord>& profile);
+// Decodes `payload` into `snap`'s columns; false when it is malformed.
+// What is reserved before the elements are read is bounded by the bytes
+// left (DESIGN.md §6o).
+bool DecodeMiningPayload(std::string_view payload,
+                         StudyCheckpoint::MiningSnapshot* snap);
 
 }  // namespace govdns::core

@@ -19,6 +19,7 @@
 #include "core/mining.h"
 #include "core/resolver.h"
 #include "core/study_ckpt.h"
+#include "tests/mined_datasets.h"
 #include "util/rng.h"
 
 namespace govdns {
@@ -765,20 +766,7 @@ void SeedPhases(core::StudyCheckpoint& ckpt,
   sel.stats.total = 1;
   ckpt.SaveSelection(sel);
 
-  core::MinedDataset mined;
-  mined.config = core::MiningConfig{};
-  mined.ns_names = {"ns1.gov.aa"};
-  core::MinedDomain dom;
-  dom.name = N("d0.gov.aa");
-  dom.country = 0;
-  dom.seed_index = 0;
-  dom.years.resize(mined.config.year_count());
-  dom.years[0].mode_ns_count = 1;
-  dom.years[0].ns_ids = {0};
-  dom.in_active_window = true;
-  mined.domains.push_back(dom);
-  mined.stats.seeds = 1;
-  mined.stats.domains = 1;
+  core::MinedDataset mined = testing::SeedPhasesDataset();
   if (edit) edit(mined);
   ckpt.SaveMining(mined, /*profile=*/{});
 }
@@ -830,15 +818,82 @@ TEST(StudyCheckpointTest, MiningConfigMismatchIsARejectedDecode) {
   fs::remove_all(dir);
 }
 
+// Writes SeedPhasesDataset's mining frame with `years` rows per domain, in
+// the frame's layout (EncodeMiningPayload in core/study_ckpt.cc): the
+// dataset's columns cannot hold a domain whose row count disagrees with
+// the config, so this writes the frame field by field.
+std::string MiningPayloadWithRows(size_t years) {
+  const core::MinedDataset mined = testing::SeedPhasesDataset();
+  const core::MiningConfig& c = mined.config;
+  ckpt::Writer w;
+  w.U8(2);  // the mining frame's kind tag
+  w.I32(c.first_year);
+  w.I32(c.last_year);
+  w.I32(c.stability_days);
+  w.U8(static_cast<uint8_t>(c.statistic));
+  w.I32(c.active_window.first);
+  w.I32(c.active_window.last);
+  w.Bool(c.filter_disposable);
+  w.Bool(c.require_stable_for_active);
+  w.Size(1);
+  w.Str("ns1.gov.aa");
+  w.Size(1);
+  w.U8(3);  // d0.gov.aa
+  for (const char* label : {"d0", "gov", "aa"}) w.Str(label);
+  w.I32(0);  // country
+  w.I32(0);  // seed_index
+  w.Size(years);
+  for (size_t y = 0; y < years; ++y) {
+    w.I32(y == 0 ? 1 : 0);
+    w.Size(y == 0 ? 1 : 0);
+    if (y == 0) w.I32(0);
+  }
+  w.Bool(false);  // disposable
+  w.Bool(true);   // in_active_window
+  w.I64(1);       // seeds
+  for (int i = 0; i < 2; ++i) w.I64(0);  // entries scanned, unstable
+  w.I64(1);       // domains
+  for (int i = 0; i < 2; ++i) w.I64(0);  // disposable, in the window
+  w.Size(0);      // profile
+  return w.Take();
+}
+
+// Journals the selection frame of SeedPhases, then `mining_payload` as the
+// mining frame chained to it with valid CRCs, so only the decoder can
+// refuse it. Returns the resumed checkpoint's stats after TryLoadMining,
+// and whether it loaded.
+bool LoadCraftedMining(const std::string& dir,
+                       const std::string& mining_payload,
+                       core::StudyCheckpointStats* stats) {
+  {
+    core::StudyCheckpoint ckpt(dir, 77);
+    ckpt.Bind(11);
+    SeedPhases(ckpt);
+  }
+  ckpt::Journal journal(dir, ckpt::MixFingerprint(77, 11));
+  auto selection = journal.Load("selection", 0);
+  EXPECT_TRUE(selection.ok());
+  if (!selection.ok()) return false;
+  EXPECT_TRUE(journal.Commit("mining", mining_payload, selection->crc).ok());
+  core::StudyCheckpointOptions opts;
+  opts.resume = true;
+  core::StudyCheckpoint resumed(dir, 77, opts);
+  resumed.Bind(11);
+  EXPECT_TRUE(resumed.TryLoadSelection().has_value());
+  const bool loaded = resumed.TryLoadMining(core::MiningConfig{}).has_value();
+  EXPECT_EQ(resumed.journal_stats().Rejections(), 0u);
+  *stats = resumed.stats();
+  return loaded;
+}
+
 TEST(StudyCheckpointTest, MinedIndexOutOfRangeIsARejectedDecode) {
   // The dense longitudinal analyzers index by NS id and country and walk
   // every configured year, so a frame whose dataset breaks those ranges is
   // rejected even though the frame itself validated.
   const std::vector<std::function<void(core::MinedDataset&)>> breaks = {
-      [](core::MinedDataset& d) { d.domains[0].years[0].ns_ids = {1}; },
-      [](core::MinedDataset& d) { d.domains[0].years[0].ns_ids = {-1}; },
+      [](core::MinedDataset& d) { d.ns_ids[0] = 1; },
+      [](core::MinedDataset& d) { d.ns_ids[0] = -1; },
       [](core::MinedDataset& d) { d.domains[0].country = -2; },
-      [](core::MinedDataset& d) { d.domains[0].years.pop_back(); },
   };
   for (size_t i = 0; i < breaks.size(); ++i) {
     const std::string dir = TempDir("mined_range_" + std::to_string(i));
@@ -855,6 +910,21 @@ TEST(StudyCheckpointTest, MinedIndexOutOfRangeIsARejectedDecode) {
     EXPECT_FALSE(resumed.TryLoadMining(core::MiningConfig{}).has_value())
         << "break " << i;
     EXPECT_EQ(resumed.stats().decode_rejects, 1) << "break " << i;
+    fs::remove_all(dir);
+  }
+  // A domain with one year fewer than the config: written field by field,
+  // next to the same frame with every year, which loads.
+  const size_t years =
+      static_cast<size_t>(core::MiningConfig{}.year_count());
+  EXPECT_EQ(MiningPayloadWithRows(years),
+            core::EncodeMiningPayload(testing::SeedPhasesDataset(), {}));
+  for (const size_t rows : {years, years - 1}) {
+    const std::string dir = TempDir("mined_rows");
+    core::StudyCheckpointStats stats;
+    EXPECT_EQ(LoadCraftedMining(dir, MiningPayloadWithRows(rows), &stats),
+              rows == years)
+        << rows << " rows";
+    EXPECT_EQ(stats.decode_rejects, rows == years ? 0 : 1) << rows << " rows";
     fs::remove_all(dir);
   }
 }

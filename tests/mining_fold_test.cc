@@ -6,9 +6,11 @@
 // produces. ReferenceMine below IS that traversal — a from-scratch
 // reimplementation of the pre-pool algorithm (hash-map interning in
 // first-appearance order, std::map-based mode computation), sharing no code
-// with the production miner beyond the public types. Every production
-// configuration — {1, 2, 4, 8} workers × {in-memory, mapped} stores — is
-// pinned against it, along with the renumber pass's
+// with the production miner beyond the public types. It keeps its own
+// nested per-domain, per-year lists, so it shares no layout with the
+// dataset's columns either, and is compared with the miner row by row.
+// Every production configuration — {1, 2, 4, 8} workers × {in-memory,
+// mapped} stores — is pinned against it, along with the renumber pass's
 // first-seen id order and full-report byte identity across worker counts.
 #include <gtest/gtest.h>
 
@@ -27,6 +29,7 @@
 #include "core/report.h"
 #include "core/study.h"
 #include "pdns/db.h"
+#include "tests/mined_datasets.h"
 #include "util/civil_time.h"
 #include "worldgen/adapter.h"
 
@@ -37,17 +40,40 @@ namespace fs = std::filesystem;
 
 constexpr uint64_t kFingerprint = 0x666f6c64746573ull;
 
+// The reference miner's own output layout: one list of years per domain,
+// one list of ids per year.
+struct ReferenceYear {
+  int mode = 0;
+  std::vector<int32_t> ns_ids;
+};
+
+struct ReferenceDomain {
+  dns::Name name;
+  int country = -1;
+  int seed_index = -1;
+  std::vector<ReferenceYear> years;
+  bool disposable = false;
+  bool in_active_window = false;
+};
+
+struct ReferenceDataset {
+  core::MiningConfig config;
+  std::vector<ReferenceDomain> domains;
+  std::vector<std::string> ns_names;
+  core::MiningStats stats;
+};
+
 // The pre-pool mining algorithm, reimplemented as plainly as possible: one
 // serial pass over the seeds in order, interning NS hostnames into the
 // global table at first use. Mode computation goes through std::maps — the
 // shape the original code had before the flat-vector sweep — so the oracle
 // does not share the production histogram path either. Supports the default
 // statistic only (kMode), which is all these tests use.
-core::MinedDataset ReferenceMine(const pdns::PdnsSnapshot& snapshot,
-                                 const std::vector<core::SeedDomain>& seeds,
-                                 const core::MiningConfig& config) {
+ReferenceDataset ReferenceMine(const pdns::PdnsSnapshot& snapshot,
+                               const std::vector<core::SeedDomain>& seeds,
+                               const core::MiningConfig& config) {
   GOVDNS_CHECK(config.statistic == core::YearlyStatistic::kMode);
-  core::MinedDataset out;
+  ReferenceDataset out;
   out.config = config;
   out.stats.seeds = static_cast<int64_t>(seeds.size());
   const int years = config.year_count();
@@ -76,7 +102,7 @@ core::MinedDataset ReferenceMine(const pdns::PdnsSnapshot& snapshot,
       }
       if (!any_ns) continue;
 
-      core::MinedDomain domain;
+      ReferenceDomain domain;
       domain.name = snapshot.name(n);
       domain.country = seeds[s].country;
       domain.seed_index = static_cast<int>(s);
@@ -133,7 +159,7 @@ core::MinedDataset ReferenceMine(const pdns::PdnsSnapshot& snapshot,
             mode = count;
           }
         }
-        domain.years[y].mode_ns_count = mode;
+        domain.years[y].mode = mode;
         auto& ids = domain.years[y].ns_ids;
         std::sort(ids.begin(), ids.end());
         ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
@@ -148,10 +174,61 @@ core::MinedDataset ReferenceMine(const pdns::PdnsSnapshot& snapshot,
   return out;
 }
 
+// Row by row: every domain's identity and flags, each year's mode and
+// ids, the NS-name table and the stats, plus the column invariants (one
+// row per domain and year, fenceposts closing over every id).
+::testing::AssertionResult MatchesReference(const core::MinedDataset& mined,
+                                            const ReferenceDataset& ref) {
+  if (!(mined.config == ref.config)) {
+    return ::testing::AssertionFailure() << "config differs";
+  }
+  if (testing::NsNames(mined) != ref.ns_names) {
+    return ::testing::AssertionFailure() << "ns names differ";
+  }
+  if (!(mined.stats == ref.stats)) {
+    return ::testing::AssertionFailure() << "stats differ";
+  }
+  if (mined.domains.size() != ref.domains.size()) {
+    return ::testing::AssertionFailure()
+           << mined.domains.size() << " domains, reference "
+           << ref.domains.size();
+  }
+  const int years = mined.config.year_count();
+  const size_t rows = mined.domains.size() * static_cast<size_t>(years);
+  if (mined.modes.size() != rows || mined.ids_begin.size() != rows + 1 ||
+      mined.ids_begin.front() != 0 ||
+      mined.ids_begin.back() != mined.ns_ids.size()) {
+    return ::testing::AssertionFailure() << "columns out of shape";
+  }
+  for (size_t d = 0; d < ref.domains.size(); ++d) {
+    const core::MinedDomain& got = mined.domains[d];
+    const ReferenceDomain& want = ref.domains[d];
+    if (got.name != want.name || got.country != want.country ||
+        got.seed_index != want.seed_index ||
+        got.disposable != want.disposable ||
+        got.in_active_window != want.in_active_window) {
+      return ::testing::AssertionFailure()
+             << "domain " << d << " (" << want.name.ToString() << ") differs";
+    }
+    for (int y = 0; y < years; ++y) {
+      const ReferenceYear& year = want.years[static_cast<size_t>(y)];
+      const auto ids = mined.NsIds(d, y);
+      if (mined.Mode(d, y) != year.mode ||
+          !std::equal(ids.begin(), ids.end(), year.ns_ids.begin(),
+                      year.ns_ids.end())) {
+        return ::testing::AssertionFailure()
+               << "domain " << d << " (" << want.name.ToString()
+               << ") year " << y << " differs";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 struct OracleFixture {
   std::unique_ptr<worldgen::World> world;
   worldgen::BoundStudy bound;
-  core::MinedDataset reference;
+  ReferenceDataset reference;
 
   static OracleFixture Make() {
     OracleFixture f;
@@ -207,12 +284,14 @@ TEST(MiningFoldTest, MatchesSerialReferenceAcrossWorkersAndSubstrates) {
 
     const core::MinedDataset in_memory = miner.Mine(f.store(), seeds);
     // Field-by-field first for readable failures...
-    EXPECT_EQ(in_memory.ns_names, f.reference.ns_names) << "w=" << workers;
+    EXPECT_EQ(testing::NsNames(in_memory), f.reference.ns_names)
+        << "w=" << workers;
     EXPECT_EQ(in_memory.stats, f.reference.stats) << "w=" << workers;
     ASSERT_EQ(in_memory.domains.size(), f.reference.domains.size());
-    // ...then the whole dataset, from either store.
-    EXPECT_TRUE(in_memory == f.reference) << "in-memory w=" << workers;
-    EXPECT_TRUE(miner.Mine(*mapped, seeds) == f.reference)
+    // ...then the whole dataset row by row, from either store.
+    EXPECT_TRUE(MatchesReference(in_memory, f.reference))
+        << "in-memory w=" << workers;
+    EXPECT_TRUE(MatchesReference(miner.Mine(*mapped, seeds), f.reference))
         << "mapped w=" << workers;
   }
   fs::remove_all(dir);
@@ -224,16 +303,16 @@ TEST(MiningFoldTest, RenumberRestoresFirstSeenSeedOrderIds) {
 
   // The renumber pass's whole job: ns ids numbered by first appearance in
   // the serial entry-major traversal — the oracle's intern order.
-  EXPECT_EQ(mined.ns_names, f.reference.ns_names);
+  EXPECT_EQ(testing::NsNames(mined), f.reference.ns_names);
 
   // Structural restatement, independent of the oracle: walking domains in
   // order, the first sighting of each id must arrive in ascending id order
   // with no gaps.
   int32_t next_unseen = 0;
-  std::vector<bool> seen(mined.ns_names.size(), false);
-  for (const core::MinedDomain& domain : mined.domains) {
-    for (const core::YearState& year : domain.years) {
-      for (int32_t id : year.ns_ids) {
+  std::vector<bool> seen(mined.ns_count(), false);
+  for (size_t d = 0; d < mined.domains.size(); ++d) {
+    for (int y = 0; y < mined.config.year_count(); ++y) {
+      for (int32_t id : mined.NsIds(d, y)) {
         if (seen[static_cast<size_t>(id)]) continue;
         EXPECT_EQ(id, next_unseen) << "id assigned out of first-seen order";
         seen[static_cast<size_t>(id)] = true;
@@ -241,7 +320,7 @@ TEST(MiningFoldTest, RenumberRestoresFirstSeenSeedOrderIds) {
       }
     }
   }
-  EXPECT_EQ(static_cast<size_t>(next_unseen), mined.ns_names.size());
+  EXPECT_EQ(static_cast<size_t>(next_unseen), mined.ns_count());
 
   // Thread scheduling differs run to run; the bytes must not.
   EXPECT_TRUE(f.Mine(8) == mined);

@@ -4,13 +4,15 @@
 #include <string>
 
 #include "core/mining.h"
-#include "util/rng.h"
+#include "tests/mined_datasets.h"
 
 namespace govdns::core {
 namespace {
 
 using dns::Name;
 using dns::RRType;
+using testing::NsNames;
+using testing::RandomDataset;
 using util::DayFromYmd;
 
 std::vector<SeedDomain> OneSeed() {
@@ -38,10 +40,10 @@ TEST(MinerTest, StabilityFilterDropsTransients) {
   PdnsMiner miner(config);
   auto dataset = miner.Mine(db.Build(), OneSeed());
   ASSERT_EQ(dataset.domains.size(), 1u);
-  const auto& year = dataset.domains[0].years[2015 - 2011];
-  EXPECT_EQ(year.mode_ns_count, 1);
-  ASSERT_EQ(year.ns_ids.size(), 1u);
-  EXPECT_EQ(dataset.NsName(year.ns_ids[0]), "ns1.moe.gov.xx");
+  EXPECT_EQ(dataset.Mode(0, 2015 - 2011), 1);
+  const auto ids = dataset.NsIds(0, 2015 - 2011);
+  ASSERT_EQ(ids.size(), 1u);
+  EXPECT_EQ(dataset.NsName(ids[0]), "ns1.moe.gov.xx");
 }
 
 TEST(MinerTest, ModeReflectsMajorityOfDays) {
@@ -54,7 +56,7 @@ TEST(MinerTest, ModeReflectsMajorityOfDays) {
                      {DayFromYmd(2015, 1, 1), DayFromYmd(2015, 4, 10)});
   PdnsMiner miner;
   auto dataset = miner.Mine(db.Build(), OneSeed());
-  EXPECT_EQ(dataset.domains[0].years[4].mode_ns_count, 1);
+  EXPECT_EQ(dataset.Mode(0, 4), 1);
 }
 
 TEST(MinerTest, ModeTwoWhenPairDominates) {
@@ -66,7 +68,7 @@ TEST(MinerTest, ModeTwoWhenPairDominates) {
                      {DayFromYmd(2015, 1, 1), DayFromYmd(2015, 9, 30)});
   PdnsMiner miner;
   auto dataset = miner.Mine(db.Build(), OneSeed());
-  EXPECT_EQ(dataset.domains[0].years[4].mode_ns_count, 2);
+  EXPECT_EQ(dataset.Mode(0, 4), 2);
 }
 
 TEST(MinerTest, StatisticVariants) {
@@ -80,7 +82,7 @@ TEST(MinerTest, StatisticVariants) {
     MiningConfig config;
     config.statistic = stat;
     PdnsMiner miner(config);
-    return miner.Mine(db.Build(), OneSeed()).domains[0].years[4].mode_ns_count;
+    return miner.Mine(db.Build(), OneSeed()).Mode(0, 4);
   };
   EXPECT_EQ(mine(YearlyStatistic::kMin), 1);
   EXPECT_EQ(mine(YearlyStatistic::kMax), 2);
@@ -101,7 +103,8 @@ TEST(MinerTest, StabilityBoundaryMatchesPaper) {
                         DayFromYmd(2015, 3, 1) + span_days - 1});
     PdnsMiner miner;
     auto dataset = miner.Mine(db.Build(), OneSeed());
-    return dataset.domains.at(0).HasData(2015 - 2011);
+    EXPECT_EQ(dataset.domains.size(), 1u);
+    return !dataset.domains.empty() && dataset.HasData(0, 2015 - 2011);
   };
   EXPECT_FALSE(mine_span(6));  // gap 5: unstable either way
   EXPECT_FALSE(mine_span(7));  // gap 6: the off-by-one boundary
@@ -146,11 +149,11 @@ TEST(MinerTest, YearBoundariesRespected) {
                      {DayFromYmd(2014, 12, 1), DayFromYmd(2015, 1, 20)});
   PdnsMiner miner;
   auto dataset = miner.Mine(db.Build(), OneSeed());
-  const auto& d = dataset.domains[0];
-  EXPECT_TRUE(d.HasData(2014 - 2011));
-  EXPECT_TRUE(d.HasData(2015 - 2011));
-  EXPECT_FALSE(d.HasData(2016 - 2011));
-  EXPECT_FALSE(d.HasData(2013 - 2011));
+  ASSERT_EQ(dataset.domains.size(), 1u);
+  EXPECT_TRUE(dataset.HasData(0, 2014 - 2011));
+  EXPECT_TRUE(dataset.HasData(0, 2015 - 2011));
+  EXPECT_FALSE(dataset.HasData(0, 2016 - 2011));
+  EXPECT_FALSE(dataset.HasData(0, 2013 - 2011));
 }
 
 TEST(MinerTest, ModeSweepCountsYearEndDay) {
@@ -166,9 +169,9 @@ TEST(MinerTest, ModeSweepCountsYearEndDay) {
                      {DayFromYmd(2015, 7, 2), DayFromYmd(2015, 12, 31)});
   PdnsMiner miner;
   auto dataset = miner.Mine(db.Build(), OneSeed());
-  EXPECT_EQ(dataset.domains[0].years[2015 - 2011].mode_ns_count, 2);
+  EXPECT_EQ(dataset.Mode(0, 2015 - 2011), 2);
   // The Jan 1, 2016 sweep delta must not leak a phantom 2016 sighting.
-  EXPECT_FALSE(dataset.domains[0].HasData(2016 - 2011));
+  EXPECT_FALSE(dataset.HasData(0, 2016 - 2011));
 }
 
 TEST(MinerTest, ModeSweepSplitsCrossYearInterval) {
@@ -186,11 +189,11 @@ TEST(MinerTest, ModeSweepSplitsCrossYearInterval) {
                      {DayFromYmd(2015, 12, 17), DayFromYmd(2016, 1, 15)});
   PdnsMiner miner;
   auto dataset = miner.Mine(db.Build(), OneSeed());
-  const auto& d = dataset.domains[0];
-  EXPECT_EQ(d.years[2015 - 2011].mode_ns_count, 1);
-  EXPECT_EQ(d.years[2016 - 2011].mode_ns_count, 1);
-  EXPECT_FALSE(d.HasData(2014 - 2011));
-  EXPECT_FALSE(d.HasData(2017 - 2011));
+  ASSERT_EQ(dataset.domains.size(), 1u);
+  EXPECT_EQ(dataset.Mode(0, 2015 - 2011), 1);
+  EXPECT_EQ(dataset.Mode(0, 2016 - 2011), 1);
+  EXPECT_FALSE(dataset.HasData(0, 2014 - 2011));
+  EXPECT_FALSE(dataset.HasData(0, 2017 - 2011));
 }
 
 TEST(MinerTest, ActiveWindowUsesUnfilteredSightings) {
@@ -204,7 +207,7 @@ TEST(MinerTest, ActiveWindowUsesUnfilteredSightings) {
   PdnsMiner miner;
   auto dataset = miner.Mine(db.Build(), OneSeed());
   ASSERT_EQ(dataset.domains.size(), 1u);
-  EXPECT_FALSE(dataset.domains[0].HasData(2020 - 2011));
+  EXPECT_FALSE(dataset.HasData(0, 2020 - 2011));
   EXPECT_TRUE(dataset.domains[0].in_active_window);
   EXPECT_EQ(PdnsMiner::ActiveQueryList(dataset).size(), 1u);
 }
@@ -259,13 +262,13 @@ TEST(MinerTest, WorkerCountCannotChangeTheDataset) {
   EXPECT_GT(serial.stats.entries_unstable, 0);
   // First-appearance intern order: seed 0's first domain sees the shared
   // host first, then its own ns0.
-  ASSERT_GE(serial.ns_names.size(), 2u);
-  EXPECT_EQ(serial.ns_names[0], "shared.host.zz");
-  EXPECT_EQ(serial.ns_names[1], "ns0.gov.aa");
+  ASSERT_GE(serial.ns_count(), 2u);
+  EXPECT_EQ(serial.NsName(0), "shared.host.zz");
+  EXPECT_EQ(serial.NsName(1), "ns0.gov.aa");
   for (int workers : {2, 3, 7, 16}) {
     const MinedDataset pooled = mine(workers);
     EXPECT_TRUE(pooled == serial) << "workers=" << workers;
-    EXPECT_EQ(pooled.ns_names, serial.ns_names) << "workers=" << workers;
+    EXPECT_EQ(NsNames(pooled), NsNames(serial)) << "workers=" << workers;
     EXPECT_EQ(pooled.stats, serial.stats) << "workers=" << workers;
   }
 }
@@ -315,13 +318,13 @@ std::vector<YearlyCounts> SetCountPerYear(const MinedDataset& dataset) {
   for (int y = 0; y < years; ++y) {
     out[y].year = dataset.config.first_year + y;
   }
-  for (const MinedDomain& domain : dataset.domains) {
+  for (size_t i = 0; i < dataset.domains.size(); ++i) {
     for (int y = 0; y < years; ++y) {
-      if (!domain.HasData(y)) continue;
+      if (!dataset.HasData(i, y)) continue;
       ++out[y].domains;
-      countries[y].insert(domain.country);
-      nameservers[y].insert(domain.years[y].ns_ids.begin(),
-                            domain.years[y].ns_ids.end());
+      countries[y].insert(dataset.domains[i].country);
+      const auto ids = dataset.NsIds(i, y);
+      nameservers[y].insert(ids.begin(), ids.end());
     }
   }
   for (int y = 0; y < years; ++y) {
@@ -336,11 +339,10 @@ std::vector<D1nsChurnRow> SetD1nsChurn(const MinedDataset& dataset) {
   std::vector<std::set<size_t>> d1ns(years);
   std::vector<std::set<size_t>> has_data(years);
   for (size_t i = 0; i < dataset.domains.size(); ++i) {
-    const MinedDomain& domain = dataset.domains[i];
     for (int y = 0; y < years; ++y) {
-      if (!domain.HasData(y)) continue;
+      if (!dataset.HasData(i, y)) continue;
       has_data[y].insert(i);
-      if (domain.years[y].mode_ns_count == 1) d1ns[y].insert(i);
+      if (dataset.Mode(i, y) == 1) d1ns[y].insert(i);
     }
   }
   std::vector<D1nsChurnRow> out;
@@ -367,41 +369,6 @@ std::vector<D1nsChurnRow> SetD1nsChurn(const MinedDataset& dataset) {
     out.push_back(row);
   }
   return out;
-}
-
-// A randomized dataset: whole years without data (the first year on even
-// seeds), mode_ns_count in [0, 4], NS ids drawn with repeats from a table
-// of up to a few hundred names (also on years without data, which both
-// versions must ignore), and countries from the -1 default upwards.
-MinedDataset RandomDataset(uint64_t seed) {
-  util::Rng rng(seed);
-  MinedDataset dataset;
-  const int years = dataset.config.year_count();
-  const size_t ns_count = 1 + rng.UniformU64(300);
-  for (size_t i = 0; i < ns_count; ++i) {
-    dataset.ns_names.push_back("ns" + std::to_string(i) + ".host.zz");
-  }
-  std::vector<bool> year_has_data(years);
-  for (int y = 0; y < years; ++y) year_has_data[y] = rng.Bernoulli(0.8);
-  if (seed % 2 == 0) year_has_data[0] = false;
-  const size_t domains = rng.UniformU64(500);
-  for (size_t i = 0; i < domains; ++i) {
-    MinedDomain domain;
-    domain.country = static_cast<int>(rng.UniformInt(-1, 12));
-    domain.years.resize(years);
-    for (int y = 0; y < years; ++y) {
-      YearState& state = domain.years[y];
-      if (year_has_data[y]) {
-        state.mode_ns_count = static_cast<int>(rng.UniformInt(0, 4));
-      }
-      const int64_t ids = rng.UniformInt(0, 5);
-      for (int64_t k = 0; k < ids; ++k) {
-        state.ns_ids.push_back(static_cast<int32_t>(rng.UniformU64(ns_count)));
-      }
-    }
-    dataset.domains.push_back(std::move(domain));
-  }
-  return dataset;
 }
 
 TEST(AggregatesTest, DenseMatchesSetReference) {

@@ -1,6 +1,6 @@
 // The sharded PDNS miner must be a pure optimization: for a fixed world
 // seed, the MinedDataset — domain rows, per-year NS id sets, the interned
-// ns_names table (order included), and the mining stats — must be
+// NS-name table (order included), and the mining stats — must be
 // byte-identical whether one worker or many mined the seed list, and the
 // active query list derived from the dataset must not move.
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 
 #include "core/mining.h"
 #include "core/study.h"
+#include "tests/mined_datasets.h"
 #include "worldgen/adapter.h"
 
 namespace govdns {
@@ -44,13 +45,14 @@ TEST(ParallelMineTest, WorkerCountsAreByteIdentical) {
   // real intern table, and both stable and unstable entries.
   EXPECT_GT(f.bound.study->seeds().size(), 10u);
   EXPECT_GT(serial.domains.size(), 100u);
-  EXPECT_GT(serial.ns_names.size(), 50u);
+  EXPECT_GT(serial.ns_count(), 50u);
   EXPECT_GT(serial.stats.entries_scanned, serial.stats.domains);
 
   for (int workers : {2, 7}) {
     const core::MinedDataset pooled = f.Mine(workers);
     // Field-by-field first for readable failures...
-    EXPECT_EQ(pooled.ns_names, serial.ns_names) << "workers=" << workers;
+    EXPECT_EQ(testing::NsNames(pooled), testing::NsNames(serial))
+        << "workers=" << workers;
     EXPECT_EQ(pooled.stats, serial.stats) << "workers=" << workers;
     ASSERT_EQ(pooled.domains.size(), serial.domains.size())
         << "workers=" << workers;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/providers.h"
+#include "tests/mined_datasets.h"
 
 namespace govdns::core {
 namespace {
@@ -76,16 +77,17 @@ MinedDataset TinyDataset() {
   MinedDataset dataset;
   dataset.config.first_year = 2019;
   dataset.config.last_year = 2020;
-  dataset.ns_names = {"amber.ns.cloudflare.com", "tim.ns.cloudflare.com",
-                      "ns-1.awsdns-00.com", "ns1.own.gov.aa"};
+  for (const char* ns : {"amber.ns.cloudflare.com", "tim.ns.cloudflare.com",
+                         "ns-1.awsdns-00.com", "ns1.own.gov.aa"}) {
+    dataset.AppendNsName(ns);
+  }
   auto add = [&](const char* name, int country, std::vector<int32_t> ns2020) {
     MinedDomain d;
     d.name = Name::FromString(name);
     d.country = country;
-    d.years.resize(2);
-    d.years[1].mode_ns_count = static_cast<int>(ns2020.size());
-    d.years[1].ns_ids = std::move(ns2020);
     dataset.domains.push_back(std::move(d));
+    testing::AppendRow(dataset, 0, {});  // 2019
+    testing::AppendRow(dataset, static_cast<int32_t>(ns2020.size()), ns2020);
   };
   add("a.gov.aa", 0, {0, 1});     // pure cloudflare -> d_1P
   add("b.gov.aa", 0, {0, 3});     // cloudflare + own -> not d_1P

@@ -88,36 +88,38 @@ for ARGS in "--scale -1" "--scale nan" "--scale abc" "--scale" \
 done
 echo "smoke: bad flag values exit 2 with the usage line OK"
 
-echo "==> smoke: benches and examples reject a bad scale before building a world"
+echo "==> smoke: benches and examples reject a bad argument before building a world"
 # The benches read their scales from the environment (GOVDNS_SCALE, and
 # bench_parallel_mine's GOVDNS_MINE_SCALE) and the examples from argv, all
-# with the same strict parse and range as --scale; a bad value must exit 2
-# and never reach a "building world" progress line.
-scale_rejected() {  # scale_rejected LABEL CMD...: CMD must exit 2, no world
+# with the same strict parse and range as --scale, and country_audit checks
+# its country code against the known codes; a bad value must exit 2 and
+# never reach a "building world" progress line.
+arg_rejected() {  # arg_rejected LABEL CMD...: CMD must exit 2, no world
   local label=$1
   shift
   set +e
-  "$@" >"${SMOKE_DIR}/scale.err" 2>&1
+  "$@" >"${SMOKE_DIR}/arg.err" 2>&1
   local status=$?
   set -e
   if [ "${status}" -ne 2 ] ||
-     grep -Eq "building (extra )?world" "${SMOKE_DIR}/scale.err"; then
+     grep -Eq "building (extra )?world" "${SMOKE_DIR}/arg.err"; then
     echo "smoke: ${label} exited ${status}:" >&2
-    cat "${SMOKE_DIR}/scale.err" >&2
+    cat "${SMOKE_DIR}/arg.err" >&2
     exit 1
   fi
 }
 for VALUE in nan abc -1 inf; do
-  scale_rejected "GOVDNS_SCALE=${VALUE}" env GOVDNS_SCALE="${VALUE}" \
+  arg_rejected "GOVDNS_SCALE=${VALUE}" env GOVDNS_SCALE="${VALUE}" \
     ./build/bench/bench_ablation_nsdaily_stat --benchmark_filter='^$'
 done
-scale_rejected "quickstart abc" ./build/examples/quickstart abc
-scale_rejected "full_report nan" ./build/examples/full_report nan
-scale_rejected "GOVDNS_MINE_SCALE=abc" env GOVDNS_SCALE=0.01 \
+arg_rejected "quickstart abc" ./build/examples/quickstart abc
+arg_rejected "full_report nan" ./build/examples/full_report nan
+arg_rejected "country_audit zz 0.05" ./build/examples/country_audit zz 0.05
+arg_rejected "GOVDNS_MINE_SCALE=abc" env GOVDNS_SCALE=0.01 \
   GOVDNS_MINE_SCALE=abc ./build/bench/bench_parallel_mine \
   --benchmark_filter='^$'
-echo "smoke: bad GOVDNS_SCALE/GOVDNS_MINE_SCALE and example scales exit 2" \
-  "before any world OK"
+echo "smoke: bad GOVDNS_SCALE/GOVDNS_MINE_SCALE, example scales and a bad" \
+  "country code exit 2 before any world OK"
 
 echo "==> smoke: bench_output.txt rebuilds byte for byte"
 # The committed artifact is every paper table and figure from one
