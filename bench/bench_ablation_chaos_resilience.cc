@@ -32,15 +32,16 @@ struct SweepPoint {
 SweepPoint MeasurePoint(bool armored, double loss) {
   auto& env = BenchEnv::Get();
   env.world().network().set_extra_loss_rate(loss);
-  // A fresh resolver per arm so cache/health state never leaks across arms.
+  // The study's measurer, fresh per point so cut-cache state never leaks
+  // across points; every domain is measured hermetically, so no breaker
+  // verdict carries over from one domain to the next either.
   govdns::core::ResolverOptions ropts;
   if (!armored) ropts.retry = govdns::core::RetryPolicy::Disabled();
-  govdns::core::IterativeResolver resolver(&env.world().network(),
-                                           env.world().root_server_ips(),
-                                           ropts);
   govdns::core::MeasurerOptions mopts;
   mopts.collect_soa = false;
-  govdns::core::ActiveMeasurer measurer(&resolver, mopts);
+  govdns::core::ActiveMeasurer measurer(&env.world().network(),
+                                        env.world().root_server_ips(), ropts,
+                                        mopts);
   auto query_list = govdns::core::PdnsMiner::ActiveQueryList(env.mined());
   // Deterministic subsample: 12 full measurement passes ride this sweep.
   constexpr size_t kSample = 20000;
@@ -106,8 +107,8 @@ void PrintArtifact() {
   }
   std::printf("\nAblation — chaos sweep: retry/backoff/health armor vs loss\n");
   std::printf("(FP = excess over the same arm's zero-loss baseline; the\n");
-  std::printf(" armor keeps stale-d1NS and full-defective FP rates near zero\n");
-  std::printf(" while the naive single-shot client inflates them with loss)\n");
+  std::printf(" naive arm sends one attempt per query and keeps no breaker,\n");
+  std::printf(" the retry-policy arm runs the study's default RetryPolicy)\n");
   table.Print(std::cout);
 }
 

@@ -21,13 +21,15 @@ govdns::core::DelegationSummary MeasureWith(bool second_round,
                                              double extra_loss) {
   auto& env = BenchEnv::Get();
   env.world().network().set_extra_loss_rate(extra_loss);
-  // A fresh resolver so cache state is identical between arms.
-  govdns::core::IterativeResolver resolver(&env.world().network(),
-                                           env.world().root_server_ips());
+  // The study's measurer, fresh per arm so cut-cache state is identical
+  // between arms.
   govdns::core::MeasurerOptions options;
   options.second_round = second_round;
   options.collect_soa = false;
-  govdns::core::ActiveMeasurer measurer(&resolver, options);
+  govdns::core::ActiveMeasurer measurer(&env.world().network(),
+                                        env.world().root_server_ips(),
+                                        govdns::core::ResolverOptions(),
+                                        options);
   auto query_list = govdns::core::PdnsMiner::ActiveQueryList(env.mined());
   // The ablation contrasts two measurement policies; a deterministic
   // subsample keeps the repeated measurement passes affordable at scale.
@@ -64,7 +66,7 @@ void PrintArtifact() {
     }
   }
   std::printf("\nAblation — effect of the §III-B second query round\n");
-  std::printf("(retries matter under transient loss: the 15%%-loss rows)\n");
+  std::printf("(the 15%%-loss rows test it under transient loss)\n");
   table.Print(std::cout);
 }
 

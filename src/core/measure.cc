@@ -38,12 +38,6 @@ std::vector<dns::Name> MeasurementResult::AllNs() const {
   return {names.begin(), names.end()};
 }
 
-ActiveMeasurer::ActiveMeasurer(IterativeResolver* resolver,
-                               MeasurerOptions options)
-    : resolver_(resolver), options_(options) {
-  GOVDNS_CHECK(resolver != nullptr);
-}
-
 ActiveMeasurer::ActiveMeasurer(dns::QueryTransport* transport,
                                std::vector<geo::IPv4> root_hints,
                                ResolverOptions resolver_options,
@@ -165,7 +159,7 @@ bool ActiveMeasurer::WantTrace(const dns::Name& domain) const {
 }
 
 void ActiveMeasurer::PublishCacheGauges() {
-  if (options_.obs == nullptr || shared_cache_ == nullptr) return;
+  if (options_.obs == nullptr) return;
   obs::MetricsRegistry& m = options_.obs->metrics();
   const CutCacheStats cs = shared_cache_->stats();
   // All diagnostic: hit/miss splits and infra effort depend on which worker
@@ -196,15 +190,8 @@ void ActiveMeasurer::PublishCacheGauges() {
 MeasurementResult ActiveMeasurer::Measure(const dns::Name& domain) {
   std::optional<obs::DomainTrace> slot;
   std::optional<obs::DomainTrace>* slot_ptr = WantTrace(domain) ? &slot : nullptr;
-  MeasurementResult result;
-  if (resolver_ != nullptr) {
-    result = MeasureWith(*resolver_, domain, slot_ptr);
-  } else {
-    IterativeResolver resolver(transport_, roots_, resolver_options_);
-    result = MeasureWith(resolver, domain, slot_ptr);
-    merged_counters_ += resolver.counters();
-    merged_queries_sent_ += resolver.queries_sent();
-  }
+  IterativeResolver resolver(transport_, roots_, resolver_options_);
+  MeasurementResult result = MeasureWith(resolver, domain, slot_ptr);
   if (slot.has_value()) options_.obs->traces().Fold(std::move(*slot));
   return result;
 }
@@ -214,8 +201,7 @@ MeasurementResult ActiveMeasurer::MeasureWith(
     std::optional<obs::DomainTrace>* trace_slot) {
   MeasurementResult result;
   result.domain = domain;
-  // In engine mode the scope makes everything below a pure function of
-  // (world seed, domain): no-op otherwise.
+  // The scope makes everything below a pure function of (world seed, domain).
   resolver.BeginDomainScope(domain);
   obs::DomainTrace* trace = nullptr;
   if (trace_slot != nullptr) {
@@ -224,20 +210,17 @@ MeasurementResult ActiveMeasurer::MeasureWith(
     trace = &trace_slot->value();
     resolver.set_trace(trace);
   }
-  // Timed on the transport's logical clock; in engine mode the domain-scope
-  // clock, so the timing is deterministic like everything else in scope.
+  // Timed on the domain-scope clock of the transport, so the timing is
+  // deterministic like everything else in scope.
   const uint64_t t0 = resolver.now_ms();
   // Charge everything this domain costs — including resolution detours —
   // against one hard budget, and attribute the per-outcome counters to it.
   const ResolverCounters before = resolver.counters();
   resolver.ClearCancelLatch();
   resolver.ArmQueryBudget(options_.max_queries_per_domain);
-  // Logical deadline (§6g): the measurer option wins; otherwise the
-  // resolver-level default. Armed against the domain-scope clock, so
-  // whether it trips is a pure function of (world seed, domain).
-  resolver.ArmDeadline(options_.max_logical_ms_per_domain != 0
-                           ? options_.max_logical_ms_per_domain
-                           : resolver.options().domain_deadline_ms);
+  // Logical deadline (§6g), armed against the domain-scope clock, so whether
+  // it trips is a pure function of (world seed, domain).
+  resolver.ArmDeadline(options_.max_logical_ms_per_domain);
   MeasureInternal(resolver, result, trace);
   result.degraded = resolver.BudgetExhausted() || resolver.DeadlineExceeded() ||
                     resolver.WatchdogCancelled();
@@ -485,32 +468,13 @@ void ActiveMeasurer::QueryChildServers(IterativeResolver& resolver,
 }
 
 std::vector<MeasurementResult> ActiveMeasurer::MeasureAll(
-    const std::vector<dns::Name>& domains) {
+    std::span<const dns::Name> domains) {
   obs::Observability* obs = options_.obs;
-  if (resolver_ != nullptr) {
-    std::vector<MeasurementResult> out;
-    out.reserve(domains.size());
-    for (const dns::Name& domain : domains) {
-      out.push_back(Measure(domain));  // folds traces in input order
-    }
-    merged_counters_ = resolver_->counters();
-    merged_queries_sent_ = resolver_->queries_sent();
-    if (obs != nullptr) {
-      const MetricIds ids = MetricIds::Declare(obs->metrics());
-      std::unique_ptr<obs::MetricsShard> shard = obs->metrics().NewShard();
-      for (const MeasurementResult& r : out) ids.Observe(*shard, r);
-      obs->metrics().Absorb(*shard);
-    }
-    return out;
-  }
-
-  // Pool mode: shard over workers with an atomic dispenser. Every domain is
-  // measured hermetically, so which worker picks it up cannot change its
-  // result — writing into out[i] by input index makes the whole vector
-  // byte-identical to a serial run.
-  const int workers = util::PoolWorkers(
-      options_.async_lanes > 0 ? options_.async_lanes : options_.workers,
-      domains.size());
+  // Shard over workers with an atomic dispenser. Every domain is measured
+  // hermetically, so which worker picks it up cannot change its result —
+  // writing into out[i] by input index makes the whole vector byte-identical
+  // to a serial run.
+  const int workers = util::PoolWorkers(options_.workers, domains.size());
 
   // Observability mirrors the worker ownership split: each worker updates a
   // private metrics shard (commutative sums, absorbed post-join) and writes
@@ -524,8 +488,6 @@ std::vector<MeasurementResult> ActiveMeasurer::MeasureAll(
 
   std::vector<MeasurementResult> out(domains.size());
   std::atomic<size_t> next{0};
-  std::vector<ResolverCounters> worker_counters(workers);
-  std::vector<uint64_t> worker_queries(workers, 0);
 
   // Wall-clock liveness net (§6g). In pure simulation exchanges always
   // return promptly, so the watchdog never fires and attaching one cannot
@@ -564,18 +526,9 @@ std::vector<MeasurementResult> ActiveMeasurer::MeasureAll(
       }
       if (shard != nullptr) ids->Observe(*shard, out[i]);
     }
-    worker_counters[w] = resolver.counters();
-    worker_queries[w] = resolver.queries_sent();
     worker_shards[w] = std::move(shard);
   };
   util::RunOnPool(workers, run);
-
-  merged_counters_ = ResolverCounters{};
-  merged_queries_sent_ = 0;
-  for (int w = 0; w < workers; ++w) {
-    merged_counters_ += worker_counters[w];
-    merged_queries_sent_ += worker_queries[w];
-  }
 
   if (watchdog != nullptr) {
     // Requeue every cancelled domain exactly once, serially: the stall that
@@ -600,8 +553,6 @@ std::vector<MeasurementResult> ActiveMeasurer::MeasureAll(
         out[i] = MeasureWith(requeue_resolver, domains[i], slot);
         if (requeue_shard != nullptr) ids->Observe(*requeue_shard, out[i]);
       }
-      merged_counters_ += requeue_resolver.counters();
-      merged_queries_sent_ += requeue_resolver.queries_sent();
       if (requeue_shard != nullptr) obs->metrics().Absorb(*requeue_shard);
     }
     watchdog->Stop();

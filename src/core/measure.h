@@ -14,21 +14,20 @@
 // A second round re-queries domains whose parent returned NS records but
 // whose child servers never answered, to rule out transient loss (§III-B).
 //
-// Two construction modes:
-//   * Legacy serial mode (resolver pointer): every Measure call runs through
-//     one caller-owned resolver, exactly as the original client did.
-//   * Pool mode (transport + root hints): MeasureAll shards the domain list
-//     over worker threads; each worker owns a private IterativeResolver but
-//     all share one thread-safe zone-cut + negative cache, and every domain
-//     is measured inside a hermetic per-domain chaos scope. Results land in
-//     input order and per-domain query_stats are byte-identical for any
-//     worker count, so the downstream analyses and the resilience report do
-//     not depend on parallelism.
+// One measurer: MeasureAll shards the domain list over a worker pool; each
+// worker owns a private IterativeResolver but all share one thread-safe
+// zone-cut + negative cache owned by the measurer, and every domain is
+// measured inside a hermetic per-domain chaos scope, so no breaker verdict
+// or jitter draw carries over from one domain to the next. Results land in
+// input order and per-domain query_stats are byte-identical for any worker
+// count, so the downstream analyses and the resilience report do not depend
+// on parallelism. A fresh measurer starts with a fresh cache.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/resolver.h"
@@ -129,7 +128,7 @@ struct MeasurerOptions {
   uint64_t max_queries_per_domain = 250;
   // --- Deadline-budget hierarchy (DESIGN.md §6g), all 0 = disabled --------
   // Logical (transport-clock) ms one domain may consume before it is
-  // quarantined. Overrides ResolverOptions::domain_deadline_ms when set.
+  // quarantined.
   uint64_t max_logical_ms_per_domain = 0;
   // Logical ms all of one country's domains together may consume; once a
   // country is over budget (as of a batch boundary) its remaining domains
@@ -140,8 +139,9 @@ struct MeasurerOptions {
   // the cutoff is deterministic and worker-count independent.
   uint64_t phase_deadline_logical_ms = 0;
   // Granularity (domains) of study-level budget enforcement and checkpoint
-  // journaling when a country/phase budget is armed. 0 = the checkpoint's
-  // batch_size when one is attached, else 64. Changing it may move which
+  // journaling when a checkpoint or a country/phase budget is armed (else
+  // the whole query list is one batch). 0 = the checkpoint's batch_size
+  // when one is attached, else 64. Changing it may move which
   // domains fall past a budget cutoff (each batch's verdicts read only the
   // accumulators of the batches before it), but never changes healthy runs.
   size_t budget_batch_size = 0;
@@ -151,17 +151,14 @@ struct MeasurerOptions {
   // (exchanges always return), so it cannot perturb deterministic runs.
   uint32_t watchdog_stall_ms = 0;
   uint32_t watchdog_poll_ms = 20;
-  // Worker threads used by MeasureAll in pool mode; 0 picks
-  // std::thread::hardware_concurrency(). Ignored in legacy serial mode.
+  // Worker threads used by MeasureAll; 0 picks
+  // std::thread::hardware_concurrency(). Over a transport that multiplexes
+  // I/O (netio::QueryEngine, DESIGN.md §6h) a worker parked in Exchange
+  // costs a parked thread, not a socket round-trip, so the count can far
+  // exceed the core count to keep the engine's in-flight window full
+  // (ZDNS-style lanes). Every domain is measured hermetically, so any
+  // count yields the same byte stream.
   int workers = 0;
-  // Async submit lanes (ZDNS-style, DESIGN.md §6h): when > 0, overrides
-  // `workers` as the pool size. Intended for transports that multiplex
-  // I/O — e.g. netio::QueryEngine — where a lane parked in Exchange costs
-  // a parked thread, not a socket round-trip, so lane count can far
-  // exceed core count to keep the engine's in-flight window full. Every
-  // domain is measured hermetically, so any lane count yields the same
-  // byte stream.
-  int async_lanes = 0;
   // Observability sink (not owned; may be null). When set, the measurer
   // folds per-worker metric shards into obs->metrics(), samples per-domain
   // traces into obs->traces() (folded in input order, so the retained set
@@ -174,13 +171,9 @@ class ActiveMeasurer {
  public:
   using Options = MeasurerOptions;
 
-  // Legacy serial mode: all measurement traffic goes through `resolver`,
-  // which the caller owns and may share with other components.
-  ActiveMeasurer(IterativeResolver* resolver,
-                 MeasurerOptions options = MeasurerOptions());
-
-  // Pool mode: MeasureAll runs a worker pool over `transport`; workers share
-  // one zone-cut cache owned by the measurer.
+  // MeasureAll runs a worker pool over `transport`; workers share one
+  // zone-cut cache owned by the measurer. `resolver_options` configures
+  // every worker's resolver (its retry policy, say).
   ActiveMeasurer(dns::QueryTransport* transport,
                  std::vector<geo::IPv4> root_hints,
                  ResolverOptions resolver_options = ResolverOptions(),
@@ -190,17 +183,13 @@ class ActiveMeasurer {
   MeasurementResult Measure(const dns::Name& domain);
 
   // Runs Measure over a list (the paper's 147k-domain query list). Results
-  // are returned in input order regardless of how work was sharded.
+  // are returned in input order regardless of how work was sharded. The
+  // query effort is each result's query_stats (surface queries only — shared
+  // cut computation is accounted on the cache itself).
   std::vector<MeasurementResult> MeasureAll(
-      const std::vector<dns::Name>& domains);
+      std::span<const dns::Name> domains);
 
-  // Aggregate query effort of the last MeasureAll: in pool mode the exact
-  // sum of the per-worker resolver counters (surface queries only — shared
-  // cache computation is accounted on the cache itself); in legacy mode the
-  // caller resolver's cumulative counters.
-  const ResolverCounters& merged_counters() const { return merged_counters_; }
-  uint64_t merged_queries_sent() const { return merged_queries_sent_; }
-  // Pool mode only (nullptr otherwise). The mutable overload exists for
+  // The workers' shared zone-cut cache. The mutable overload exists for
   // checkpoint warm-start (SharedCutCache::Restore before MeasureAll).
   const SharedCutCache* shared_cache() const { return shared_cache_.get(); }
   SharedCutCache* shared_cache() { return shared_cache_.get(); }
@@ -223,14 +212,11 @@ class ActiveMeasurer {
   // Post-run bookkeeping: cut-cache gauges on the attached registry.
   void PublishCacheGauges();
 
-  IterativeResolver* resolver_ = nullptr;     // legacy serial mode
-  dns::QueryTransport* transport_ = nullptr;  // pool mode
+  dns::QueryTransport* transport_;
   std::vector<geo::IPv4> roots_;
   ResolverOptions resolver_options_;
   std::unique_ptr<SharedCutCache> shared_cache_;
   Options options_;
-  ResolverCounters merged_counters_;
-  uint64_t merged_queries_sent_ = 0;
 };
 
 }  // namespace govdns::core

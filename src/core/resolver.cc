@@ -215,7 +215,6 @@ ServerReply IterativeResolver::QueryServerImpl(geo::IPv4 server,
     // A fresh transaction id per attempt: a delayed reply to attempt N-1
     // can never validate attempt N.
     dns::Message query = dns::MakeQuery(next_id_++, name, type);
-    ++queries_sent_;
     ++counters_.queries;
     Trace(obs::TraceEventKind::kQuery, server.bits(),
           static_cast<uint8_t>(attempt));
@@ -367,7 +366,6 @@ IterativeResolver::InfraScope::InfraScope(IterativeResolver& r,
                                           const dns::Name& zone)
     : r_(r),
       saved_counters_(r.counters_),
-      saved_queries_sent_(r.queries_sent_),
       saved_jitter_state_(r.jitter_state_),
       saved_budget_remaining_(r.budget_remaining_),
       saved_budget_exhausted_(r.budget_exhausted_),
@@ -379,7 +377,6 @@ IterativeResolver::InfraScope::InfraScope(IterativeResolver& r,
   // whether this step runs at all depends on cache state, i.e. scheduling.
   r.trace_ = nullptr;
   r.counters_ = ResolverCounters{};
-  r.queries_sent_ = 0;
   r.jitter_state_ = util::HashString(zone.ToString(), kCutJitterSalt);
   // Shared-cut probes run unbudgeted: a domain's armed budget must not leak
   // into (or be consumed by) cache computation another domain may reuse.
@@ -397,7 +394,6 @@ IterativeResolver::InfraScope::~InfraScope() {
   r_.transport_->PopChaosContext();
   r_.options_.shared_cache->ChargeInfra(r_.counters_);
   r_.counters_ = saved_counters_;
-  r_.queries_sent_ = saved_queries_sent_;
   r_.jitter_state_ = saved_jitter_state_;
   r_.budget_remaining_ = saved_budget_remaining_;
   r_.budget_exhausted_ = saved_budget_exhausted_;
@@ -408,7 +404,6 @@ IterativeResolver::InfraScope::~InfraScope() {
 }
 
 void IterativeResolver::BeginDomainScope(const dns::Name& domain) {
-  if (options_.shared_cache == nullptr) return;
   GOVDNS_CHECK(!domain_scope_active_);
   domain_scope_active_ = true;
   // Per-domain state is reseeded so nothing from previously measured domains
@@ -422,7 +417,6 @@ void IterativeResolver::BeginDomainScope(const dns::Name& domain) {
 }
 
 void IterativeResolver::EndDomainScope() {
-  if (options_.shared_cache == nullptr) return;
   GOVDNS_CHECK(domain_scope_active_);
   domain_scope_active_ = false;
   transport_->PopChaosContext();

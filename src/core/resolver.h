@@ -116,12 +116,6 @@ struct ResolverOptions {
   // stale dead-subtree verdicts without limit. 0 disables the bound.
   size_t max_negative_cuts = 512;
 
-  // Default per-domain logical-time deadline (ms of transport-clock time)
-  // the measurer arms when MeasurerOptions does not override it. 0 = none.
-  // See DESIGN.md §6g: the deadline bounds how long a single domain can
-  // stall on hanging/blackholed servers before it is quarantined.
-  uint64_t domain_deadline_ms = 0;
-
   // Engine mode: when set, zone cuts are resolved through this shared
   // thread-safe cache instead of the resolver's private one, every cut
   // computation runs in its own hermetic chaos context (keyed by the parent
@@ -204,8 +198,7 @@ class IterativeResolver {
   // per-domain resolver state (breaker map, backoff jitter stream) to a
   // deterministic function of the domain. Inside the scope, every outcome is
   // a pure function of (world seed, domain, shared-cache semantics) — the
-  // foundation of worker-count-independent measurement results. No-ops when
-  // no shared cache is configured.
+  // foundation of worker-count-independent measurement results.
   void BeginDomainScope(const dns::Name& domain);
   void EndDomainScope();
 
@@ -223,7 +216,6 @@ class IterativeResolver {
   uint64_t now_ms() const { return transport_->now_ms(); }
 
   // Statistics for the harness.
-  uint64_t queries_sent() const { return queries_sent_; }
   const ResolverCounters& counters() const { return counters_; }
   size_t cache_size() const { return cut_cache_.size(); }
   // Health-tracking introspection: servers currently behind an open breaker.
@@ -275,7 +267,6 @@ class IterativeResolver {
    private:
     IterativeResolver& r_;
     ResolverCounters saved_counters_;
-    uint64_t saved_queries_sent_;
     uint64_t saved_jitter_state_;
     std::optional<uint64_t> saved_budget_remaining_;
     bool saved_budget_exhausted_;
@@ -317,7 +308,6 @@ class IterativeResolver {
   std::vector<geo::IPv4> roots_;
   Options options_;
   uint16_t next_id_ = 1;
-  uint64_t queries_sent_ = 0;
   uint64_t jitter_state_ = 0x6a7e9cb1d2f30e45ull;
   ResolverCounters counters_;
   std::optional<uint64_t> budget_remaining_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 
 #include "core/study_ckpt.h"
 
@@ -153,6 +154,12 @@ const ActiveDataset& Study::RunActiveMeasurement(MeasurerOptions options) {
   // Measures query-list indices [begin, begin+count), pre-quarantining the
   // domains the study-level budgets already exclude.
   auto measure_batch = [&](size_t begin, size_t count) {
+    // Unbudgeted, nothing is pre-quarantined: the batch is measured in place,
+    // with no copy of its names, and MeasureAll's vector is its results.
+    if (!budgets_armed) {
+      return measurer.MeasureAll(
+          std::span<const dns::Name>(query_list).subspan(begin, count));
+    }
     const bool phase_over = options.phase_deadline_logical_ms > 0 &&
                             phase_logical >= options.phase_deadline_logical_ms;
     std::vector<dns::Name> live;
@@ -188,48 +195,47 @@ const ActiveDataset& Study::RunActiveMeasurement(MeasurerOptions options) {
     return part;
   };
 
-  std::vector<MeasurementResult> results;
-  if (ckpt_ == nullptr && !budgets_armed) {
-    // Fast path: one pool pass over the whole list.
-    results = measurer.MeasureAll(query_list);
-    measurement_counters_ = measurer.merged_counters();
-    measurement_queries_sent_ = measurer.merged_queries_sent();
-  } else {
-    size_t batch_size = options.budget_batch_size;
+  // One batch loop. Without a checkpoint or a country/phase budget the whole
+  // query list is one batch; otherwise batches are the journaling and
+  // budget-enforcement granularity.
+  size_t batch_size = query_list.size();
+  if (ckpt_ != nullptr || budgets_armed) {
+    batch_size = options.budget_batch_size;
     if (batch_size == 0) {
       batch_size = ckpt_ != nullptr ? ckpt_->options().batch_size : size_t{64};
     }
-    if (ckpt_ != nullptr) {
-      results = ckpt_->LoadActiveBatches(query_list.size());
-      // Replay the restored prefix through the budget accumulators so the
-      // resumed run's cutoff decisions match the uninterrupted run's.
-      account(0, results);
-      if (!results.empty() && results.size() < query_list.size()) {
-        // Warm start: skip re-deriving infrastructure the finished batches
-        // already paid for. Purely advisory — per-domain results are hermetic
-        // either way — and positives-only, so no stale negative can replay.
-        ckpt_->RestoreCutCache(measurer.shared_cache());
-      }
+  }
+  std::vector<MeasurementResult> results;
+  if (ckpt_ != nullptr) {
+    results = ckpt_->LoadActiveBatches(query_list.size());
+    // Replay the restored prefix through the budget accumulators so the
+    // resumed run's cutoff decisions match the uninterrupted run's.
+    account(0, results);
+    if (!results.empty() && results.size() < query_list.size()) {
+      // Warm start: skip re-deriving infrastructure the finished batches
+      // already paid for. Purely advisory — per-domain results are hermetic
+      // either way — and positives-only, so no stale negative can replay.
+      ckpt_->RestoreCutCache(measurer.shared_cache());
     }
-    while (results.size() < query_list.size()) {
-      CheckInterrupt("measurement");
-      const size_t begin = results.size();
-      const size_t count = std::min(batch_size, query_list.size() - begin);
-      std::vector<MeasurementResult> part = measure_batch(begin, count);
-      if (ckpt_ != nullptr) {
-        ckpt_->AppendActiveBatch(begin, part);
-        ckpt_->AppendCutCacheDelta(*measurer.shared_cache());
-      }
+  }
+  while (results.size() < query_list.size()) {
+    CheckInterrupt("measurement");
+    const size_t begin = results.size();
+    const size_t count = std::min(batch_size, query_list.size() - begin);
+    std::vector<MeasurementResult> part = measure_batch(begin, count);
+    if (ckpt_ != nullptr) {
+      ckpt_->AppendActiveBatch(begin, part);
+      ckpt_->AppendCutCacheDelta(*measurer.shared_cache());
+    }
+    if (part.size() == query_list.size()) {
+      // The whole list in one batch: its vector becomes the results, so
+      // no second array of results is ever held.
+      results = std::move(part);
+    } else {
+      // Appended, never replaced: a journaled run keeps the one reservation
+      // LoadActiveBatches made.
       for (MeasurementResult& r : part) results.push_back(std::move(r));
     }
-    // Derived, not merged: per-domain query_stats sum to exactly the pool's
-    // merged counters (uniform accounting), and unlike the live merge the
-    // sum is also available for batches restored from the journal.
-    measurement_counters_ = ResolverCounters{};
-    for (const MeasurementResult& r : results) {
-      measurement_counters_ += r.query_stats;
-    }
-    measurement_queries_sent_ = measurement_counters_.queries;
   }
   if (ckpt_ != nullptr) {
     // Journal the phase's degradation summary (DESIGN.md §6g) so a resumed
@@ -271,11 +277,17 @@ const ActiveDataset& Study::RunActiveMeasurement(MeasurerOptions options) {
     }
   }
   measurement_cache_stats_ = measurer.shared_cache()->stats();
-  // Logical time: the sum of per-domain scope clocks, not the global clock —
-  // domain scopes run on context-local clocks, and the sum is the quantity
-  // that stays deterministic across worker counts (and across resumes).
+  // Counters and logical time are sums over the per-domain results, so they
+  // cover restored batches too. Logical time is the sum of per-domain scope
+  // clocks, not the global clock — domain scopes run on context-local
+  // clocks, and the sum is the quantity that stays deterministic across
+  // worker counts (and across resumes).
+  measurement_counters_ = ResolverCounters{};
   uint64_t logical = 0;
-  for (const MeasurementResult& r : results) logical += r.logical_ms;
+  for (const MeasurementResult& r : results) {
+    measurement_counters_ += r.query_stats;
+    logical += r.logical_ms;
+  }
   phase.set_logical_ms(logical);
   phase.set_items(static_cast<int64_t>(results.size()));
   active_ = std::make_unique<ActiveDataset>(

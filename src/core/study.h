@@ -129,16 +129,16 @@ class Study {
   bool has_mined() const { return mined_ != nullptr; }
   bool has_active() const { return active_ != nullptr; }
 
-  IterativeResolver& resolver() { return resolver_; }
   const StudyInputs& inputs() const { return inputs_; }
 
-  // Aggregate query effort of the last RunActiveMeasurement (summed over the
-  // measurement pool's workers; surface queries only).
+  // Aggregate query effort of the last RunActiveMeasurement: the sum of the
+  // per-domain query_stats (surface queries only), restored batches
+  // included.
   const ResolverCounters& measurement_counters() const {
     return measurement_counters_;
   }
   uint64_t measurement_queries_sent() const {
-    return measurement_queries_sent_;
+    return measurement_counters_.queries;
   }
   // Shared-cut-cache statistics of the last RunActiveMeasurement.
   const CutCacheStats& measurement_cache_stats() const {
@@ -161,7 +161,6 @@ class Study {
   std::unique_ptr<MinedDataset> mined_;
   std::unique_ptr<ActiveDataset> active_;
   ResolverCounters measurement_counters_;
-  uint64_t measurement_queries_sent_ = 0;
   CutCacheStats measurement_cache_stats_;
   obs::Observability* obs_ = nullptr;
   obs::PhaseProfiler profiler_;

@@ -25,6 +25,10 @@ namespace {
 // for an empty vantage name.
 constexpr uint64_t kVantageFpTag = 0x6776766eULL;  // "gvvn"
 
+// A country row's wire floor: a 1-octet string length plus six 8-octet
+// I64s. A row is bigger in memory, so the count is checked against it.
+constexpr size_t kCountryRowMinOctets = 1 + 6 * 8;
+
 // Authoritative-share verdict thresholds (see DisagreementRow).
 const char* VerdictFor(int64_t domains, int64_t authoritative) {
   if (domains == 0) return "none";
@@ -104,7 +108,7 @@ bool DecodeVantageSummary(ckpt::Reader& r, VantageSummary* out) {
       !r.U64(&out->fingerprint) || !r.I64(&out->domains) ||
       !r.I64(&out->responsive) || !r.I64(&out->authoritative) ||
       !r.I64(&out->quarantined) || !r.U32(&out->report_crc) ||
-      !r.Count(&count)) {
+      !r.Count(&count, kCountryRowMinOctets)) {
     return false;
   }
   out->countries.resize(count);

@@ -38,7 +38,7 @@ class ChaosResilienceTest : public ::testing::Test {
   }
 
   // One full measurement pass under the given retry policy and loss level,
-  // on a fresh resolver so cache/health state never leaks between passes.
+  // on a fresh measurer so cut-cache state never leaks between passes.
   static core::ActiveDataset MeasurePass(const core::RetryPolicy& policy,
                                          double loss,
                                          const std::vector<dns::Name>& list,
@@ -46,10 +46,9 @@ class ChaosResilienceTest : public ::testing::Test {
     world_->network().set_extra_loss_rate(loss);
     core::ResolverOptions ropts;
     ropts.retry = policy;
-    core::IterativeResolver resolver(&world_->network(),
-                                     world_->root_server_ips(), ropts);
     mopts.collect_soa = false;
-    core::ActiveMeasurer measurer(&resolver, mopts);
+    core::ActiveMeasurer measurer(&world_->network(),
+                                  world_->root_server_ips(), ropts, mopts);
     auto results = measurer.MeasureAll(list);
     world_->network().set_extra_loss_rate(0.0);
     return core::ActiveDataset::Build(std::move(results), bound_->study->seeds(),

@@ -85,8 +85,7 @@ TEST_F(FailureInjectionTest, MismatchedTransactionIdRejected) {
 
 TEST_F(FailureInjectionTest, TldRefusingEverythingIsDeadParent) {
   world_.tld_server->set_mode(zone::ServerMode::kRefuseAll);
-  IterativeResolver fresh(&world_.net, world_.roots());
-  ActiveMeasurer measurer(&fresh);
+  ActiveMeasurer measurer(&world_.net, world_.roots());
   auto r = measurer.Measure(Name::FromString("moe.gov.xx"));
   EXPECT_FALSE(r.parent_located);
   EXPECT_FALSE(r.parent_has_records);
@@ -187,8 +186,7 @@ TEST_F(FailureInjectionTest, ParkingWildcardDoesNotLookLame) {
         return parking.Answer(*query).Encode();
       });
 
-  IterativeResolver fresh(&world_.net, world_.roots());
-  ActiveMeasurer measurer(&fresh);
+  ActiveMeasurer measurer(&world_.net, world_.roots());
   auto r = measurer.Measure(Name::FromString("park.gov.xx"));
   EXPECT_TRUE(r.child_any_authoritative);
   EXPECT_EQ(ClassifyDelegation(r), DelegationHealth::kHealthy);

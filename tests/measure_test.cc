@@ -12,10 +12,7 @@ using govdns::testing::TinyInternet;
 
 class MeasureTest : public ::testing::Test {
  protected:
-  MeasureTest()
-      : world_(),
-        resolver_(&world_.net, world_.roots()),
-        measurer_(&resolver_) {}
+  MeasureTest() : world_(), measurer_(&world_.net, world_.roots()) {}
 
   MeasurementResult Measure(const char* domain) {
     return measurer_.Measure(Name::FromString(domain));
@@ -30,7 +27,6 @@ class MeasureTest : public ::testing::Test {
   }
 
   TinyInternet world_;
-  IterativeResolver resolver_;
   ActiveMeasurer measurer_;
 };
 
@@ -125,8 +121,7 @@ TEST_F(MeasureTest, DeadParentZone) {
   // Silence the gov.xx server: the parent zone becomes unreachable.
   world_.net.SetBehavior(TinyInternet::Ip(10, 0, 2, 1),
                          simnet::EndpointBehavior{.silent = true});
-  IterativeResolver fresh(&world_.net, world_.roots());
-  ActiveMeasurer measurer(&fresh);
+  ActiveMeasurer measurer(&world_.net, world_.roots());
   auto r = measurer.Measure(Name::FromString("moe.gov.xx"));
   EXPECT_FALSE(r.parent_located);
   EXPECT_FALSE(r.parent_responded);
@@ -136,38 +131,34 @@ TEST_F(MeasureTest, SecondRoundRecoversFromTransientLoss) {
   // Heavy loss toward the healthy moe servers: round 1 may fail entirely,
   // round 2 retries. Both arms run the naive single-shot policy so the test
   // isolates the second-round mechanism from the per-query retry armor
-  // (which would push both arms to the ceiling).
-  world_.net.SetBehavior(TinyInternet::Ip(10, 0, 3, 1),
-                         simnet::EndpointBehavior{.loss_rate = 0.7});
-  world_.net.SetBehavior(TinyInternet::Ip(10, 0, 3, 2),
-                         simnet::EndpointBehavior{.loss_rate = 0.7});
+  // (which would push both arms to the ceiling). A domain's loss draws are
+  // hermetic — a pure function of (world seed, domain) — so each trial
+  // measures its own world seed; repeating one world would repeat one trial.
   ResolverOptions naive;
   naive.retry = RetryPolicy::Disabled();
   int with_round2 = 0, without = 0;
   for (int trial = 0; trial < 30; ++trial) {
-    {
-      IterativeResolver resolver(&world_.net, world_.roots(), naive);
+    TinyInternet world(trial + 1);
+    world.net.SetBehavior(TinyInternet::Ip(10, 0, 3, 1),
+                          simnet::EndpointBehavior{.loss_rate = 0.7});
+    world.net.SetBehavior(TinyInternet::Ip(10, 0, 3, 2),
+                          simnet::EndpointBehavior{.loss_rate = 0.7});
+    for (bool second_round : {true, false}) {
       MeasurerOptions opts;
-      opts.second_round = true;
-      ActiveMeasurer m(&resolver, opts);
-      with_round2 += m.Measure(Name::FromString("moe.gov.xx"))
-                         .child_any_authoritative;
-    }
-    {
-      IterativeResolver resolver(&world_.net, world_.roots(), naive);
-      MeasurerOptions opts;
-      opts.second_round = false;
-      ActiveMeasurer m(&resolver, opts);
-      without += m.Measure(Name::FromString("moe.gov.xx"))
-                     .child_any_authoritative;
+      opts.second_round = second_round;
+      ActiveMeasurer m(&world.net, world.roots(), naive, opts);
+      const bool answered =
+          m.Measure(Name::FromString("moe.gov.xx")).child_any_authoritative;
+      (second_round ? with_round2 : without) += answered;
     }
   }
   EXPECT_GT(with_round2, without);  // the second round visibly recovers
 }
 
 TEST_F(MeasureTest, MeasureAllPreservesOrder) {
-  auto results = measurer_.MeasureAll(
-      {Name::FromString("moe.gov.xx"), Name::FromString("lame.gov.xx")});
+  const std::vector<Name> domains = {Name::FromString("moe.gov.xx"),
+                                     Name::FromString("lame.gov.xx")};
+  auto results = measurer_.MeasureAll(domains);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].domain.ToString(), "moe.gov.xx");
   EXPECT_EQ(results[1].domain.ToString(), "lame.gov.xx");

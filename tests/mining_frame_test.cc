@@ -8,8 +8,9 @@
 // bytes for the same dataset and profile, and must accept exactly the
 // payloads the reference accepts, decoding them to the same rows.
 // MiningFrameBound checks that a count the frame cannot hold reserves
-// nothing large, and that decoding a frame allocates a number of heap
-// blocks independent of its domain count.
+// nothing large (in a mining, a selection and a vantage frame), and that
+// decoding a frame allocates a number of heap blocks independent of its
+// domain count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +29,7 @@
 #include "ckpt/serial.h"
 #include "core/mining.h"
 #include "core/study_ckpt.h"
+#include "core/vantage.h"
 #include "tests/mined_datasets.h"
 #include "util/pool.h"
 #include "util/rng.h"
@@ -723,6 +725,36 @@ TEST(MiningFrameBound, CraftedSeedCountIsOneBoundedReject) {
     EXPECT_LT(largest, 2 * payload.size());
     fs::remove_all(dir);
   }
+}
+
+TEST(MiningFrameBound, CraftedVantageCountryCountIsOneBoundedReject) {
+  // A vantage summary without countries, its zero count cut off, then as
+  // many countries as bytes behind the count, all zero.
+  ckpt::Writer w;
+  VantageSummary summary;
+  summary.name = "v0";
+  summary.fingerprint = 77;
+  EncodeVantageSummary(w, summary);
+  std::string head = w.Take();
+  head.pop_back();
+  const std::string payload = CraftedCount(head, 1'000'000, 1'000'000, '\0');
+
+  const std::string dir = TempDir("vantage");
+  {
+    ckpt::Journal journal(dir, 77);
+    ASSERT_TRUE(journal.Commit(kVantageFrameName, payload, 0).ok());
+  }
+  size_t largest = 0;
+  {
+    HeapWatch watch;
+    EXPECT_FALSE(LoadVantageSummary(dir, 77).has_value());
+    largest = watch.largest();
+  }
+  // Reading the frame itself asks for its size; nothing may ask for more
+  // than twice that (the decoder before the bound resized to the count
+  // checked at one octet per 80-byte row, about 80 MB here).
+  EXPECT_LT(largest, 2 * payload.size());
+  fs::remove_all(dir);
 }
 
 // `domains` domains named d<i>.gov.aa (at most 30 octets), every year with

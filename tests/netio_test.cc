@@ -472,7 +472,7 @@ TEST(QueryEngineWrappedTest, RateLimitChargesDeterministicLogicalDelay) {
 
 // --- end-to-end determinism -------------------------------------------------
 
-std::string RunStudyArm(bool engine_mode, int workers, int lanes) {
+std::string RunStudyArm(bool engine_mode, int workers) {
   worldgen::WorldConfig config;
   config.scale = 0.01;
   config.seed = 2022;
@@ -495,7 +495,6 @@ std::string RunStudyArm(bool engine_mode, int workers, int lanes) {
   bound.study->RunMining();
   core::MeasurerOptions measure;
   measure.workers = workers;
-  measure.async_lanes = lanes;
   bound.study->RunActiveMeasurement(measure);
 
   std::vector<std::string> top10;
@@ -506,10 +505,10 @@ std::string RunStudyArm(bool engine_mode, int workers, int lanes) {
 }
 
 TEST(QueryEngineStudyTest, EngineReportByteIdenticalToSync) {
-  const std::string sync1 = RunStudyArm(/*engine_mode=*/false, 1, 0);
-  const std::string sync4 = RunStudyArm(/*engine_mode=*/false, 4, 0);
-  const std::string engine4 = RunStudyArm(/*engine_mode=*/true, 4, 0);
-  const std::string engine_lanes = RunStudyArm(/*engine_mode=*/true, 0, 8);
+  const std::string sync1 = RunStudyArm(/*engine_mode=*/false, 1);
+  const std::string sync4 = RunStudyArm(/*engine_mode=*/false, 4);
+  const std::string engine4 = RunStudyArm(/*engine_mode=*/true, 4);
+  const std::string engine_lanes = RunStudyArm(/*engine_mode=*/true, 8);
   ASSERT_FALSE(sync1.empty());
   EXPECT_EQ(sync1, sync4);
   EXPECT_EQ(sync1, engine4);

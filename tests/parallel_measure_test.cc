@@ -1,8 +1,9 @@
 // The sharded measurement pool must be a pure optimization: for a fixed
 // world seed, every observable study output — per-domain results, every
 // analysis, the resilience report, the exported JSON — must be
-// byte-identical whether one worker or many measured the list. The shared
-// cut cache and the per-worker counter merge must also reconcile exactly.
+// byte-identical whether one worker or many measured the list. Every
+// datagram the measurement sends must also be attributed exactly once: to a
+// domain's query_stats or to the shared cut cache.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -25,8 +26,9 @@ struct RunOutput {
   std::string export_json;
   std::string metrics_stable_json;  // kStable series only
   std::string trace_json;           // sampled query traces + cut publish log
-  core::ResolverCounters merged;      // Σ per-worker resolver counters
+  core::ResolverCounters merged;      // the study's measurement counters
   core::ResolverCounters per_domain;  // Σ per-domain query_stats
+  uint64_t exchanges = 0;  // SimNetwork exchanges during the measurement
   uint64_t queries_sent = 0;
   uint64_t traced_domains = 0;
   size_t diagnostic_gauges = 0;
@@ -53,9 +55,12 @@ RunOutput RunStudy(int workers) {
 
   core::MeasurerOptions mopts;
   mopts.workers = workers;
+  const uint64_t exchanges_before = world->network().stats().exchanges;
   study.RunActiveMeasurement(mopts);
+  const uint64_t exchanges_after = world->network().stats().exchanges;
 
   RunOutput out;
+  out.exchanges = exchanges_after - exchanges_before;
   out.resilience_json =
       core::BuildResilienceReport(study.active()).ToJson();
   out.export_json =
@@ -95,11 +100,15 @@ TEST(ParallelMeasureTest, FourWorkersMatchSerialByteForByte) {
   EXPECT_NE(serial.metrics_stable_json.find("\"measure.queries\""),
             std::string::npos);
 
-  // Counter reconciliation: the merged per-worker counters are exactly the
-  // sum of the per-domain attributions, in both runs — nothing the workers
-  // spent went unattributed, nothing was double-counted.
-  EXPECT_EQ(serial.merged, serial.per_domain);
-  EXPECT_EQ(parallel.merged, parallel.per_domain);
+  // Counter reconciliation against the transport: every datagram the
+  // measurement sent is either a measured domain's (Σ per-domain
+  // query_stats) or the shared cut cache's infrastructure walk, in both runs
+  // — nothing went unattributed, nothing was double-counted. Only the infra
+  // share may differ between the runs (racing workers can both walk a cut).
+  EXPECT_EQ(serial.exchanges,
+            serial.per_domain.queries + serial.cache.infra.queries);
+  EXPECT_EQ(parallel.exchanges,
+            parallel.per_domain.queries + parallel.cache.infra.queries);
   EXPECT_EQ(serial.merged, parallel.merged);
   EXPECT_EQ(serial.queries_sent, parallel.queries_sent);
   EXPECT_EQ(serial.queries_sent, serial.merged.queries);

@@ -103,9 +103,9 @@ TEST_F(ResolverTest, NonExistentDelegationStopsAtParent) {
 
 TEST_F(ResolverTest, CacheReducesQueryLoad) {
   (void)resolver_.ResolveAddresses(Name::FromString("www.moe.gov.xx"));
-  uint64_t after_first = resolver_.queries_sent();
+  uint64_t after_first = resolver_.counters().queries;
   (void)resolver_.ResolveAddresses(Name::FromString("ns2.moe.gov.xx"));
-  uint64_t second_cost = resolver_.queries_sent() - after_first;
+  uint64_t second_cost = resolver_.counters().queries - after_first;
   // The second lookup starts from the cached moe.gov.xx cut: 1 query.
   EXPECT_LE(second_cost, 2u);
   EXPECT_GT(resolver_.cache_size(), 0u);

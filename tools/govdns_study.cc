@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
       engine_options.per_server_qps =
           real(std::numeric_limits<double>::max());
     } else if (arg == "--lanes") {
-      measure_options.async_lanes = count(kIntMax);
+      measure_options.workers = count(kIntMax);
     } else if (arg == "--vantages") {
       vantages = count(worldgen::kMaxDefaultVantages);
     } else if (arg == "--vantage-deadline") {
