@@ -6,6 +6,17 @@ namespace govdns::core {
 
 namespace {
 
+// Every counter of CutCacheCounts, so stats() sums them as one set.
+constexpr uint64_t CutCacheCounts::*kCounters[] = {
+    &CutCacheCounts::hits,          &CutCacheCounts::misses,
+    &CutCacheCounts::negative_hits, &CutCacheCounts::publishes,
+    &CutCacheCounts::negative_publishes,
+    &CutCacheCounts::negative_evictions,
+};
+static_assert(sizeof(kCounters) / sizeof(kCounters[0]) * sizeof(uint64_t) ==
+                  sizeof(CutCacheCounts),
+              "kCounters must list every CutCacheCounts counter");
+
 // Stripe order depends on the hash layout; name order is canonical.
 void SortByName(std::vector<std::pair<dns::Name, SharedCutCache::Entry>>& v) {
   std::sort(v.begin(), v.end(),
@@ -30,21 +41,15 @@ SharedCutCache::Stripe& SharedCutCache::StripeFor(const dns::Name& cut) const {
 std::optional<SharedCutCache::Entry> SharedCutCache::Lookup(
     const dns::Name& cut) const {
   Stripe& stripe = StripeFor(cut);
-  std::optional<Entry> out;
-  {
-    std::lock_guard lock(stripe.mu);
-    auto it = stripe.entries.find(cut);
-    if (it != stripe.entries.end()) out = it->second.entry;
+  std::lock_guard lock(stripe.mu);
+  auto it = stripe.entries.find(cut);
+  if (it == stripe.entries.end()) {
+    ++stripe.counts.misses;
+    return std::nullopt;
   }
-  std::lock_guard stats_lock(stats_mu_);
-  if (!out.has_value()) {
-    ++stats_.misses;
-  } else if (out->reachable) {
-    ++stats_.hits;
-  } else {
-    ++stats_.negative_hits;
-  }
-  return out;
+  ++(it->second.entry.reachable ? stripe.counts.hits
+                                : stripe.counts.negative_hits);
+  return it->second.entry;
 }
 
 void SharedCutCache::Publish(const dns::Name& cut, Entry entry) {
@@ -54,15 +59,12 @@ void SharedCutCache::Publish(const dns::Name& cut, Entry entry) {
                        static_cast<uint32_t>(entry.addresses.size()));
   }
   Stripe& stripe = StripeFor(cut);
-  {
-    std::lock_guard lock(stripe.mu);
-    stripe.negatives.erase(cut);  // a retried cut may have come back to life
-    Slot& slot = stripe.entries[cut];
-    slot.entry = std::move(entry);
-    slot.written = ++stripe.clock;
-  }
-  std::lock_guard stats_lock(stats_mu_);
-  ++stats_.publishes;
+  std::lock_guard lock(stripe.mu);
+  stripe.negatives.erase(cut);  // a retried cut may have come back to life
+  Slot& slot = stripe.entries[cut];
+  slot.entry = std::move(entry);
+  slot.written = ++stripe.clock;
+  ++stripe.counts.publishes;
 }
 
 size_t SharedCutCache::EvictNegativesLocked(Stripe& stripe) {
@@ -87,31 +89,26 @@ void SharedCutCache::PublishUnreachable(const dns::Name& cut,
                        /*addr_count=*/0);
   }
   Stripe& stripe = StripeFor(cut);
-  size_t evicted = 0;
-  {
-    std::lock_guard lock(stripe.mu);
-    if (!stripe.negatives.contains(cut)) {
-      evicted = EvictNegativesLocked(stripe);
-      stripe.negatives.insert(cut);
-    }
-    auto [it, inserted] = stripe.entries.try_emplace(cut);
-    Slot& slot = it->second;
-    if (!inserted && slot.entry.reachable &&
-        std::find(stripe.flipped.begin(), stripe.flipped.end(), cut) ==
-            stripe.flipped.end()) {
-      stripe.flipped.push_back(cut);
-    }
-    slot.entry = std::move(entry);
-    slot.written = ++stripe.clock;
+  std::lock_guard lock(stripe.mu);
+  if (!stripe.negatives.contains(cut)) {
+    stripe.counts.negative_evictions += EvictNegativesLocked(stripe);
+    stripe.negatives.insert(cut);
   }
-  std::lock_guard stats_lock(stats_mu_);
-  ++stats_.negative_publishes;
-  stats_.negative_evictions += evicted;
+  auto [it, inserted] = stripe.entries.try_emplace(cut);
+  Slot& slot = it->second;
+  if (!inserted && slot.entry.reachable &&
+      std::find(stripe.flipped.begin(), stripe.flipped.end(), cut) ==
+          stripe.flipped.end()) {
+    stripe.flipped.push_back(cut);
+  }
+  slot.entry = std::move(entry);
+  slot.written = ++stripe.clock;
+  ++stripe.counts.negative_publishes;
 }
 
 void SharedCutCache::ChargeInfra(const ResolverCounters& effort) {
-  std::lock_guard lock(stats_mu_);
-  stats_.infra += effort;
+  std::lock_guard lock(infra_mu_);
+  infra_ += effort;
 }
 
 size_t SharedCutCache::size() const {
@@ -179,8 +176,16 @@ size_t SharedCutCache::Restore(
 }
 
 CutCacheStats SharedCutCache::stats() const {
-  std::lock_guard lock(stats_mu_);
-  return stats_;
+  CutCacheStats total;
+  for (const auto& stripe : stripes_) {
+    std::lock_guard lock(stripe->mu);
+    for (uint64_t CutCacheCounts::*counter : kCounters) {
+      total.*counter += stripe->counts.*counter;
+    }
+  }
+  std::lock_guard lock(infra_mu_);
+  total.infra = infra_;
+  return total;
 }
 
 }  // namespace govdns::core

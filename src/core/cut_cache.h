@@ -48,13 +48,17 @@
 
 namespace govdns::core {
 
-struct CutCacheStats {
+// The lookup and publish counters, which each stripe keeps under its lock.
+struct CutCacheCounts {
   uint64_t hits = 0;             // positive entries served
   uint64_t misses = 0;
   uint64_t negative_hits = 0;    // dead-subtree entries served
   uint64_t publishes = 0;
   uint64_t negative_publishes = 0;
   uint64_t negative_evictions = 0;  // negatives dropped by the per-stripe bound
+};
+
+struct CutCacheStats : CutCacheCounts {
   // Query effort spent computing shared entries (cold walks, glueless NS
   // resolution, dead-subtree probing). Reported as a diagnostic alongside —
   // never inside — the per-domain resilience totals: cold-start races make
@@ -82,7 +86,7 @@ class SharedCutCache {
   explicit SharedCutCache(size_t stripes = 16,
                           size_t max_negatives_per_stripe = 256);
 
-  // Copies the entry out under the stripe lock; counts a hit/miss.
+  // Copies the entry out under the stripe lock; counts a hit/miss there.
   std::optional<Entry> Lookup(const dns::Name& cut) const;
 
   // Publishes (or overwrites) an entry. Racing publishers of the same cut
@@ -126,7 +130,8 @@ class SharedCutCache {
   void set_trace_log(obs::CutTraceLog* log) { trace_log_ = log; }
 
   size_t size() const;
-  CutCacheStats stats() const;  // snapshot
+  // A snapshot: the stripes' counters summed, and the infra effort.
+  CutCacheStats stats() const;
 
  private:
   struct Slot {
@@ -149,6 +154,8 @@ class SharedCutCache {
     uint64_t clock = 0;
     uint64_t drained = 0;
     std::vector<dns::Name> flipped;
+    // Kept under `mu`, which every lookup and publish holds anyway.
+    CutCacheCounts counts;
   };
 
   Stripe& StripeFor(const dns::Name& cut) const;
@@ -159,8 +166,8 @@ class SharedCutCache {
 
   std::vector<std::unique_ptr<Stripe>> stripes_;
   size_t max_negatives_per_stripe_;
-  mutable std::mutex stats_mu_;
-  mutable CutCacheStats stats_;
+  mutable std::mutex infra_mu_;
+  ResolverCounters infra_;  // guarded by infra_mu_
   obs::CutTraceLog* trace_log_ = nullptr;
 };
 

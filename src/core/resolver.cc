@@ -377,7 +377,8 @@ IterativeResolver::InfraScope::InfraScope(IterativeResolver& r,
   // whether this step runs at all depends on cache state, i.e. scheduling.
   r.trace_ = nullptr;
   r.counters_ = ResolverCounters{};
-  r.jitter_state_ = util::HashString(zone.ToString(), kCutJitterSalt);
+  const std::string zone_text = zone.ToString();
+  r.jitter_state_ = util::HashString(zone_text, kCutJitterSalt);
   // Shared-cut probes run unbudgeted: a domain's armed budget must not leak
   // into (or be consumed by) cache computation another domain may reuse.
   r.budget_remaining_.reset();
@@ -387,7 +388,7 @@ IterativeResolver::InfraScope::InfraScope(IterativeResolver& r,
   r.deadline_at_ms_.reset();
   r.deadline_exceeded_ = false;
   r.health_.clear();
-  r.transport_->PushChaosContext(util::HashString(zone.ToString(), kCutTagSalt));
+  r.transport_->PushChaosContext(util::HashString(zone_text, kCutTagSalt));
 }
 
 IterativeResolver::InfraScope::~InfraScope() {
@@ -411,9 +412,9 @@ void IterativeResolver::BeginDomainScope(const dns::Name& domain) {
   // Cross-domain dead-server memory is instead delegated to the shared
   // negative cut cache.
   health_.clear();
-  jitter_state_ = util::HashString(domain.ToString(), kDomainJitterSalt);
-  transport_->PushChaosContext(
-      util::HashString(domain.ToString(), kDomainTagSalt));
+  const std::string domain_text = domain.ToString();
+  jitter_state_ = util::HashString(domain_text, kDomainJitterSalt);
+  transport_->PushChaosContext(util::HashString(domain_text, kDomainTagSalt));
 }
 
 void IterativeResolver::EndDomainScope() {

@@ -25,9 +25,9 @@ std::string_view RcodeName(Rcode rcode) {
   return "RCODE?";
 }
 
-std::vector<uint8_t> Message::Encode() const {
-  WireWriter w;
-  w.WriteU16(header.id);
+MessageWriter::MessageWriter(const Header& header,
+                             const std::vector<Question>& questions) {
+  w_.WriteU16(header.id);
   uint16_t flags = 0;
   if (header.qr) flags |= 0x8000;
   flags |= static_cast<uint16_t>(header.opcode) << 11;
@@ -36,20 +36,39 @@ std::vector<uint8_t> Message::Encode() const {
   if (header.rd) flags |= 0x0100;
   if (header.ra) flags |= 0x0080;
   flags |= static_cast<uint16_t>(header.rcode) & 0x0F;
-  w.WriteU16(flags);
-  w.WriteU16(static_cast<uint16_t>(questions.size()));
-  w.WriteU16(static_cast<uint16_t>(answers.size()));
-  w.WriteU16(static_cast<uint16_t>(authority.size()));
-  w.WriteU16(static_cast<uint16_t>(additional.size()));
+  w_.WriteU16(flags);
+  w_.WriteU16(static_cast<uint16_t>(questions.size()));
+  // The three record counts, patched in by Finish().
+  for (int s = 0; s < 3; ++s) w_.WriteU16(0);
   for (const Question& q : questions) {
-    w.WriteName(q.name);
-    w.WriteU16(static_cast<uint16_t>(q.type));
-    w.WriteU16(static_cast<uint16_t>(q.klass));
+    w_.WriteName(q.name);
+    w_.WriteU16(static_cast<uint16_t>(q.type));
+    w_.WriteU16(static_cast<uint16_t>(q.klass));
   }
-  for (const auto* section : {&answers, &authority, &additional}) {
-    for (const ResourceRecord& rr : *section) w.WriteRecord(rr);
+}
+
+void MessageWriter::Add(Section section, std::span<const ResourceRecord> rrs) {
+  GOVDNS_CHECK(section >= section_);
+  section_ = section;
+  for (const ResourceRecord& rr : rrs) w_.WriteRecord(rr);
+  counts_[section] += rrs.size();
+}
+
+std::vector<uint8_t> MessageWriter::Finish() {
+  // The answer, authority and additional counts sit at octets 6, 8 and 10.
+  for (int s = 0; s < 3; ++s) {
+    GOVDNS_CHECK(counts_[s] <= 0xFFFF);
+    w_.PatchU16(6 + 2 * s, static_cast<uint16_t>(counts_[s]));
   }
-  return w.TakeBuffer();
+  return w_.TakeBuffer();
+}
+
+std::vector<uint8_t> Message::Encode() const {
+  MessageWriter w(header, questions);
+  w.Add(MessageWriter::kAnswer, answers);
+  w.Add(MessageWriter::kAuthority, authority);
+  w.Add(MessageWriter::kAdditional, additional);
+  return w.Finish();
 }
 
 util::StatusOr<Message> Message::Decode(const std::vector<uint8_t>& wire) {
@@ -163,12 +182,18 @@ Message MakeQuery(uint16_t id, const Name& name, RRType type) {
   return msg;
 }
 
+Header ResponseHeader(const Header& query, Rcode rcode) {
+  Header header;
+  header.id = query.id;
+  header.qr = true;
+  header.rd = query.rd;
+  header.rcode = rcode;
+  return header;
+}
+
 Message MakeResponse(const Message& query, Rcode rcode) {
   Message msg;
-  msg.header.id = query.header.id;
-  msg.header.qr = true;
-  msg.header.rd = query.header.rd;
-  msg.header.rcode = rcode;
+  msg.header = ResponseHeader(query.header, rcode);
   msg.questions = query.questions;
   return msg;
 }

@@ -2,11 +2,13 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "dns/name.h"
 #include "dns/rr.h"
+#include "dns/wire.h"
 #include "util/status.h"
 
 namespace govdns::dns {
@@ -72,7 +74,37 @@ struct Message {
 // Builds a standard query for (name, type).
 Message MakeQuery(uint16_t id, const Name& name, RRType type);
 
+// The header of a response to a query with header `query`: its id and RD
+// bit, QR set, `rcode`, and AA, TC and RA clear.
+Header ResponseHeader(const Header& query, Rcode rcode);
+
 // Builds a response skeleton echoing the query's id and question.
 Message MakeResponse(const Message& query, Rcode rcode);
+
+// Writes a message in wire format without building a Message: the header
+// and the questions first, then the records of each section in section
+// order, and Finish() patches the section counts into the header.
+// Message::Encode writes through it, and so does an authoritative server,
+// straight from its zone's records.
+class MessageWriter {
+ public:
+  enum Section { kAnswer, kAuthority, kAdditional };
+
+  MessageWriter(const Header& header, const std::vector<Question>& questions);
+
+  // Appends records to `section`, which may not precede the last one added.
+  void Add(Section section, std::span<const ResourceRecord> rrs);
+  void Add(Section section, const ResourceRecord& rr) {
+    Add(section, std::span<const ResourceRecord>(&rr, 1));
+  }
+
+  // The finished message's bytes.
+  std::vector<uint8_t> Finish();
+
+ private:
+  WireWriter w_;
+  Section section_ = kAnswer;
+  size_t counts_[3] = {};
+};
 
 }  // namespace govdns::dns

@@ -13,18 +13,10 @@ namespace {
 // RFC 1035's limit on a UDP message. A measured exchange's reply is far
 // below it: at most 348 octets in the seed-2022 world at scale 0.25.
 constexpr size_t kUdpMessageLimit = 512;
-// Room for the compression table of every such reply, which records at
-// most 21 suffixes and 263 key bytes.
-constexpr size_t kReservedTargets = 32;
-constexpr size_t kReservedTargetKeys = 512;
 
 }  // namespace
 
-WireWriter::WireWriter() {
-  buffer_.reserve(kUdpMessageLimit);
-  targets_.reserve(kReservedTargets);
-  target_keys_.reserve(kReservedTargetKeys);
-}
+WireWriter::WireWriter() { buffer_.reserve(kUdpMessageLimit); }
 
 void WireWriter::WriteU8(uint8_t v) { buffer_.push_back(v); }
 
@@ -57,18 +49,22 @@ void WireWriter::WriteName(const Name& name) {
     // The suffix starting at this label is the key up to the label's end.
     const std::string_view suffix =
         key.substr(0, label.data() + label.size() - key.data());
-    for (const Target& t : targets_) {
+    const Target* const targets = targets_.data();
+    for (size_t i = 0; i < targets_.size(); ++i) {
+      const Target& t = targets[i];
       if (t.key_size == suffix.size() &&
-          target_keys_.compare(t.key_begin, t.key_size, suffix) == 0) {
+          std::memcmp(target_keys_.data() + t.key_begin, suffix.data(),
+                      suffix.size()) == 0) {
         WriteU16(static_cast<uint16_t>(0xC000 | t.offset));
         return;
       }
     }
     if (buffer_.size() <= 0x3FFF) {
-      targets_.push_back({static_cast<uint32_t>(target_keys_.size()),
-                          static_cast<uint16_t>(suffix.size()),
-                          static_cast<uint16_t>(buffer_.size())});
-      target_keys_ += suffix;
+      const Target t{static_cast<uint32_t>(target_keys_.size()),
+                     static_cast<uint16_t>(suffix.size()),
+                     static_cast<uint16_t>(buffer_.size())};
+      targets_.Append(&t, 1);
+      target_keys_.Append(suffix.data(), suffix.size());
     }
     WriteU8(static_cast<uint8_t>(label.size()));
     WriteBytes(reinterpret_cast<const uint8_t*>(label.data()), label.size());

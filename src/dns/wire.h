@@ -18,11 +18,15 @@
 // into its section's emplace_back().
 //
 // Writing reserves RFC 1035's 512-octet UDP limit before the first byte,
-// and room for the compression table, so a typical message is encoded
-// into one buffer that never regrows.
+// and keeps the compression table inline in the writer, moving it to the
+// heap only past its inline capacity, so encoding a typical message
+// allocates its output buffer and nothing else.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -35,6 +39,9 @@ namespace govdns::dns {
 class WireWriter {
  public:
   WireWriter();
+  // The compression table points into the writer itself.
+  WireWriter(const WireWriter&) = delete;
+  WireWriter& operator=(const WireWriter&) = delete;
 
   void WriteU8(uint8_t v);
   void WriteU16(uint16_t v);
@@ -71,9 +78,48 @@ class WireWriter {
     uint16_t offset;
   };
 
+  // An append-only array of trivially copyable T that holds its first N
+  // elements in place and moves to one heap block, doubling, past them.
+  template <typename T, size_t N>
+  class InlineTable {
+   public:
+    InlineTable() = default;
+    InlineTable(const InlineTable&) = delete;
+    InlineTable& operator=(const InlineTable&) = delete;
+
+    size_t size() const { return size_; }
+    const T* data() const { return data_; }
+    void Append(const T* items, size_t n) {
+      if (n > capacity_ - size_) Grow(size_ + n);
+      std::memcpy(data_ + size_, items, n * sizeof(T));
+      size_ += n;
+    }
+
+   private:
+    void Grow(size_t need) {
+      capacity_ = std::max(need, 2 * capacity_);
+      std::unique_ptr<T[]> heap(new T[capacity_]);
+      std::memcpy(heap.get(), data_, size_ * sizeof(T));
+      heap_ = std::move(heap);
+      data_ = heap_.get();
+    }
+
+    T inline_[N];
+    std::unique_ptr<T[]> heap_;
+    T* data_ = inline_;
+    size_t size_ = 0;
+    size_t capacity_ = N;
+  };
+
+  // Inline room for the compression table of every measured reply, which
+  // records at most 21 suffixes and 263 key bytes in the seed-2022 world at
+  // scale 0.25; a larger message spills to the heap.
+  static constexpr size_t kInlineTargets = 32;
+  static constexpr size_t kInlineTargetKeyBytes = 512;
+
   std::vector<uint8_t> buffer_;
-  std::string target_keys_;
-  std::vector<Target> targets_;
+  InlineTable<char, kInlineTargetKeyBytes> target_keys_;
+  InlineTable<Target, kInlineTargets> targets_;
 };
 
 class WireReader {

@@ -1,8 +1,31 @@
 #include "simnet/network.h"
 
+#include <atomic>
+
 #include "dns/message.h"
 
 namespace govdns::simnet {
+
+namespace {
+
+// Every counter of NetworkStats, so they are added and read as one set.
+constexpr uint64_t NetworkStats::*kCounters[] = {
+    &NetworkStats::exchanges,     &NetworkStats::stream_exchanges,
+    &NetworkStats::timeouts,      &NetworkStats::unreachable,
+    &NetworkStats::delivered,     &NetworkStats::flap_dropped,
+    &NetworkStats::burst_dropped, &NetworkStats::rate_limited,
+    &NetworkStats::corrupted,     &NetworkStats::truncated,
+    &NetworkStats::wrong_id,      &NetworkStats::hung,
+    &NetworkStats::blackholed,    &NetworkStats::slow_dripped,
+};
+static_assert(sizeof(kCounters) / sizeof(kCounters[0]) * sizeof(uint64_t) ==
+                  sizeof(NetworkStats),
+              "kCounters must list every NetworkStats counter");
+
+// The behaviour of an address nobody called SetBehavior for.
+constexpr EndpointBehavior kDefaultBehavior{};
+
+}  // namespace
 
 thread_local std::vector<SimNetwork::ChaosContext> SimNetwork::context_stack_;
 
@@ -10,57 +33,62 @@ SimNetwork::SimNetwork(uint64_t seed) : seed_(seed) {}
 
 void SimNetwork::AttachHandler(geo::IPv4 address, Handler handler) {
   GOVDNS_CHECK(handler != nullptr);
-  std::unique_lock lock(maps_mu_);
-  handlers_[address] = std::move(handler);
+  std::unique_lock lock(endpoints_mu_);
+  Endpoint& endpoint = endpoints_[address];
+  if (endpoint.handler == nullptr) ++handler_count_;
+  endpoint.handler = std::move(handler);
 }
 
 void SimNetwork::DetachHandler(geo::IPv4 address) {
-  std::unique_lock lock(maps_mu_);
-  handlers_.erase(address);
+  std::unique_lock lock(endpoints_mu_);
+  auto it = endpoints_.find(address);
+  if (it == endpoints_.end() || it->second.handler == nullptr) return;
+  it->second.handler = nullptr;
+  --handler_count_;
 }
 
 bool SimNetwork::HasHandler(geo::IPv4 address) const {
-  std::shared_lock lock(maps_mu_);
-  return handlers_.contains(address);
+  std::shared_lock lock(endpoints_mu_);
+  auto it = endpoints_.find(address);
+  return it != endpoints_.end() && it->second.handler != nullptr;
 }
 
 void SimNetwork::SetBehavior(geo::IPv4 address, EndpointBehavior behavior) {
-  std::unique_lock lock(maps_mu_);
-  behaviors_[address] = behavior;
+  std::unique_lock lock(endpoints_mu_);
+  endpoints_[address].behavior = behavior;
   RuntimeStripeState& stripe = runtime_stripes_[RuntimeStripe(address)];
   std::lock_guard rt_lock(stripe.mu);
   stripe.entries.erase(address);
 }
 
 EndpointBehavior SimNetwork::GetBehavior(geo::IPv4 address) const {
-  std::shared_lock lock(maps_mu_);
-  auto it = behaviors_.find(address);
-  return it == behaviors_.end() ? EndpointBehavior{} : it->second;
+  std::shared_lock lock(endpoints_mu_);
+  auto it = endpoints_.find(address);
+  return it == endpoints_.end() ? kDefaultBehavior : it->second.behavior;
 }
 
 size_t SimNetwork::endpoint_count() const {
-  std::shared_lock lock(maps_mu_);
-  return handlers_.size();
+  std::shared_lock lock(endpoints_mu_);
+  return handler_count_;
 }
 
 NetworkStats SimNetwork::stats() const {
   NetworkStats s;
-  s.exchanges = stats_.exchanges.load(std::memory_order_relaxed);
-  s.stream_exchanges =
-      stats_.stream_exchanges.load(std::memory_order_relaxed);
-  s.timeouts = stats_.timeouts.load(std::memory_order_relaxed);
-  s.unreachable = stats_.unreachable.load(std::memory_order_relaxed);
-  s.delivered = stats_.delivered.load(std::memory_order_relaxed);
-  s.flap_dropped = stats_.flap_dropped.load(std::memory_order_relaxed);
-  s.burst_dropped = stats_.burst_dropped.load(std::memory_order_relaxed);
-  s.rate_limited = stats_.rate_limited.load(std::memory_order_relaxed);
-  s.corrupted = stats_.corrupted.load(std::memory_order_relaxed);
-  s.truncated = stats_.truncated.load(std::memory_order_relaxed);
-  s.wrong_id = stats_.wrong_id.load(std::memory_order_relaxed);
-  s.hung = stats_.hung.load(std::memory_order_relaxed);
-  s.blackholed = stats_.blackholed.load(std::memory_order_relaxed);
-  s.slow_dripped = stats_.slow_dripped.load(std::memory_order_relaxed);
+  for (uint64_t NetworkStats::*counter : kCounters) {
+    s.*counter =
+        std::atomic_ref(totals_.*counter).load(std::memory_order_relaxed);
+  }
   return s;
+}
+
+SimNetwork::ContextEndpoint& SimNetwork::ChaosContext::StateFor(
+    geo::IPv4 server) {
+  for (ContextEndpoint& e : endpoints) {
+    if (e.server == server) return e;
+  }
+  ContextEndpoint& e = endpoints.emplace_back();
+  e.server = server;
+  return e;
 }
 
 SimNetwork::ChaosContext* SimNetwork::ActiveContext() const {
@@ -84,8 +112,13 @@ void SimNetwork::PushChaosContext(uint64_t tag) {
 }
 
 void SimNetwork::PopChaosContext() {
-  GOVDNS_CHECK(!context_stack_.empty() &&
-               context_stack_.back().owner == this);
+  ChaosContext* ctx = ActiveContext();
+  GOVDNS_CHECK(ctx != nullptr);
+  for (uint64_t NetworkStats::*counter : kCounters) {
+    if (ctx->counts.*counter == 0) continue;
+    std::atomic_ref(totals_.*counter)
+        .fetch_add(ctx->counts.*counter, std::memory_order_relaxed);
+  }
   context_stack_.pop_back();
 }
 
@@ -116,15 +149,25 @@ util::StatusOr<std::vector<uint8_t>> SimNetwork::ExchangeStream(
 util::StatusOr<std::vector<uint8_t>> SimNetwork::ExchangeImpl(
     geo::IPv4 server, const std::vector<uint8_t>& wire_query, bool stream) {
   ChaosContext* ctx = ActiveContext();
-  stats_.exchanges.fetch_add(1, std::memory_order_relaxed);
-  if (stream) stats_.stream_exchanges.fetch_add(1, std::memory_order_relaxed);
+  // The context's state for this endpoint; null without a context.
+  ContextEndpoint* state = ctx != nullptr ? &ctx->StateFor(server) : nullptr;
+  auto count = [&](uint64_t NetworkStats::*counter) {
+    if (ctx != nullptr) {
+      ++(ctx->counts.*counter);
+    } else {
+      std::atomic_ref(totals_.*counter).fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  count(&NetworkStats::exchanges);
+  if (stream) count(&NetworkStats::stream_exchanges);
   // In a context, the exchange ordinal is per (context, endpoint): retries
   // of the same query get fresh draws, but the stream is independent of
   // global history and of other threads. Context-free exchanges keep the
   // legacy process-global ordinal.
   const uint64_t exchange_id =
-      ctx != nullptr ? ctx->ordinals[server]++
-                     : exchange_counter_.fetch_add(1, std::memory_order_relaxed);
+      state != nullptr
+          ? state->ordinal++
+          : exchange_counter_.fetch_add(1, std::memory_order_relaxed);
 
   auto advance = [&](uint64_t ms) {
     if (ctx != nullptr) {
@@ -137,19 +180,19 @@ util::StatusOr<std::vector<uint8_t>> SimNetwork::ExchangeImpl(
     return ctx != nullptr ? ctx->clock_ms : clock_.now_ms();
   };
 
-  // Handler/behaviour tables are read-mostly: a shared lock held for the
-  // whole exchange keeps them stable under concurrent SetBehavior calls.
-  std::shared_lock maps_lock(maps_mu_);
+  // The endpoint table is read-mostly: a shared lock held for the whole
+  // exchange keeps the entry stable under concurrent SetBehavior calls.
+  std::shared_lock endpoints_lock(endpoints_mu_);
+  const auto it = endpoints_.find(server);
+  const Endpoint* endpoint = it == endpoints_.end() ? nullptr : &it->second;
+  const EndpointBehavior& behavior =
+      endpoint != nullptr ? endpoint->behavior : kDefaultBehavior;
 
   // Silence wins over everything else, including handler presence: a
   // firewalled host looks the same whether or not a server runs behind it.
-  EndpointBehavior behavior;
-  if (auto it = behaviors_.find(server); it != behaviors_.end()) {
-    behavior = it->second;
-  }
   if (behavior.silent) {
     advance(timeout_ms_);
-    stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
+    count(&NetworkStats::timeouts);
     return util::TimeoutError("silent endpoint " + server.ToString());
   }
 
@@ -158,17 +201,16 @@ util::StatusOr<std::vector<uint8_t>> SimNetwork::ExchangeImpl(
   // deadline hierarchy upstream is what keeps total work bounded.
   if (behavior.hang) {
     advance(timeout_ms_);
-    stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
-    stats_.hung.fetch_add(1, std::memory_order_relaxed);
+    count(&NetworkStats::timeouts);
+    count(&NetworkStats::hung);
     return util::TimeoutError("hung endpoint " + server.ToString());
   }
 
-  auto it = handlers_.find(server);
-  if (it == handlers_.end()) {
+  if (endpoint == nullptr || endpoint->handler == nullptr) {
     // Nothing listens at this address. A real resolver sees either an ICMP
     // unreachable or silence; we model it as promptly unreachable.
     advance(5);
-    stats_.unreachable.fetch_add(1, std::memory_order_relaxed);
+    count(&NetworkStats::unreachable);
     return util::UnavailableError("no endpoint at " + server.ToString());
   }
 
@@ -177,8 +219,8 @@ util::StatusOr<std::vector<uint8_t>> SimNetwork::ExchangeImpl(
   // lookup so an unoccupied address still reports promptly unreachable.
   if (behavior.blackhole) {
     advance(timeout_ms_);
-    stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
-    stats_.blackholed.fetch_add(1, std::memory_order_relaxed);
+    count(&NetworkStats::timeouts);
+    count(&NetworkStats::blackholed);
     return util::TimeoutError("blackholed endpoint " + server.ToString());
   }
 
@@ -190,8 +232,8 @@ util::StatusOr<std::vector<uint8_t>> SimNetwork::ExchangeImpl(
     uint64_t window = (local_now() + phase) / behavior.flap_period_ms;
     if (window % 2 == 1) {
       advance(timeout_ms_);
-      stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
-      stats_.flap_dropped.fetch_add(1, std::memory_order_relaxed);
+      count(&NetworkStats::timeouts);
+      count(&NetworkStats::flap_dropped);
       return util::TimeoutError("flapping endpoint " + server.ToString());
     }
   }
@@ -199,8 +241,8 @@ util::StatusOr<std::vector<uint8_t>> SimNetwork::ExchangeImpl(
   // Mutable per-endpoint chaos state: context-local when a context is
   // active, else the striped global table under its stripe lock.
   auto with_runtime = [&](auto&& fn) {
-    if (ctx != nullptr) {
-      fn(ctx->runtime[server]);
+    if (state != nullptr) {
+      fn(state->runtime);
     } else {
       RuntimeStripeState& stripe = runtime_stripes_[RuntimeStripe(server)];
       std::lock_guard rt_lock(stripe.mu);
@@ -218,8 +260,8 @@ util::StatusOr<std::vector<uint8_t>> SimNetwork::ExchangeImpl(
   });
   if (in_burst) {
     advance(timeout_ms_);
-    stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
-    stats_.burst_dropped.fetch_add(1, std::memory_order_relaxed);
+    count(&NetworkStats::timeouts);
+    count(&NetworkStats::burst_dropped);
     return util::TimeoutError("loss burst to " + server.ToString());
   }
 
@@ -238,15 +280,15 @@ util::StatusOr<std::vector<uint8_t>> SimNetwork::ExchangeImpl(
           behavior.burst_length > 0 ? behavior.burst_length - 1 : 0;
     });
     advance(timeout_ms_);
-    stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
-    stats_.burst_dropped.fetch_add(1, std::memory_order_relaxed);
+    count(&NetworkStats::timeouts);
+    count(&NetworkStats::burst_dropped);
     return util::TimeoutError("loss burst to " + server.ToString());
   }
 
   double loss = behavior.loss_rate + extra_loss_rate();
   if (loss > 0.0 && rng.Bernoulli(loss)) {
     advance(timeout_ms_);
-    stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
+    count(&NetworkStats::timeouts);
     return util::TimeoutError("packet lost to " + server.ToString());
   }
 
@@ -265,8 +307,8 @@ util::StatusOr<std::vector<uint8_t>> SimNetwork::ExchangeImpl(
     });
     if (limited) {
       advance(behavior.rtt_ms);
-      stats_.rate_limited.fetch_add(1, std::memory_order_relaxed);
-      stats_.delivered.fetch_add(1, std::memory_order_relaxed);
+      count(&NetworkStats::rate_limited);
+      count(&NetworkStats::delivered);
       auto query = dns::Message::Decode(wire_query);
       dns::Message refused;
       if (query.ok()) {
@@ -292,18 +334,16 @@ util::StatusOr<std::vector<uint8_t>> SimNetwork::ExchangeImpl(
   // arrives too late to count.
   if (behavior.slow_drip_delay_ms > 0) {
     rtt += behavior.slow_drip_delay_ms;
-    if (rtt >= timeout_ms_) {
-      stats_.slow_dripped.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (rtt >= timeout_ms_) count(&NetworkStats::slow_dripped);
   }
   if (rtt >= timeout_ms_) {
     advance(timeout_ms_);
-    stats_.timeouts.fetch_add(1, std::memory_order_relaxed);
+    count(&NetworkStats::timeouts);
     return util::TimeoutError("endpoint too slow: " + server.ToString());
   }
 
   advance(rtt);
-  std::vector<uint8_t> reply = it->second(wire_query);
+  std::vector<uint8_t> reply = endpoint->handler(wire_query);
 
   // Damaged-but-delivered modes, applied to the wire bytes so the client's
   // parser sees exactly what a broken path would hand it. Draw order is
@@ -322,17 +362,17 @@ util::StatusOr<std::vector<uint8_t>> SimNetwork::ExchangeImpl(
     // Chop below the 12-byte header and garble: guaranteed undecodable.
     if (reply.size() > 8) reply.resize(8);
     for (uint8_t& b : reply) b ^= 0x5A;
-    stats_.corrupted.fetch_add(1, std::memory_order_relaxed);
+    count(&NetworkStats::corrupted);
   } else if (truncate && reply.size() >= 12) {
     reply[2] |= 0x02;  // TC bit (byte 2, bit 1 of the header flags)
-    stats_.truncated.fetch_add(1, std::memory_order_relaxed);
+    count(&NetworkStats::truncated);
   } else if (wrong_id && reply.size() >= 2) {
     reply[0] ^= 0xA5;  // transaction id occupies the first two bytes
     reply[1] ^= 0x5A;
-    stats_.wrong_id.fetch_add(1, std::memory_order_relaxed);
+    count(&NetworkStats::wrong_id);
   }
 
-  stats_.delivered.fetch_add(1, std::memory_order_relaxed);
+  count(&NetworkStats::delivered);
   return reply;
 }
 

@@ -9,23 +9,27 @@
 // reproducible.
 //
 // Thread safety: Exchange may be called concurrently from many worker
-// threads. The handler/behaviour tables are guarded by a shared mutex
-// (read-mostly), the aggregate statistics are atomics, and the mutable
-// per-endpoint chaos state (burst progress, rate-limit window) is striped by
-// endpoint. For *deterministic* parallelism, callers push a per-unit-of-work
-// chaos context (see dns::QueryTransport::PushChaosContext): an active
-// context carries its own logical clock, per-endpoint exchange ordinals and
-// chaos runtime, all derived from (seed, tag), so outcomes do not depend on
-// thread interleaving. Without a context, the legacy process-global clock
-// and exchange counter are used — byte-compatible with the serial
-// behaviour this simulator always had.
+// threads. Each address's handler and behaviour sit in one entry of one
+// table, found with one probe under a shared (reader) lock that writers
+// (AttachHandler, SetBehavior, ...) take exclusively. For *deterministic*
+// parallelism, callers push a per-unit-of-work chaos context (see
+// dns::QueryTransport::PushChaosContext): an active context carries its own
+// logical clock, per-endpoint exchange ordinals and chaos runtime, all
+// derived from (seed, tag), so outcomes do not depend on thread
+// interleaving. A context also counts its own exchanges and adds them to
+// the shared totals once, when it pops, so the workers of a measurement
+// write no shared counter per exchange; stats() therefore shows a context's
+// exchanges only after it pops. Without a context, an exchange uses the
+// legacy process-global clock and exchange counter — byte-compatible with
+// the serial behaviour this simulator always had — adds to the shared
+// totals at once (relaxed atomic adds), and keeps its mutable chaos state
+// (burst progress, rate-limit window) in a table striped by endpoint.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <unordered_map>
 #include <vector>
@@ -218,9 +222,10 @@ class SimNetwork : public dns::QueryTransport {
   void PopChaosContext() override;
 
   SimClock& clock() { return clock_; }
-  // Snapshot of the aggregate counters (by value: the internal counters are
-  // atomics updated concurrently).
+  // Snapshot of the aggregate counters: every context-free exchange, and
+  // every exchange of a context that has popped.
   NetworkStats stats() const;
+  // The number of addresses with a handler attached.
   size_t endpoint_count() const;
 
  private:
@@ -231,33 +236,35 @@ class SimNetwork : public dns::QueryTransport {
     uint32_t rate_count = 0;    // queries seen in that window
   };
 
+  // One address: its handler (empty when nothing listens there) and its
+  // behaviour (the default until SetBehavior).
+  struct Endpoint {
+    Handler handler;
+    EndpointBehavior behavior;
+  };
+
+  // A context's state for one endpoint it has exchanged with.
+  struct ContextEndpoint {
+    geo::IPv4 server;
+    uint64_t ordinal = 0;  // exchanges made to it in this context so far
+    EndpointRuntime runtime;
+  };
+
   // A thread-local unit-of-work state: its own clock, per-endpoint exchange
-  // ordinals and chaos runtime. Every draw inside a context is a pure
-  // function of (seed, tag, endpoint, ordinal) — independent of anything
-  // other threads do and of process-global history.
+  // ordinals and chaos runtime, and counts. Every draw inside a context is a
+  // pure function of (seed, tag, endpoint, ordinal) — independent of
+  // anything other threads do and of process-global history.
   struct ChaosContext {
     const SimNetwork* owner = nullptr;
     uint64_t tag_mix = 0;   // SplitMix64(seed ^ tag), folded into draw streams
     uint64_t clock_ms = 0;  // context-local logical clock
-    std::unordered_map<geo::IPv4, uint64_t, geo::IPv4::Hash> ordinals;
-    std::unordered_map<geo::IPv4, EndpointRuntime, geo::IPv4::Hash> runtime;
-  };
+    // The endpoints exchanged with, in first-use order. A unit of work
+    // talks to a handful of servers, so a linear scan beats hashing.
+    std::vector<ContextEndpoint> endpoints;
+    // This context's exchanges, added to the network's totals when it pops.
+    NetworkStats counts;
 
-  struct AtomicStats {
-    std::atomic<uint64_t> exchanges{0};
-    std::atomic<uint64_t> stream_exchanges{0};
-    std::atomic<uint64_t> timeouts{0};
-    std::atomic<uint64_t> unreachable{0};
-    std::atomic<uint64_t> delivered{0};
-    std::atomic<uint64_t> flap_dropped{0};
-    std::atomic<uint64_t> burst_dropped{0};
-    std::atomic<uint64_t> rate_limited{0};
-    std::atomic<uint64_t> corrupted{0};
-    std::atomic<uint64_t> truncated{0};
-    std::atomic<uint64_t> wrong_id{0};
-    std::atomic<uint64_t> hung{0};
-    std::atomic<uint64_t> blackholed{0};
-    std::atomic<uint64_t> slow_dripped{0};
+    ContextEndpoint& StateFor(geo::IPv4 server);
   };
 
   // The calling thread's innermost context, if it belongs to this network.
@@ -278,10 +285,13 @@ class SimNetwork : public dns::QueryTransport {
   uint32_t timeout_ms_ = 2000;
   std::atomic<double> extra_loss_rate_{0.0};
   SimClock clock_;
-  AtomicStats stats_;
-  mutable std::shared_mutex maps_mu_;  // guards handlers_ and behaviors_
-  std::unordered_map<geo::IPv4, Handler, geo::IPv4::Hash> handlers_;
-  std::unordered_map<geo::IPv4, EndpointBehavior, geo::IPv4::Hash> behaviors_;
+  // The shared totals, updated only through std::atomic_ref; on a cache
+  // line of their own, so the adds of contexts popping on other threads do
+  // not contend with the lock word every exchange takes.
+  alignas(64) mutable NetworkStats totals_;
+  alignas(64) mutable std::shared_mutex endpoints_mu_;  // guards endpoints_
+  std::unordered_map<geo::IPv4, Endpoint, geo::IPv4::Hash> endpoints_;
+  size_t handler_count_ = 0;  // entries of endpoints_ with a handler
   // Legacy (context-free) chaos runtime, striped by endpoint: each stripe is
   // an independent map under its own lock, so concurrent context-free
   // exchanges to different endpoints never contend or race on a rehash.

@@ -179,7 +179,7 @@ void World::Builder::AttachHost(const dns::Name& hostname,
             err.header.rcode = dns::Rcode::kFormErr;
             return err.Encode();
           }
-          return server->Answer(*query).Encode();
+          return server->Answer(*query);
         });
     w.network_->SetBehavior(
         ip, cfg.chaos.Realize(

@@ -2,6 +2,23 @@
 
 namespace govdns::zone {
 
+namespace {
+
+// A response to `query` with `rcode` and the AA bit `aa`, its questions
+// echoed and its record sections still to write.
+dns::MessageWriter Response(const dns::Message& query, dns::Rcode rcode,
+                            bool aa) {
+  dns::Header header = dns::ResponseHeader(query.header, rcode);
+  header.aa = aa;
+  return dns::MessageWriter(header, query.questions);
+}
+
+std::vector<uint8_t> Bare(const dns::Message& query, dns::Rcode rcode) {
+  return Response(query, rcode, /*aa=*/false).Finish();
+}
+
+}  // namespace
+
 AuthServer::AuthServer(std::string host_id, ServerMode mode)
     : host_id_(std::move(host_id)), mode_(mode) {}
 
@@ -27,89 +44,76 @@ const Zone* AuthServer::FindBestZone(const dns::Name& qname) const {
   return nullptr;
 }
 
-dns::Message AuthServer::Answer(const dns::Message& query) const {
-  if (query.questions.size() != 1) {
-    return dns::MakeResponse(query, dns::Rcode::kFormErr);
-  }
-  if (mode_ == ServerMode::kRefuseAll) {
-    return dns::MakeResponse(query, dns::Rcode::kRefused);
-  }
-  if (mode_ == ServerMode::kParking) {
-    return AnswerParking(query);
-  }
+std::vector<uint8_t> AuthServer::Answer(const dns::Message& query) const {
+  if (query.questions.size() != 1) return Bare(query, dns::Rcode::kFormErr);
+  if (mode_ == ServerMode::kRefuseAll) return Bare(query, dns::Rcode::kRefused);
+  if (mode_ == ServerMode::kParking) return AnswerParking(query);
   const Zone* zone = FindBestZone(query.questions.front().name);
-  if (zone == nullptr) {
-    return dns::MakeResponse(query, dns::Rcode::kRefused);
-  }
-  dns::Message response = AnswerFromZone(*zone, query);
-  if (mode_ == ServerMode::kNoAuthBit) response.header.aa = false;
-  return response;
+  if (zone == nullptr) return Bare(query, dns::Rcode::kRefused);
+  return AnswerFromZone(*zone, query);
 }
 
-dns::Message AuthServer::AnswerFromZone(const Zone& zone,
-                                        const dns::Message& query) const {
+std::vector<uint8_t> AuthServer::AnswerFromZone(
+    const Zone& zone, const dns::Message& query) const {
   const dns::Question& q = query.questions.front();
 
   // Delegation check first: names at or below a cut are answered with a
   // referral, even when the query is for the cut's own NS set (the parent
   // is not authoritative there; RFC 1034 §4.2.1).
   if (auto cut = zone.FindDelegation(q.name)) {
-    dns::Message response = dns::MakeResponse(query, dns::Rcode::kNoError);
-    response.header.aa = false;
+    auto response = Response(query, dns::Rcode::kNoError, /*aa=*/false);
     const auto ns_rrs = zone.Find(*cut, dns::RRType::kNS);
-    response.authority.assign(ns_rrs.begin(), ns_rrs.end());
+    response.Add(dns::MessageWriter::kAuthority, ns_rrs);
     // Glue: A records for in-zone NS targets, when present.
     for (const auto& ns_rr : ns_rrs) {
       const dns::Name& target = std::get<dns::NsRdata>(ns_rr.rdata).nameserver;
       if (!target.IsSubdomainOf(zone.origin())) continue;
-      const auto glue = zone.Find(target, dns::RRType::kA);
-      response.additional.insert(response.additional.end(), glue.begin(),
-                                 glue.end());
+      response.Add(dns::MessageWriter::kAdditional,
+                   zone.Find(target, dns::RRType::kA));
     }
-    return response;
+    return response.Finish();
   }
 
-  dns::Message response = dns::MakeResponse(query, dns::Rcode::kNoError);
-  response.header.aa = true;
-
-  const auto rrs = zone.Find(q.name, q.type);
-  if (!rrs.empty()) {
-    response.answers.assign(rrs.begin(), rrs.end());
-    return response;
-  }
-
+  const bool aa = mode_ != ServerMode::kNoAuthBit;
+  auto answers = zone.Find(q.name, q.type);
   // CNAME at the name answers any type (the client chases the target).
-  const auto cnames = zone.Find(q.name, dns::RRType::kCNAME);
-  if (!cnames.empty() && q.type != dns::RRType::kCNAME) {
-    response.answers.assign(cnames.begin(), cnames.end());
-    return response;
+  if (answers.empty() && q.type != dns::RRType::kCNAME) {
+    answers = zone.Find(q.name, dns::RRType::kCNAME);
+  }
+  if (!answers.empty()) {
+    auto response = Response(query, dns::Rcode::kNoError, aa);
+    response.Add(dns::MessageWriter::kAnswer, answers);
+    return response.Finish();
   }
 
-  // NODATA vs NXDOMAIN.
-  if (!zone.NameExists(q.name)) {
-    response.header.rcode = dns::Rcode::kNxDomain;
-  }
-  if (auto soa = zone.Soa()) {
-    response.authority.push_back(*std::move(soa));
-  }
-  return response;
+  // NODATA vs NXDOMAIN, with the apex SOA when there is one.
+  auto response = Response(
+      query,
+      zone.NameExists(q.name) ? dns::Rcode::kNoError : dns::Rcode::kNxDomain,
+      aa);
+  const auto soas = zone.Find(zone.origin(), dns::RRType::kSOA);
+  response.Add(dns::MessageWriter::kAuthority,
+               soas.first(soas.empty() ? 0 : 1));
+  return response.Finish();
 }
 
-dns::Message AuthServer::AnswerParking(const dns::Message& query) const {
+std::vector<uint8_t> AuthServer::AnswerParking(
+    const dns::Message& query) const {
   const dns::Question& q = query.questions.front();
-  dns::Message response = dns::MakeResponse(query, dns::Rcode::kNoError);
-  response.header.aa = true;
+  auto response = Response(query, dns::Rcode::kNoError, /*aa=*/true);
   switch (q.type) {
     case dns::RRType::kA:
       for (geo::IPv4 addr : parking_addresses_) {
-        response.answers.push_back(dns::MakeA(q.name, addr, 300));
+        response.Add(dns::MessageWriter::kAnswer,
+                     dns::MakeA(q.name, addr, 300));
       }
       break;
     case dns::RRType::kNS: {
       // A parking service claims itself as the nameserver for everything.
       auto self = dns::Name::Parse(host_id_);
       if (self.ok()) {
-        response.answers.push_back(dns::MakeNs(q.name, *self, 300));
+        response.Add(dns::MessageWriter::kAnswer,
+                     dns::MakeNs(q.name, *self, 300));
       }
       break;
     }
@@ -117,7 +121,7 @@ dns::Message AuthServer::AnswerParking(const dns::Message& query) const {
       // NODATA for other types.
       break;
   }
-  return response;
+  return response.Finish();
 }
 
 }  // namespace govdns::zone

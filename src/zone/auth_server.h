@@ -3,6 +3,9 @@
 // An AuthServer holds the zones a (simulated) nameserver host serves and
 // produces RFC-1035-conformant responses: authoritative answers, referrals
 // with glue, NODATA, NXDOMAIN, or REFUSED for zones it does not serve.
+// A response is written straight into wire format (dns::MessageWriter)
+// from the sealed zone's record spans; no response Message is built and no
+// record is copied.
 //
 // Misconfiguration modes reproduce the lame-delegation flavours the paper
 // measures: a host that is listed in a parent's NS set but refuses queries,
@@ -10,9 +13,9 @@
 // answers everything with its own addresses.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "dns/message.h"
@@ -50,13 +53,15 @@ class AuthServer {
   // For kParking mode: the addresses returned for every query.
   void SetParkingAddresses(std::vector<geo::IPv4> addresses);
 
-  // Full request->response logic. Always returns a message (silence is a
-  // network property, modelled by simnet endpoint behaviour, not here).
-  dns::Message Answer(const dns::Message& query) const;
+  // Full request->response logic: the response's wire bytes. Always
+  // returns a message (silence is a network property, modelled by simnet
+  // endpoint behaviour, not here).
+  std::vector<uint8_t> Answer(const dns::Message& query) const;
 
  private:
-  dns::Message AnswerFromZone(const Zone& zone, const dns::Message& query) const;
-  dns::Message AnswerParking(const dns::Message& query) const;
+  std::vector<uint8_t> AnswerFromZone(const Zone& zone,
+                                      const dns::Message& query) const;
+  std::vector<uint8_t> AnswerParking(const dns::Message& query) const;
   const Zone* FindBestZone(const dns::Name& qname) const;
 
   std::string host_id_;

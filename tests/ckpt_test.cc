@@ -10,6 +10,7 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "ckpt/fault.h"
@@ -705,6 +706,67 @@ TEST(CutCacheCkptTest, NegativeEvictionTiebreakIsStable) {
     EXPECT_TRUE(cache.Lookup(N("z.gov")).has_value());
     EXPECT_TRUE(cache.Lookup(N("q.gov")).has_value());
   }
+}
+
+TEST(CutCacheCountersTest, CountsEveryCallUnderFourThreads) {
+  // Four threads publish and look up known cuts on a default-striped cache
+  // whose small negative bound makes the stripes evict.
+  constexpr int kThreads = 4;
+  constexpr int kCuts = 120;
+  constexpr int kNegatives = 60;
+  constexpr size_t kBound = 2;
+  core::SharedCutCache cache(/*stripes=*/16, kBound);
+  auto cut = [](int t, int i) {
+    return N(("z" + std::to_string(i) + ".t" + std::to_string(t) + ".gov")
+                 .c_str());
+  };
+  auto dead = [](int t, int i) {
+    return N(("dead" + std::to_string(i) + ".t" + std::to_string(t) + ".gov")
+                 .c_str());
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      core::SharedCutCache::Entry pos;
+      pos.ns_names = {N("ns1.gov.aa")};
+      for (int i = 0; i < kCuts; ++i) {
+        EXPECT_FALSE(cache.Lookup(cut(t, i)).has_value());  // a miss
+        cache.Publish(cut(t, i), pos);
+        EXPECT_TRUE(cache.Lookup(cut(t, i)).has_value());   // a hit
+        core::ResolverCounters effort;
+        effort.queries = static_cast<uint64_t>(i % 7);
+        effort.timeouts = 1;
+        cache.ChargeInfra(effort);
+      }
+      for (int i = 0; i < kNegatives; ++i) {
+        cache.PublishUnreachable(dead(t, i), {});
+        // A negative hit, or a miss once another publish evicted it.
+        (void)cache.Lookup(dead(t, i));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  // The negatives alone, one thread, on the same stripes: evictions depend
+  // only on how many distinct negatives each stripe received.
+  core::SharedCutCache serial(/*stripes=*/16, kBound);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kNegatives; ++i) serial.PublishUnreachable(dead(t, i), {});
+  }
+
+  const core::CutCacheStats stats = cache.stats();
+  const uint64_t lookups = kThreads * (2 * kCuts + kNegatives);
+  EXPECT_EQ(stats.hits + stats.misses + stats.negative_hits, lookups);
+  EXPECT_EQ(stats.hits, uint64_t{kThreads} * kCuts);
+  EXPECT_GE(stats.misses, uint64_t{kThreads} * kCuts);
+  EXPECT_EQ(stats.publishes, uint64_t{kThreads} * kCuts);
+  EXPECT_EQ(stats.negative_publishes, uint64_t{kThreads} * kNegatives);
+  EXPECT_GT(stats.negative_evictions, 0u);
+  EXPECT_EQ(stats.negative_evictions, serial.stats().negative_evictions);
+  uint64_t charged = 0;
+  for (int i = 0; i < kCuts; ++i) charged += static_cast<uint64_t>(i % 7);
+  EXPECT_EQ(stats.infra.queries, kThreads * charged);
+  EXPECT_EQ(stats.infra.timeouts, uint64_t{kThreads} * kCuts);
 }
 
 TEST(CutCacheCkptTest, ResolverNegativeDefaultsAreBounded) {

@@ -183,7 +183,7 @@ TEST_F(FailureInjectionTest, ParkingWildcardDoesNotLookLame) {
   world_.net.AttachHandler(
       TinyInternet::Ip(10, 0, 8, 1), [](const std::vector<uint8_t>& wire) {
         auto query = dns::Message::Decode(wire);
-        return parking.Answer(*query).Encode();
+        return parking.Answer(*query);
       });
 
   ActiveMeasurer measurer(&world_.net, world_.roots());

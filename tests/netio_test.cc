@@ -56,7 +56,7 @@ UdpServer::Handler AuthHandler(zone::AuthServer* server) {
   return [server](const std::vector<uint8_t>& wire) -> std::vector<uint8_t> {
     auto query = dns::Message::Decode(wire);
     if (!query.ok()) return {};
-    return server->Answer(*query).Encode();
+    return server->Answer(*query);
   };
 }
 
@@ -355,10 +355,11 @@ TEST_F(NetioTest, EngineTruncatedReplyFallsBackToTcp) {
   auto truncating = [this](const std::vector<uint8_t>& wire) {
     auto query = dns::Message::Decode(wire);
     if (!query.ok()) return std::vector<uint8_t>{};
-    dns::Message reply = auth_->Answer(*query);
-    reply.answers.clear();
-    reply.header.tc = true;
-    return reply.Encode();
+    auto reply = dns::Message::Decode(auth_->Answer(*query));
+    if (!reply.ok()) return std::vector<uint8_t>{};
+    reply->answers.clear();
+    reply->header.tc = true;
+    return reply->Encode();
   };
   ASSERT_TRUE(server_.Start(Loopback(), 0, truncating).ok());
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
+#include <vector>
 
 #include "dns/message.h"
 #include "simnet/network.h"
@@ -318,6 +320,208 @@ TEST(SimNetworkChaosTest, ChaosIsDeterministicPerSeed) {
   };
   EXPECT_EQ(run(21), run(21));
   EXPECT_NE(run(21), run(22));
+}
+
+// --- chaos contexts ---------------------------------------------------------
+
+// Endpoints whose chaos state a context keeps: a bursty one, a
+// rate-limited one, and one with loss, jitter and every damage mode.
+const geo::IPv4 kBursty(10, 0, 4, 1);
+const geo::IPv4 kLimited(10, 0, 4, 2);
+const geo::IPv4 kStormy(10, 0, 4, 3);
+
+void AttachContextEndpoints(SimNetwork& net) {
+  for (geo::IPv4 ip : {kBursty, kLimited, kStormy}) {
+    net.AttachHandler(ip, DnsEcho);
+  }
+  net.SetBehavior(kBursty, EndpointBehavior{.burst_start_rate = 0.2,
+                                            .burst_length = 3});
+  net.SetBehavior(kLimited,
+                  EndpointBehavior{.rtt_ms = 1, .rate_limit_per_sec = 2});
+  net.SetBehavior(kStormy, EndpointBehavior{.loss_rate = 0.2,
+                                            .rtt_jitter_ms = 40,
+                                            .corrupt_rate = 0.1,
+                                            .truncate_rate = 0.1,
+                                            .wrong_id_rate = 0.1});
+}
+
+// What one exchange showed the caller, and the clock after it.
+struct Outcome {
+  util::ErrorCode code;
+  std::vector<uint8_t> reply;
+  uint64_t now_ms;
+  friend bool operator==(const Outcome&, const Outcome&) = default;
+};
+
+// Exchanges first .. first + count - 1 of a fixed schedule, in the calling
+// thread's current context (or none): round robin over the three
+// endpoints, every fifth one a stream, the query id the exchange's number.
+std::vector<Outcome> Exchanges(SimNetwork& net, int count, int first = 0) {
+  static const geo::IPv4 kServers[] = {kBursty, kLimited, kStormy};
+  std::vector<Outcome> out;
+  for (int i = first; i < first + count; ++i) {
+    const geo::IPv4 server = kServers[i % 3];
+    const auto query = WireQuery(static_cast<uint16_t>(i));
+    auto raw = i % 5 == 4 ? net.ExchangeStream(server, query)
+                          : net.Exchange(server, query);
+    out.push_back({raw.status().code(),
+                   raw.ok() ? *raw : std::vector<uint8_t>{}, net.now_ms()});
+  }
+  return out;
+}
+
+std::vector<Outcome> InContext(SimNetwork& net, uint64_t tag, int count) {
+  net.PushChaosContext(tag);
+  std::vector<Outcome> out = Exchanges(net, count);
+  net.PopChaosContext();
+  return out;
+}
+
+NetworkStats Sum(const NetworkStats& a, const NetworkStats& b) {
+  NetworkStats s = a;
+  s.exchanges += b.exchanges;
+  s.stream_exchanges += b.stream_exchanges;
+  s.timeouts += b.timeouts;
+  s.unreachable += b.unreachable;
+  s.delivered += b.delivered;
+  s.flap_dropped += b.flap_dropped;
+  s.burst_dropped += b.burst_dropped;
+  s.rate_limited += b.rate_limited;
+  s.corrupted += b.corrupted;
+  s.truncated += b.truncated;
+  s.wrong_id += b.wrong_id;
+  s.hung += b.hung;
+  s.blackholed += b.blackholed;
+  s.slow_dripped += b.slow_dripped;
+  return s;
+}
+
+void ExpectSameStats(const NetworkStats& got, const NetworkStats& want) {
+  EXPECT_EQ(got.exchanges, want.exchanges);
+  EXPECT_EQ(got.stream_exchanges, want.stream_exchanges);
+  EXPECT_EQ(got.timeouts, want.timeouts);
+  EXPECT_EQ(got.unreachable, want.unreachable);
+  EXPECT_EQ(got.delivered, want.delivered);
+  EXPECT_EQ(got.flap_dropped, want.flap_dropped);
+  EXPECT_EQ(got.burst_dropped, want.burst_dropped);
+  EXPECT_EQ(got.rate_limited, want.rate_limited);
+  EXPECT_EQ(got.corrupted, want.corrupted);
+  EXPECT_EQ(got.truncated, want.truncated);
+  EXPECT_EQ(got.wrong_id, want.wrong_id);
+  EXPECT_EQ(got.hung, want.hung);
+  EXPECT_EQ(got.blackholed, want.blackholed);
+  EXPECT_EQ(got.slow_dripped, want.slow_dripped);
+}
+
+TEST(SimNetworkContextTest, SameTagOnTwoThreadsDrawsTheSameOutcomes) {
+  SimNetwork net(31);
+  AttachContextEndpoints(net);
+  std::vector<Outcome> a, b;
+  std::thread ta([&] { a = InContext(net, 77, 300); });
+  std::thread tb([&] { b = InContext(net, 77, 300); });
+  ta.join();
+  tb.join();
+  ASSERT_EQ(a.size(), 300u);
+  EXPECT_EQ(a, b);
+  // Context-free traffic in between does not shift a context's draws.
+  (void)Exchanges(net, 50);
+  EXPECT_EQ(InContext(net, 77, 300), a);
+  // The draws do cover the chaos, and another tag draws differently.
+  EXPECT_TRUE(std::any_of(a.begin(), a.end(), [](const Outcome& o) {
+    return o.code == util::ErrorCode::kTimeout;
+  }));
+  EXPECT_NE(InContext(net, 78, 300), a);
+}
+
+TEST(SimNetworkContextTest, NestedContextKeepsItsOwnState) {
+  SimNetwork net(31);
+  AttachContextEndpoints(net);
+  const std::vector<Outcome> outer_alone = InContext(net, 1, 120);
+  const std::vector<Outcome> inner_alone = InContext(net, 2, 90);
+
+  net.PushChaosContext(1);
+  std::vector<Outcome> outer = Exchanges(net, 60);
+  const uint64_t outer_clock = net.now_ms();
+  const std::vector<Outcome> inner = InContext(net, 2, 90);
+  // The outer clock resumes where it left off ...
+  EXPECT_EQ(net.now_ms(), outer_clock);
+  // ... and so do its ordinals and its burst and rate-limit state.
+  const std::vector<Outcome> rest = Exchanges(net, 60, /*first=*/60);
+  outer.insert(outer.end(), rest.begin(), rest.end());
+  net.PopChaosContext();
+
+  EXPECT_EQ(inner, inner_alone);
+  EXPECT_EQ(outer, outer_alone);
+}
+
+TEST(SimNetworkContextTest, CountsReachStatsOnceWhenTheContextPops) {
+  SimNetwork net(31);
+  AttachContextEndpoints(net);
+  // The reference: the same exchanges on a network of their own.
+  SimNetwork solo(31);
+  AttachContextEndpoints(solo);
+  (void)InContext(solo, 5, 90);
+  const NetworkStats in_context = solo.stats();
+  ASSERT_EQ(in_context.exchanges, 90u);
+  ASSERT_GT(in_context.timeouts, 0u);
+  ASSERT_GT(in_context.rate_limited, 0u);
+
+  // A context-free exchange counts at once.
+  (void)net.Exchange(kLimited, WireQuery());
+  const NetworkStats free = net.stats();
+  EXPECT_EQ(free.exchanges, 1u);
+  EXPECT_EQ(free.delivered, 1u);
+
+  net.PushChaosContext(5);
+  (void)Exchanges(net, 45);
+  // A nested context folds its own counts when it pops, and only those.
+  net.PushChaosContext(6);
+  (void)Exchanges(net, 30);
+  ExpectSameStats(net.stats(), free);
+  net.PopChaosContext();
+  const NetworkStats after_inner = net.stats();
+  EXPECT_EQ(after_inner.exchanges, 31u);
+  (void)Exchanges(net, 45, /*first=*/45);
+  ExpectSameStats(net.stats(), after_inner);
+  net.PopChaosContext();
+  ExpectSameStats(net.stats(), Sum(after_inner, in_context));
+
+  // Nothing more arrives later: an empty context adds nothing, and the
+  // next context-free exchange adds exactly one.
+  net.PushChaosContext(7);
+  net.PopChaosContext();
+  ExpectSameStats(net.stats(), Sum(after_inner, in_context));
+  (void)net.Exchange(kLimited, WireQuery());
+  EXPECT_EQ(net.stats().exchanges, 31u + 90u + 1u);
+}
+
+TEST(SimNetworkContextTest, ConcurrentContextsSumExactly) {
+  constexpr int kThreads = 4;
+  constexpr int kContexts = 1000;
+  constexpr int kPerContext = 12;
+  SimNetwork net(31);
+  AttachContextEndpoints(net);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&net, t] {
+      for (int i = 0; i < kContexts; ++i) {
+        (void)InContext(net, uint64_t(t) * kContexts + i, kPerContext);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  // The same contexts one after another on one thread.
+  SimNetwork serial(31);
+  AttachContextEndpoints(serial);
+  for (int c = 0; c < kThreads * kContexts; ++c) {
+    (void)InContext(serial, uint64_t(c), kPerContext);
+  }
+  const NetworkStats got = net.stats();
+  EXPECT_EQ(got.exchanges, uint64_t{kThreads} * kContexts * kPerContext);
+  EXPECT_GT(got.burst_dropped, 0u);
+  EXPECT_GT(got.rate_limited, 0u);
+  ExpectSameStats(got, serial.stats());
 }
 
 TEST(ChaosProfileTest, BenignDefaultLeavesBehaviorUntouched) {

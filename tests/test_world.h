@@ -239,7 +239,7 @@ class TinyInternet {
             dns::Name::FromString("ns2.victim.gov.yy"), Ip(10, 0, 9, 9)));
         return resp.Encode();
       }
-      return g2->Answer(*query).Encode();
+      return g2->Answer(*query);
     });
 
     // chain.gov.yy: the NS set only fully emerges by following servers that
@@ -321,7 +321,7 @@ class TinyInternet {
           err.header.rcode = dns::Rcode::kFormErr;
           return err.Encode();
         }
-        return server->Answer(*query).Encode();
+        return server->Answer(*query);
       });
     }
     return server;

@@ -24,9 +24,11 @@
 namespace {
 std::atomic<bool> g_track_requests{false};
 std::atomic<size_t> g_largest_request{0};
+std::atomic<size_t> g_requests{0};
 
 void* TrackedAlloc(std::size_t size) noexcept {
   if (g_track_requests.load(std::memory_order_relaxed)) {
+    g_requests.fetch_add(1, std::memory_order_relaxed);
     size_t seen = g_largest_request.load(std::memory_order_relaxed);
     while (size > seen &&
            !g_largest_request.compare_exchange_weak(seen, size)) {
@@ -1294,6 +1296,106 @@ TEST(WireCodecOracle, MutantsDecodeLikeTheReference) {
   // Both verdicts must be well represented for the sweep to mean much.
   EXPECT_GT(accepted, kMutants / 20);
   EXPECT_LT(accepted, kMutants / 2);
+}
+
+// ---------------------------------------------------------------------------
+// The compression table past its inline capacity
+// ---------------------------------------------------------------------------
+
+// Heap blocks requested while encoding `m`.
+size_t EncodeAllocations(const Message& m) {
+  g_requests.store(0);
+  g_track_requests.store(true);
+  const std::vector<uint8_t> wire = m.Encode();
+  g_track_requests.store(false);
+  return g_requests.load();
+}
+
+// A referral from gov.xx to agency.gov.xx naming `targets` nameservers, each
+// in a zone of its own ("ns1.dns-provider-17.net"), with glue for each.
+Message WideReferral(int targets) {
+  const Name qname = Name::FromString("www.agency.gov.xx");
+  const Name cut = Name::FromString("agency.gov.xx");
+  Message m = MakeResponse(MakeQuery(0x5151, qname, RRType::kA),
+                           Rcode::kNoError);
+  for (int i = 0; i < targets; ++i) {
+    const Name host = Name::FromString(
+        "ns1.dns-provider-" + std::to_string(i) + ".net");
+    m.authority.push_back(MakeNs(cut, host, 172800));
+    m.additional.push_back(
+        MakeA(host, geo::IPv4(0xC6336400u + static_cast<uint32_t>(i)), 172800));
+  }
+  return m;
+}
+
+TEST(WireWriterSpillTest, TypicalReplyAllocatesOnlyItsBuffer) {
+  for (const PinnedMessage& pinned : PinnedCorpus()) {
+    if (pinned.label == "suffix_past_0x3fff") continue;  // over 512 octets
+    EXPECT_EQ(EncodeAllocations(pinned.message), 1u) << pinned.label;
+  }
+  // Six targets: 17 suffixes and under 300 key bytes, inside the table.
+  EXPECT_EQ(EncodeAllocations(WideReferral(6)), 1u);
+}
+
+TEST(WireWriterSpillTest, WideReferralMatchesReference) {
+  // 40 targets in distinct zones record 83 suffixes and over 1,500 key
+  // bytes: both tables move to the heap, and the glue then points at
+  // targets recorded past the inline capacity.
+  const Message m = WideReferral(40);
+  EXPECT_GT(EncodeAllocations(m), 1u);
+  const std::vector<uint8_t> wire = m.Encode();
+  ASSERT_EQ(wire, ReferenceEncode(m)) << Hex(wire);
+  auto decoded = Message::Decode(wire);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(*decoded, m);
+}
+
+TEST(WireWriterSpillTest, OffsetsPast0x3FFFMatchReference) {
+  // Spilled tables first, then TXT padding that carries the offsets past
+  // 0x3FFF, then names both already recorded (pointers into the spilled
+  // tables) and new (written whole, never recorded).
+  Message m = WideReferral(40);
+  TxtRdata pad;
+  for (int i = 0; i < 70; ++i) pad.strings.push_back(std::string(255, 'p'));
+  m.additional.push_back(ResourceRecord{Name::FromString("pad.agency.gov.xx"),
+                                        RRClass::kIN, 60, pad});
+  for (int i = 0; i < 40; i += 3) {
+    const std::string provider = "dns-provider-" + std::to_string(i) + ".net";
+    m.additional.push_back(MakeA(Name::FromString("ns1." + provider),
+                                 geo::IPv4(192, 0, 2, 1)));
+    m.additional.push_back(MakeA(Name::FromString("ns2." + provider),
+                                 geo::IPv4(192, 0, 2, 2)));
+    m.additional.push_back(MakeA(Name::FromString("late" + std::to_string(i) +
+                                                  ".example"),
+                                 geo::IPv4(192, 0, 2, 3)));
+  }
+  const std::vector<uint8_t> wire = m.Encode();
+  ASSERT_GT(wire.size(), size_t{0x3FFF} + 100);
+  ASSERT_EQ(wire, ReferenceEncode(m));
+  auto decoded = Message::Decode(wire);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(*decoded, m);
+}
+
+TEST(WireWriterSpillTest, RandomWideMessagesMatchReference) {
+  // Many random names per message: the tables spill at varying points.
+  util::Rng rng(4242);
+  size_t spilled = 0;
+  for (int i = 0; i < 200; ++i) {
+    Message m = ShapedMessage(rng);
+    for (uint64_t k = 20 + rng.UniformU64(60); k > 0; --k) {
+      const Name host = RandomName(rng);
+      m.additional.push_back(MakeA(host, geo::IPv4(10, 0, 0, 1), 60));
+      if (rng.Bernoulli(0.3)) {
+        m.additional.push_back(MakeNs(host.Parent().IsRoot() ? host
+                                                             : host.Parent(),
+                                      RandomName(rng), 60));
+      }
+    }
+    if (EncodeAllocations(m) > 1) ++spilled;
+    ASSERT_EQ(m.Encode(), ReferenceEncode(m)) << i;
+  }
+  EXPECT_GT(spilled, 100u);
 }
 
 }  // namespace

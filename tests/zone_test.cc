@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "util/rng.h"
+#include "worldgen/world.h"
 #include "zone/auth_server.h"
 #include "zone/zone.h"
 
@@ -293,6 +294,19 @@ TEST(SealedZoneTest, MatchesReferenceOnRandomRecordStreams) {
 // Authoritative server behaviour
 // ---------------------------------------------------------------------------
 
+// The server answers in wire format; these tests inspect the decoded reply.
+dns::Message Decoded(const std::vector<uint8_t>& wire) {
+  auto reply = dns::Message::Decode(wire);
+  EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+  return reply.ok() ? *std::move(reply) : dns::Message{};
+}
+
+dns::Message AskServer(const AuthServer& server, const std::string& name,
+                       dns::RRType type) {
+  return Decoded(
+      server.Answer(dns::MakeQuery(1, Name::FromString(name), type)));
+}
+
 class AuthServerTest : public ::testing::Test {
  protected:
   AuthServerTest() : server_("ns1.nic.gov.cn") {
@@ -300,7 +314,7 @@ class AuthServerTest : public ::testing::Test {
   }
 
   dns::Message Ask(const std::string& name, dns::RRType type) {
-    return server_.Answer(dns::MakeQuery(1, Name::FromString(name), type));
+    return AskServer(server_, name, type);
   }
 
   AuthServer server_;
@@ -366,7 +380,7 @@ TEST_F(AuthServerTest, FormErrOnMultiQuestion) {
   dns::Message q = dns::MakeQuery(1, Name::FromString("www.gov.cn"),
                                   dns::RRType::kA);
   q.questions.push_back(q.questions[0]);
-  EXPECT_EQ(server_.Answer(q).header.rcode, dns::Rcode::kFormErr);
+  EXPECT_EQ(Decoded(server_.Answer(q)).header.rcode, dns::Rcode::kFormErr);
 }
 
 TEST_F(AuthServerTest, MostSpecificZoneWins) {
@@ -389,16 +403,14 @@ TEST_F(AuthServerTest, RemoveZoneCausesRefused) {
 TEST(AuthServerModesTest, RefuseAllIsLame) {
   AuthServer server("lame.example", ServerMode::kRefuseAll);
   server.AddZone(GovCnZone());
-  auto r = server.Answer(
-      dns::MakeQuery(1, Name::FromString("www.gov.cn"), dns::RRType::kA));
+  auto r = AskServer(server, "www.gov.cn", dns::RRType::kA);
   EXPECT_EQ(r.header.rcode, dns::Rcode::kRefused);
 }
 
 TEST(AuthServerModesTest, NoAuthBitAnswersWithoutAa) {
   AuthServer server("stealth.example", ServerMode::kNoAuthBit);
   server.AddZone(GovCnZone());
-  auto r = server.Answer(
-      dns::MakeQuery(1, Name::FromString("www.gov.cn"), dns::RRType::kA));
+  auto r = AskServer(server, "www.gov.cn", dns::RRType::kA);
   EXPECT_EQ(r.header.rcode, dns::Rcode::kNoError);
   EXPECT_FALSE(r.header.aa);
   EXPECT_EQ(r.answers.size(), 1u);
@@ -407,16 +419,292 @@ TEST(AuthServerModesTest, NoAuthBitAnswersWithoutAa) {
 TEST(AuthServerModesTest, ParkingAnswersEverything) {
   AuthServer server("ns1.parkmonster.com", ServerMode::kParking);
   server.SetParkingAddresses({geo::IPv4(203, 0, 113, 10)});
-  auto a = server.Answer(
-      dns::MakeQuery(1, Name::FromString("whatever.example"), dns::RRType::kA));
+  auto a = AskServer(server, "whatever.example", dns::RRType::kA);
   EXPECT_TRUE(a.header.aa);
   ASSERT_EQ(a.answers.size(), 1u);
   EXPECT_EQ(RdataToString(a.answers[0].rdata), "203.0.113.10");
 
-  auto ns = server.Answer(
-      dns::MakeQuery(2, Name::FromString("whatever.example"), dns::RRType::kNS));
+  auto ns = AskServer(server, "whatever.example", dns::RRType::kNS);
   ASSERT_EQ(ns.answers.size(), 1u);
   EXPECT_EQ(RdataToString(ns.answers[0].rdata), "ns1.parkmonster.com");
+}
+
+// ---------------------------------------------------------------------------
+// The wire answer path against the Message-building server it replaced
+// ---------------------------------------------------------------------------
+
+// The response skeleton the former AuthServer started from (MakeResponse as
+// it was), kept here so the oracle does not share dns::ResponseHeader with
+// the server it checks.
+dns::Message ReferenceResponse(const dns::Message& query, dns::Rcode rcode) {
+  dns::Message msg;
+  msg.header.id = query.header.id;
+  msg.header.qr = true;
+  msg.header.rd = query.header.rd;
+  msg.header.rcode = rcode;
+  msg.questions = query.questions;
+  return msg;
+}
+
+// The former AuthServer, kept as the oracle: it copies the records of each
+// reply into a response Message, which Message::Encode (itself checked
+// against the previous encoder by wire_test's WireCodecOracle) turns into
+// the reference bytes.
+class ReferenceServer {
+ public:
+  ReferenceServer(std::string host_id, ServerMode mode)
+      : host_id_(std::move(host_id)), mode_(mode) {}
+
+  void AddZone(std::shared_ptr<const Zone> zone) {
+    dns::Name origin = zone->origin();
+    zones_[std::move(origin)] = std::move(zone);
+  }
+  void SetParkingAddresses(std::vector<geo::IPv4> addresses) {
+    parking_addresses_ = std::move(addresses);
+  }
+
+  dns::Message Answer(const dns::Message& query) const {
+    if (query.questions.size() != 1) {
+      return ReferenceResponse(query, dns::Rcode::kFormErr);
+    }
+    if (mode_ == ServerMode::kRefuseAll) {
+      return ReferenceResponse(query, dns::Rcode::kRefused);
+    }
+    if (mode_ == ServerMode::kParking) return AnswerParking(query);
+    const Zone* zone = FindBestZone(query.questions.front().name);
+    if (zone == nullptr) return ReferenceResponse(query, dns::Rcode::kRefused);
+    dns::Message response = AnswerFromZone(*zone, query);
+    if (mode_ == ServerMode::kNoAuthBit) response.header.aa = false;
+    return response;
+  }
+
+ private:
+  const Zone* FindBestZone(const Name& qname) const {
+    for (size_t count = qname.LabelCount(); count + 1 > 0; --count) {
+      auto it = zones_.find(qname.Suffix(count));
+      if (it != zones_.end()) return it->second.get();
+    }
+    return nullptr;
+  }
+
+  dns::Message AnswerFromZone(const Zone& zone,
+                              const dns::Message& query) const {
+    const dns::Question& q = query.questions.front();
+    if (auto cut = zone.FindDelegation(q.name)) {
+      dns::Message response = ReferenceResponse(query, dns::Rcode::kNoError);
+      response.header.aa = false;
+      const auto ns_rrs = zone.Find(*cut, dns::RRType::kNS);
+      response.authority.assign(ns_rrs.begin(), ns_rrs.end());
+      for (const auto& ns_rr : ns_rrs) {
+        const Name& target = std::get<dns::NsRdata>(ns_rr.rdata).nameserver;
+        if (!target.IsSubdomainOf(zone.origin())) continue;
+        const auto glue = zone.Find(target, dns::RRType::kA);
+        response.additional.insert(response.additional.end(), glue.begin(),
+                                   glue.end());
+      }
+      return response;
+    }
+    dns::Message response = ReferenceResponse(query, dns::Rcode::kNoError);
+    response.header.aa = true;
+    const auto rrs = zone.Find(q.name, q.type);
+    if (!rrs.empty()) {
+      response.answers.assign(rrs.begin(), rrs.end());
+      return response;
+    }
+    const auto cnames = zone.Find(q.name, dns::RRType::kCNAME);
+    if (!cnames.empty() && q.type != dns::RRType::kCNAME) {
+      response.answers.assign(cnames.begin(), cnames.end());
+      return response;
+    }
+    if (!zone.NameExists(q.name)) response.header.rcode = dns::Rcode::kNxDomain;
+    if (auto soa = zone.Soa()) response.authority.push_back(*std::move(soa));
+    return response;
+  }
+
+  dns::Message AnswerParking(const dns::Message& query) const {
+    const dns::Question& q = query.questions.front();
+    dns::Message response = ReferenceResponse(query, dns::Rcode::kNoError);
+    response.header.aa = true;
+    if (q.type == dns::RRType::kA) {
+      for (geo::IPv4 addr : parking_addresses_) {
+        response.answers.push_back(dns::MakeA(q.name, addr, 300));
+      }
+    } else if (q.type == dns::RRType::kNS) {
+      auto self = Name::Parse(host_id_);
+      if (self.ok()) {
+        response.answers.push_back(dns::MakeNs(q.name, *self, 300));
+      }
+    }
+    return response;
+  }
+
+  std::string host_id_;
+  ServerMode mode_;
+  std::map<Name, std::shared_ptr<const Zone>> zones_;
+  std::vector<geo::IPv4> parking_addresses_;
+};
+
+constexpr ServerMode kAllModes[] = {ServerMode::kNormal, ServerMode::kRefuseAll,
+                                    ServerMode::kNoAuthBit,
+                                    ServerMode::kParking};
+constexpr dns::RRType kOracleTypes[] = {dns::RRType::kNS, dns::RRType::kA,
+                                        dns::RRType::kSOA, dns::RRType::kCNAME,
+                                        dns::RRType::kMX};
+
+// A server and its reference holding the same zones, in every mode.
+class OraclePair {
+ public:
+  explicit OraclePair(ServerMode mode)
+      : server_("ns1.oracle.example", mode),
+        reference_("ns1.oracle.example", mode) {
+    const std::vector<geo::IPv4> parking = {geo::IPv4(203, 0, 113, 10),
+                                            geo::IPv4(203, 0, 113, 11)};
+    server_.SetParkingAddresses(parking);
+    reference_.SetParkingAddresses(parking);
+  }
+
+  void AddZone(const std::shared_ptr<const Zone>& zone) {
+    server_.AddZone(zone);
+    reference_.AddZone(zone);
+  }
+
+  // Asks both every oracle type at `name`, with varying ids and RD bits;
+  // returns the number of replies compared.
+  size_t ExpectSameReplies(const Name& name) {
+    size_t compared = 0;
+    for (dns::RRType type : kOracleTypes) {
+      dns::Message query = dns::MakeQuery(next_id_, name, type);
+      query.header.rd = (next_id_ & 1) != 0;
+      ++next_id_;
+      ExpectSameReply(query);
+      ++compared;
+    }
+    return compared;
+  }
+
+  void ExpectSameReply(const dns::Message& query) {
+    const std::vector<uint8_t> wire = server_.Answer(query);
+    const std::vector<uint8_t> want = reference_.Answer(query).Encode();
+    ASSERT_EQ(wire, want) << query.ToString();
+  }
+
+ private:
+  AuthServer server_;
+  ReferenceServer reference_;
+  uint16_t next_id_ = 1;
+};
+
+// Every owner name of a zone, a name below each of its cuts, and a missing
+// name.
+std::vector<Name> OracleNames(const Zone& zone) {
+  std::vector<Name> names;
+  zone.ForEachRecord([&](const dns::ResourceRecord& rr) {
+    if (!names.empty() && names.back() == rr.name) return;
+    names.push_back(rr.name);
+    if (rr.type() == dns::RRType::kNS && rr.name != zone.origin()) {
+      names.push_back(rr.name.Child("below-cut"));
+    }
+  });
+  names.push_back(zone.origin().Child("missing-name"));
+  return names;
+}
+
+// A zone with a CNAME owner, an MX, a TXT and a delegation with glue, next
+// to the shapes generated worlds hold.
+std::shared_ptr<Zone> OracleExtrasZone() {
+  auto z = GovCnZone();
+  auto extras = std::make_shared<Zone>(z->origin());
+  z->ForEachRecord([&](const dns::ResourceRecord& rr) { extras->Add(rr); });
+  extras->Add(dns::ResourceRecord{Name::FromString("gov.cn"), dns::RRClass::kIN,
+                                  600,
+                                  dns::MxRdata{10, Name::FromString(
+                                                       "mail.gov.cn")}});
+  extras->Add(MakeCname(Name::FromString("mail.gov.cn"),
+                        Name::FromString("mx.provider.example")));
+  extras->Add(dns::MakeTxt(Name::FromString("www.gov.cn"), "v=spf1 -all"));
+  extras->Seal();
+  return extras;
+}
+
+TEST(AuthServerOracle, WorldRepliesMatchReference) {
+  worldgen::WorldConfig config;
+  config.scale = 0.02;
+  const auto world = worldgen::BuildWorld(config);
+  std::vector<std::shared_ptr<const Zone>> zones(world->zones().begin(),
+                                                 world->zones().end());
+  zones.push_back(OracleExtrasZone());
+  size_t compared = 0;
+  for (ServerMode mode : kAllModes) {
+    for (const auto& zone : zones) {
+      OraclePair pair(mode);
+      pair.AddZone(zone);
+      for (const Name& name : OracleNames(*zone)) {
+        compared += pair.ExpectSameReplies(name);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+      // Outside every zone the server holds.
+      compared += pair.ExpectSameReplies(Name::FromString("elsewhere.example"));
+    }
+  }
+  EXPECT_GT(compared, 4u * 5u * world->zone_count());
+}
+
+TEST(AuthServerOracle, ParentAndChildOnOneServer) {
+  worldgen::WorldConfig config;
+  config.scale = 0.02;
+  const auto world = worldgen::BuildWorld(config);
+  std::map<Name, std::shared_ptr<const Zone>> by_origin;
+  for (const auto& zone : world->zones()) by_origin[zone->origin()] = zone;
+  // Each generated zone with every generated child zone of it: one server
+  // holds the whole family, so most names match among several origins.
+  std::map<Name, std::vector<std::shared_ptr<const Zone>>> families;
+  for (const auto& [origin, zone] : by_origin) {
+    if (origin.IsRoot()) continue;
+    auto parent = by_origin.find(origin.Parent());
+    if (parent == by_origin.end()) continue;
+    auto& family = families[parent->first];
+    if (family.empty()) family.push_back(parent->second);
+    family.push_back(zone);
+  }
+  ASSERT_FALSE(families.empty());
+  // And a hand-made pair whose child holds names below the parent's cut.
+  auto moe = std::make_shared<Zone>(Name::FromString("moe.gov.cn"));
+  moe->Add(MakeSoa(moe->origin(), Name::FromString("ns1.moe.gov.cn"),
+                   Name::FromString("hostmaster.moe.gov.cn"), 7));
+  moe->Add(MakeNs(moe->origin(), Name::FromString("ns1.moe.gov.cn")));
+  moe->Add(MakeA(Name::FromString("ns1.moe.gov.cn"), geo::IPv4(10, 0, 1, 1)));
+  moe->Add(MakeA(Name::FromString("www.moe.gov.cn"), geo::IPv4(10, 9, 9, 9)));
+  moe->Seal();
+  families[moe->origin()] = {OracleExtrasZone(), moe};
+
+  for (ServerMode mode : kAllModes) {
+    for (const auto& [origin, family] : families) {
+      OraclePair pair(mode);
+      for (const auto& zone : family) pair.AddZone(zone);
+      for (const auto& zone : family) {
+        for (const Name& name : OracleNames(*zone)) {
+          pair.ExpectSameReplies(name);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(AuthServerOracle, QuestionCountsOtherThanOne) {
+  for (ServerMode mode : kAllModes) {
+    OraclePair pair(mode);
+    pair.AddZone(GovCnZone());
+    dns::Message none = dns::MakeQuery(9, Name::FromString("www.gov.cn"),
+                                       dns::RRType::kA);
+    none.questions.clear();
+    pair.ExpectSameReply(none);
+    dns::Message two = dns::MakeQuery(10, Name::FromString("www.gov.cn"),
+                                      dns::RRType::kA);
+    two.questions.push_back({Name::FromString("moe.gov.cn"), dns::RRType::kNS,
+                             dns::RRClass::kIN});
+    pair.ExpectSameReply(two);
+  }
 }
 
 }  // namespace

@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
       [&auth](const std::vector<uint8_t>& wire) -> std::vector<uint8_t> {
         auto query = dns::Message::Decode(wire);
         if (!query.ok()) return {};
-        return auth.Answer(*query).Encode();
+        return auth.Answer(*query);
       });
   if (!status.ok()) {
     std::fprintf(stderr, "cannot start server: %s\n",

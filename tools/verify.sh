@@ -121,17 +121,26 @@ arg_rejected "GOVDNS_MINE_SCALE=abc" env GOVDNS_SCALE=0.01 \
 echo "smoke: bad GOVDNS_SCALE/GOVDNS_MINE_SCALE, example scales and a bad" \
   "country code exit 2 before any world OK"
 
-echo "==> smoke: bench_output.txt rebuilds byte for byte"
+echo "==> smoke: bench_output.txt rebuilds byte for byte; report JSON pinned"
 # The committed artifact is every paper table and figure from one
 # govdns_study run at scale 1 (about 9 s and 0.7 GB on a 4-core host) plus
-# the four ablations at scale 0.25 (about 14 s). All of it is deterministic,
+# the five ablations at scale 0.25 (about 14 s). All of it is deterministic,
 # so a fresh rebuild must match the committed file exactly; any drift in a
-# published number fails here.
+# published number fails here. The same scale-1 run exports the report JSON,
+# which must hash to REPORT_SHA256: a change that moves it on purpose edits
+# that constant and says so, with the numbers that moved, in CHANGES.md.
+REPORT_SHA256=9d1e7e6ed3e93165dff4cce6bcef704d406bece8e6a74864eb17857b8cb51efd
 if ! ./assemble_outputs.sh "${SMOKE_DIR}/bench_output.txt" \
-     2>"${SMOKE_DIR}/assemble.err"; then
+     "${SMOKE_DIR}/scale1.json" 2>"${SMOKE_DIR}/assemble.err"; then
   cat "${SMOKE_DIR}/assemble.err" >&2
   exit 1
 fi
+GOT_SHA256=$(sha256sum "${SMOKE_DIR}/scale1.json" | cut -d' ' -f1)
+if [ "${GOT_SHA256}" != "${REPORT_SHA256}" ]; then
+  echo "smoke: scale-1 report SHA-256 ${GOT_SHA256}, pinned ${REPORT_SHA256}" >&2
+  exit 1
+fi
+echo "smoke: scale-1 report SHA-256 ${REPORT_SHA256} OK"
 if ! cmp bench_output.txt "${SMOKE_DIR}/bench_output.txt"; then
   diff bench_output.txt "${SMOKE_DIR}/bench_output.txt" | head -40 >&2
   exit 1
