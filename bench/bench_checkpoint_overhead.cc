@@ -27,7 +27,6 @@
 #include "util/json.h"
 #include "util/table.h"
 #include "worldgen/adapter.h"
-#include "worldgen/countries.h"
 #include "worldgen/world.h"
 
 namespace {
@@ -62,23 +61,13 @@ ArmPoint RunArm(const std::string& dir, bool resume) {
     bound.study->AttachCheckpoint(ckpt.get());
   }
 
-  std::vector<std::string> top10;
-  for (const char* code : govdns::worldgen::Top10CountryCodes()) {
-    top10.emplace_back(code);
-  }
-
   const auto start = std::chrono::steady_clock::now();
-  bound.study->RunSelection();
-  bound.study->RunMining();
-  bound.study->RunActiveMeasurement();
-  auto report = govdns::core::BuildReport(*bound.study, top10);
-  std::string json = govdns::core::ExportReportJson(report);
-  if (ckpt != nullptr) ckpt->SaveReportJson(json);
+  const govdns::core::StudyReport report = bound.study->Run();
   const auto stop = std::chrono::steady_clock::now();
 
   ArmPoint point;
   point.seconds = std::chrono::duration<double>(stop - start).count();
-  point.report_json = std::move(json);
+  point.report_json = govdns::core::ExportReportJson(report);
   point.domains = bound.study->active().results.size();
   if (ckpt != nullptr) {
     point.commits = ckpt->journal_stats().commits;

@@ -19,13 +19,11 @@
 
 #include "bench/common.h"
 #include "core/export.h"
-#include "core/measure.h"
 #include "core/report.h"
 #include "core/study.h"
 #include "util/json.h"
 #include "util/table.h"
 #include "worldgen/adapter.h"
-#include "worldgen/countries.h"
 #include "worldgen/world.h"
 
 namespace {
@@ -52,20 +50,12 @@ std::string RunPipeline(double p_blackhole, int workers, double* seconds,
   auto world = govdns::worldgen::BuildWorld(config);
   auto bound = govdns::worldgen::MakeStudy(*world);
 
-  std::vector<std::string> top10;
-  for (const char* code : govdns::worldgen::Top10CountryCodes()) {
-    top10.emplace_back(code);
-  }
-
-  govdns::core::MeasurerOptions options;
-  options.workers = workers;
-  options.max_logical_ms_per_domain = kDomainDeadlineMs;
+  govdns::core::PipelineOptions options;
+  options.measurement.workers = workers;
+  options.measurement.max_logical_ms_per_domain = kDomainDeadlineMs;
 
   const auto start = std::chrono::steady_clock::now();
-  bound.study->RunSelection();
-  bound.study->RunMining();
-  bound.study->RunActiveMeasurement(options);
-  auto report = govdns::core::BuildReport(*bound.study, top10);
+  const govdns::core::StudyReport report = bound.study->Run(options);
   std::string json = govdns::core::ExportReportJson(report);
   const auto stop = std::chrono::steady_clock::now();
 

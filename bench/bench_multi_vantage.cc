@@ -20,16 +20,10 @@
 
 #include "bench/common.h"
 #include "ckpt/fault.h"
-#include "ckpt/journal.h"
-#include "core/export.h"
-#include "core/report.h"
-#include "core/study.h"
-#include "core/study_ckpt.h"
 #include "core/vantage.h"
 #include "util/json.h"
 #include "util/table.h"
 #include "worldgen/adapter.h"
-#include "worldgen/countries.h"
 #include "worldgen/world.h"
 
 namespace {
@@ -55,8 +49,9 @@ struct ArmPoint {
   int64_t countries_disagreeing = 0;
 };
 
-// One supervised multi-vantage run on a fresh world, mirroring the
-// govdns_study --vantages orchestration.
+// One supervised multi-vantage run on a fresh world, as govdns_study
+// --vantages runs it: each shard applies its overlay and runs the shard
+// body; the parent collects the frames.
 ArmPoint RunArm(const std::string& dir, const Fault& fault,
                 uint64_t deadline_ms) {
   using namespace govdns;
@@ -71,16 +66,11 @@ ArmPoint RunArm(const std::string& dir, const Fault& fault,
     profiles.push_back(worldgen::MakeDefaultVantageProfile(v));
     names.push_back(profiles.back().name);
   }
-  uint64_t study_fp = 0;
-  {
-    worldgen::PolicyLookupAdapter policy(&world->registry_policy());
-    study_fp = core::StudyInputsFingerprint(
-        worldgen::MakeStudyInputs(*world, &policy));
-  }
-  std::vector<std::string> top10;
-  for (const char* code : worldgen::Top10CountryCodes()) {
-    top10.emplace_back(code);
-  }
+  // One policy view serves the parent's study identity and, copied by the
+  // fork, every shard's inputs.
+  worldgen::PolicyLookupAdapter policy(&world->registry_policy());
+  const uint64_t study_fp = core::StudyInputsFingerprint(
+      worldgen::MakeStudyInputs(*world, &policy));
 
   core::VantageSupervisor::ChildFn child_fn = [&](const std::string& name,
                                                   int attempt) -> int {
@@ -96,32 +86,14 @@ ArmPoint RunArm(const std::string& dir, const Fault& fault,
             std::chrono::milliseconds(fault.stall_ms));
       }
       world->ApplyVantage(*profile);
-      auto bound = worldgen::MakeStudy(*world);
-
-      core::StudyCheckpointOptions opts;
-      opts.resume = attempt > 0;
-      core::StudyCheckpoint ckpt(core::VantageJournalDir(dir, name),
-                                 core::VantageBaseFingerprint(kWorldFp, name),
-                                 opts);
-      if (victim && fault.kill_at_write > 0) {
-        ckpt::CkptFaultPlan plan;
-        plan.kill_at_write = fault.kill_at_write;
-        plan.mode = ckpt::KillMode::kAfterCommit;
-        plan.exit_process = true;
-        ckpt.set_fault_plan(plan);
-      }
-      bound.study->AttachCheckpoint(&ckpt);
-      bound.study->RunSelection();
-      bound.study->RunMining();
-      bound.study->RunActiveMeasurement();
-
-      const std::string report_json =
-          core::ExportReportJson(core::BuildReport(*bound.study, top10));
-      ckpt.SaveReportJson(report_json);
-      const uint64_t full_fp = ckpt::MixFingerprint(
-          core::VantageBaseFingerprint(kWorldFp, name), study_fp);
-      ckpt.SaveVantage(core::BuildVantageSummary(
-          name, full_fp, bound.study->active(), report_json));
+      ckpt::CkptFaultPlan plan;  // kill_at_write 0: never fires
+      plan.kill_at_write = victim ? fault.kill_at_write : 0;
+      plan.mode = ckpt::KillMode::kAfterCommit;
+      plan.exit_process = true;
+      core::RunVantageShard(name, attempt, dir, kWorldFp,
+                            worldgen::MakeStudyInputs(*world, &policy),
+                            core::StudyCheckpointOptions(),
+                            core::PipelineOptions(), plan);
       return 0;
     } catch (...) {
       return 1;
@@ -135,26 +107,8 @@ ArmPoint RunArm(const std::string& dir, const Fault& fault,
   const auto start = std::chrono::steady_clock::now();
   core::VantageSupervisor supervisor(names, options);
   std::vector<core::VantageOutcome> outcomes = supervisor.Run(child_fn);
-
-  std::vector<core::VantageSummary> summaries;
-  std::vector<std::string> lost;
-  for (const core::VantageOutcome& outcome : outcomes) {
-    if (outcome.lost) {
-      lost.push_back(outcome.name);
-      continue;
-    }
-    const uint64_t full_fp = ckpt::MixFingerprint(
-        core::VantageBaseFingerprint(kWorldFp, outcome.name), study_fp);
-    auto summary = core::LoadVantageSummary(
-        core::VantageJournalDir(dir, outcome.name), full_fp);
-    if (!summary) {
-      lost.push_back(outcome.name);
-      continue;
-    }
-    summaries.push_back(*std::move(summary));
-  }
   core::MultiVantageReport merged =
-      core::MergeVantageSummaries(std::move(summaries), std::move(lost));
+      core::CollectVantages(outcomes, dir, kWorldFp, study_fp);
   const auto stop = std::chrono::steady_clock::now();
 
   ArmPoint point;

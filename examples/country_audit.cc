@@ -14,7 +14,7 @@
 
 #include "core/analysis.h"
 #include "core/providers.h"
-#include "core/study.h"
+#include "core/report.h"
 #include "scale_arg.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   auto world = worldgen::BuildWorld(config);
   auto bound = worldgen::MakeStudy(*world);
   core::Study& study = *bound.study;
-  study.RunAll();
+  study.Run();
 
   const auto& dataset = study.active();
   int country = -1;

@@ -9,7 +9,7 @@
 #include <set>
 
 #include "core/analysis.h"
-#include "core/study.h"
+#include "core/report.h"
 #include "scale_arg.h"
 #include "util/stats.h"
 #include "util/strings.h"
@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   auto world = worldgen::BuildWorld(config);
   auto bound = worldgen::MakeStudy(*world);
   core::Study& study = *bound.study;
-  study.RunAll();
+  study.Run();
 
   const auto& dataset = study.active();
   const auto& psl = world->psl();

@@ -33,6 +33,28 @@ void WriteProviderTable(util::JsonWriter& json, const ProviderYearTable& t) {
   json.EndObject();
 }
 
+void WriteQuarantine(util::JsonWriter& json, const QuarantineReport& quar) {
+  json.BeginObject();
+  json.Kv("total_domains", quar.total_domains);
+  json.Kv("quarantined", quar.quarantined);
+  json.Kv("hang", quar.hang);
+  json.Kv("blackhole", quar.blackhole);
+  json.Kv("budget_exceeded", quar.budget_exceeded);
+  json.Kv("watchdog_cancelled", quar.watchdog_cancelled);
+  json.Kv("vantage_lost", quar.vantage_lost);
+  json.Kv("coverage", quar.coverage);
+  json.Key("by_country").BeginArray();
+  for (const QuarantineReport::CountryRow& row : quar.by_country) {
+    json.BeginObject();
+    json.Kv("code", row.code);
+    json.Kv("domains", row.domains);
+    json.Kv("quarantined", row.quarantined);
+    json.EndObject();
+  }
+  json.EndArray();
+  json.EndObject();
+}
+
 }  // namespace
 
 std::string ExportReportJson(const StudyReport& report) {
@@ -203,26 +225,8 @@ std::string ExportReportJson(const StudyReport& report) {
           int64_t(res.max_logical_ms_one_domain));
   json.EndObject();
 
-  const QuarantineReport& quar = report.quarantine;
-  json.Key("quarantine").BeginObject();
-  json.Kv("total_domains", quar.total_domains);
-  json.Kv("quarantined", quar.quarantined);
-  json.Kv("hang", quar.hang);
-  json.Kv("blackhole", quar.blackhole);
-  json.Kv("budget_exceeded", quar.budget_exceeded);
-  json.Kv("watchdog_cancelled", quar.watchdog_cancelled);
-  json.Kv("vantage_lost", quar.vantage_lost);
-  json.Kv("coverage", quar.coverage);
-  json.Key("by_country").BeginArray();
-  for (const QuarantineReport::CountryRow& row : quar.by_country) {
-    json.BeginObject();
-    json.Kv("code", row.code);
-    json.Kv("domains", row.domains);
-    json.Kv("quarantined", row.quarantined);
-    json.EndObject();
-  }
-  json.EndArray();
-  json.EndObject();
+  json.Key("quarantine");
+  WriteQuarantine(json, report.quarantine);
 
   json.Key("profile").BeginArray();
   for (const obs::PhaseRecord& r : report.profile) {
@@ -235,6 +239,12 @@ std::string ExportReportJson(const StudyReport& report) {
   json.EndArray();
 
   json.EndObject();
+  return json.TakeString();
+}
+
+std::string ExportQuarantineJson(const QuarantineReport& quarantine) {
+  util::JsonWriter json;
+  WriteQuarantine(json, quarantine);
   return json.TakeString();
 }
 

@@ -28,6 +28,11 @@ namespace govdns::core {
 // given seed.
 std::string ExportReportJson(const StudyReport& report);
 
+// The report's quarantine object on its own, the same bytes
+// ExportReportJson writes under "quarantine" (govdns_study
+// --quarantine-report).
+std::string ExportQuarantineJson(const QuarantineReport& quarantine);
+
 // A metrics snapshot as {counters[], gauges[], histograms[]}, each row
 // tagged with its determinism class. With include_diagnostic = false the
 // document contains only kStable series and is byte-identical across

@@ -136,15 +136,9 @@ struct MeasurerOptions {
   uint64_t max_logical_ms_per_country = 0;
   // Logical ms the whole measurement phase may consume; past it, remaining
   // batches are pre-quarantined. Enforced by Study at batch granularity so
-  // the cutoff is deterministic and worker-count independent.
+  // the cutoff is deterministic and worker-count independent. A batch is
+  // the checkpoint's batch_size when one is attached, else 64 domains.
   uint64_t phase_deadline_logical_ms = 0;
-  // Granularity (domains) of study-level budget enforcement and checkpoint
-  // journaling when a checkpoint or a country/phase budget is armed (else
-  // the whole query list is one batch). 0 = the checkpoint's batch_size
-  // when one is attached, else 64. Changing it may move which
-  // domains fall past a budget cutoff (each batch's verdicts read only the
-  // accumulators of the batches before it), but never changes healthy runs.
-  size_t budget_batch_size = 0;
   // Wall-clock watchdog (PhaseWatchdog): a worker that makes no progress
   // heartbeat within this many real ms has its in-flight domain cancelled
   // and requeued once. 0 = no watchdog. Never fires in pure simulation

@@ -4,6 +4,9 @@
 #include <map>
 #include <span>
 
+#include "ckpt/fault.h"
+#include "core/export.h"
+#include "core/report.h"
 #include "core/study_ckpt.h"
 
 namespace govdns::core {
@@ -199,11 +202,10 @@ const ActiveDataset& Study::RunActiveMeasurement(MeasurerOptions options) {
   // query list is one batch; otherwise batches are the journaling and
   // budget-enforcement granularity.
   size_t batch_size = query_list.size();
-  if (ckpt_ != nullptr || budgets_armed) {
-    batch_size = options.budget_batch_size;
-    if (batch_size == 0) {
-      batch_size = ckpt_ != nullptr ? ckpt_->options().batch_size : size_t{64};
-    }
+  if (ckpt_ != nullptr) {
+    batch_size = ckpt_->options().batch_size;
+  } else if (budgets_armed) {
+    batch_size = 64;
   }
   std::vector<MeasurementResult> results;
   if (ckpt_ != nullptr) {
@@ -313,10 +315,25 @@ void Study::PublishCheckpointGauges() const {
   m.SetGauge("ckpt.frame_rejections", static_cast<int64_t>(js.Rejections()));
 }
 
-void Study::RunAll() {
-  RunSelection();
-  RunMining();
-  RunActiveMeasurement();
+StudyReport Study::Run(const PipelineOptions& options) {
+  const char* stage = "selection";
+  try {
+    RunSelection();
+    stage = "mining";
+    RunMining(options.mining);
+    stage = "measurement";
+    RunActiveMeasurement(options.measurement);
+    stage = "report";
+    StudyReport report = BuildReport(*this, inputs_.diversity_countries);
+    if (ckpt_ != nullptr) ckpt_->SaveReportJson(ExportReportJson(report));
+    return report;
+  } catch (const PipelineError&) {
+    throw;
+  } catch (const ckpt::KillPointReached&) {
+    throw;
+  } catch (const std::exception& e) {
+    throw PipelineError(stage, e.what());
+  }
 }
 
 }  // namespace govdns::core

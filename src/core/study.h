@@ -1,7 +1,9 @@
 // End-to-end study orchestration: selection -> PDNS mining -> active
-// measurement -> analyses. This is the top-level public API a user of the
-// library drives (see examples/quickstart.cc); each stage can also be run
-// independently for partial studies.
+// measurement -> analyses. Study::Run is the one place that sequence is
+// written down: a caller that wants a finished study says which options to
+// run it with and gets the report back (see examples/full_report.cc). Each
+// stage can also be run on its own, for partial studies and for code that
+// times or prints one stage (examples/quickstart.cc, perfbench).
 #pragma once
 
 #include <atomic>
@@ -24,6 +26,7 @@
 namespace govdns::core {
 
 class StudyCheckpoint;
+struct StudyReport;  // core/report.h; callers of Study::Run include it
 
 // A pipeline stage failed (or was interrupted) in a way the study cannot
 // recover from internally. Carries which phase died and why, so the CLI can
@@ -61,8 +64,18 @@ struct StudyInputs {
   // Research inputs.
   std::vector<KnowledgeBaseRecord> knowledge_base;
   std::vector<CountryMeta> countries;
+  // Table I's countries (codes), in the order of its rows; Study::Run hands
+  // them to BuildReport.
+  std::vector<std::string> diversity_countries;
 
   MiningConfig mining;
+};
+
+// The options of a whole run (Study::Run): one struct per stage that takes
+// any. Either may be left out of a designated initializer.
+struct PipelineOptions {
+  MinerOptions mining{};
+  MeasurerOptions measurement{};
 };
 
 // The study-side checkpoint identity: the mining-config digest mixed with
@@ -89,8 +102,14 @@ class Study {
   const ActiveDataset& RunActiveMeasurement(
       MeasurerOptions options = MeasurerOptions());
 
-  // Runs all three stages.
-  void RunAll();
+  // The whole study: RunSelection, RunMining(options.mining),
+  // RunActiveMeasurement(options.measurement), then BuildReport over
+  // inputs().diversity_countries. With a checkpoint attached, the report's
+  // JSON is journaled as the report frame before it is returned. An
+  // exception a stage throws surfaces as PipelineError(stage, what()), the
+  // stage being "selection", "mining", "measurement" or "report"; a
+  // PipelineError or ckpt::KillPointReached passes through unchanged.
+  StudyReport Run(const PipelineOptions& options = PipelineOptions());
 
   // Attaches an observability context (not owned; caller keeps it alive for
   // the study's lifetime; may be null to detach). Mining folds its

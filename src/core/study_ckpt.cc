@@ -10,6 +10,7 @@
 
 #include "ckpt/serial.h"
 #include "core/study.h"
+#include "core/vantage.h"
 #include "util/json.h"
 
 namespace govdns::core {
@@ -749,20 +750,6 @@ void StudyCheckpoint::SaveVantage(const VantageSummary& summary) {
   if (!crc.ok()) {
     throw PipelineError("checkpoint", "vantage: " + crc.status().ToString());
   }
-}
-
-std::optional<VantageSummary> StudyCheckpoint::TryLoadVantage() {
-  GOVDNS_CHECK(bound_);
-  if (!options_.resume) return std::nullopt;
-  auto frame = journal_.Load(kVantageFrameName, /*parent_crc=*/0);
-  if (!frame.ok()) return std::nullopt;
-  ckpt::Reader r(frame->payload);
-  VantageSummary summary;
-  if (!DecodeVantageSummary(r, &summary)) {
-    ++stats_.decode_rejects;
-    return std::nullopt;
-  }
-  return summary;
 }
 
 std::string StudyCheckpoint::StatsJson() const {

@@ -35,10 +35,11 @@
 #include "core/mining.h"
 #include "core/selection.h"
 #include "core/types.h"
-#include "core/vantage.h"
 #include "obs/profile.h"
 
 namespace govdns::core {
+
+struct VantageSummary;  // core/vantage.h
 
 struct StudyCheckpointOptions {
   // Measurement results are journaled every `batch_size` domains; a kill
@@ -146,8 +147,6 @@ class StudyCheckpoint {
   // rides on the frame CRC and the journal fingerprint. Committed through
   // this journal, so fault plans count it as a write point like any other.
   void SaveVantage(const VantageSummary& summary);
-  // Load-and-verify on resume: nullopt when absent/invalid (recompute).
-  std::optional<VantageSummary> TryLoadVantage();
 
   const StudyCheckpointOptions& options() const { return options_; }
   const ckpt::JournalStats& journal_stats() const { return journal_.stats(); }

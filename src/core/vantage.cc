@@ -13,6 +13,8 @@
 
 #include "ckpt/journal.h"
 #include "ckpt/serial.h"
+#include "core/export.h"
+#include "core/report.h"
 #include "util/json.h"
 #include "util/rng.h"
 
@@ -24,6 +26,14 @@ namespace {
 // identity disjoint from the single-vantage journal of the same world even
 // for an empty vantage name.
 constexpr uint64_t kVantageFpTag = 0x6776766eULL;  // "gvvn"
+
+// The fingerprint a shard constructs its StudyCheckpoint with, before Bind
+// mixes in the study identity.
+uint64_t VantageBaseFingerprint(uint64_t world_fingerprint,
+                                const std::string& name) {
+  return ckpt::MixFingerprint(world_fingerprint,
+                              util::HashString(name, kVantageFpTag));
+}
 
 // A country row's wire floor: a 1-octet string length plus six 8-octet
 // I64s. A row is bigger in memory, so the count is checked against it.
@@ -39,8 +49,9 @@ const char* VerdictFor(int64_t domains, int64_t authoritative) {
   return "dark";
 }
 
-}  // namespace
-
+// Condenses a finished shard's dataset into its summary. Pure function of
+// the dataset (itself deterministic), so an interrupted-and-resumed shard
+// reproduces the identical summary.
 VantageSummary BuildVantageSummary(const std::string& name,
                                    uint64_t fingerprint,
                                    const ActiveDataset& dataset,
@@ -79,6 +90,8 @@ VantageSummary BuildVantageSummary(const std::string& name,
   }
   return s;
 }
+
+}  // namespace
 
 void EncodeVantageSummary(ckpt::Writer& w, const VantageSummary& summary) {
   w.U8(kVantageFrameKind);
@@ -142,10 +155,32 @@ std::string VantageJournalDir(const std::string& ckpt_root,
   return ckpt_root + "/vantage_" + name;
 }
 
-uint64_t VantageBaseFingerprint(uint64_t world_fingerprint,
-                                const std::string& name) {
-  return ckpt::MixFingerprint(world_fingerprint,
-                              util::HashString(name, kVantageFpTag));
+uint64_t VantageJournalFingerprint(uint64_t world_fingerprint,
+                                   const std::string& name,
+                                   uint64_t study_fingerprint) {
+  return ckpt::MixFingerprint(VantageBaseFingerprint(world_fingerprint, name),
+                              study_fingerprint);
+}
+
+void RunVantageShard(const std::string& name, int attempt,
+                     const std::string& ckpt_root, uint64_t world_fingerprint,
+                     StudyInputs inputs, StudyCheckpointOptions ckpt_options,
+                     const PipelineOptions& options,
+                     const ckpt::CkptFaultPlan& fault_plan,
+                     obs::Observability* obs) {
+  if (attempt > 0) ckpt_options.resume = true;
+  const uint64_t fingerprint = VantageJournalFingerprint(
+      world_fingerprint, name, StudyInputsFingerprint(inputs));
+  StudyCheckpoint ckpt(VantageJournalDir(ckpt_root, name),
+                       VantageBaseFingerprint(world_fingerprint, name),
+                       ckpt_options);
+  ckpt.set_fault_plan(fault_plan);
+  Study study(std::move(inputs));
+  study.AttachObservability(obs);
+  study.AttachCheckpoint(&ckpt);
+  const StudyReport report = study.Run(options);
+  ckpt.SaveVantage(BuildVantageSummary(name, fingerprint, study.active(),
+                                       ExportReportJson(report)));
 }
 
 // --- Supervision -----------------------------------------------------------
@@ -314,6 +349,29 @@ MultiVantageReport MergeVantageSummaries(std::vector<VantageSummary> summaries,
   }
   report.vantages = std::move(summaries);
   return report;
+}
+
+MultiVantageReport CollectVantages(const std::vector<VantageOutcome>& outcomes,
+                                   const std::string& ckpt_root,
+                                   uint64_t world_fingerprint,
+                                   uint64_t study_fingerprint) {
+  std::vector<VantageSummary> summaries;
+  std::vector<std::string> lost;
+  for (const VantageOutcome& outcome : outcomes) {
+    std::optional<VantageSummary> summary;
+    if (!outcome.lost) {
+      summary = LoadVantageSummary(
+          VantageJournalDir(ckpt_root, outcome.name),
+          VantageJournalFingerprint(world_fingerprint, outcome.name,
+                                    study_fingerprint));
+    }
+    if (summary) {
+      summaries.push_back(*std::move(summary));
+    } else {
+      lost.push_back(outcome.name);
+    }
+  }
+  return MergeVantageSummaries(std::move(summaries), std::move(lost));
 }
 
 std::string ExportMultiVantageJson(const MultiVantageReport& report) {

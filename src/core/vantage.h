@@ -2,19 +2,22 @@
 // crash recovery, and a deterministic cross-vantage disagreement merge
 // (DESIGN.md §6k).
 //
-// Ownership split: each vantage shard is a forked child process running the
-// full study pipeline against its own network view, journaling into its own
-// per-vantage ckpt::Journal subdirectory and finishing with a self-contained
-// `vantage` frame (kind 7) that summarizes what that vantage saw. The parent
-// VantageSupervisor — the PhaseWatchdog idea promoted from threads to
-// processes — waitpid-monitors the shards on the wall clock, restarts a
-// crashed shard from its own journal (resume machinery: a kill at any write
-// point loses at most one batch), SIGKILLs a straggler that outlives its
-// per-attempt deadline, and declares a shard lost once its restart budget is
-// spent. Surviving summaries then fold through MergeVantageSummaries: a pure
-// function of the set of summaries (sorted by vantage name), so the merged
-// report is byte-identical whatever order shards finished in, how often they
-// crashed, or which attempt finally completed.
+// Ownership split: each vantage shard is a forked child process that
+// applies its own network view and then runs RunVantageShard: the whole
+// study (Study::Run) journaled into its own per-vantage ckpt::Journal
+// subdirectory, finished by a self-contained `vantage` frame (kind 7) that
+// summarizes what that vantage saw. The parent VantageSupervisor — the
+// PhaseWatchdog idea promoted from threads to processes — waitpid-monitors
+// the shards on the wall clock, restarts a crashed shard from its own
+// journal (resume machinery: a kill at any write point loses at most one
+// batch), SIGKILLs a straggler that outlives its per-attempt deadline, and
+// declares a shard lost once its restart budget is spent. CollectVantages
+// then loads the surviving frames and folds them through
+// MergeVantageSummaries: a pure function of the set of summaries (sorted by
+// vantage name), so the merged report is byte-identical whatever order
+// shards finished in, how often they crashed, or which attempt finally
+// completed. The journal layout, its fingerprint and the rule for a lost
+// shard live here only; callers bring the overlay and their fault hooks.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +27,10 @@
 #include <string>
 #include <vector>
 
+#include "ckpt/fault.h"
 #include "core/analysis.h"
+#include "core/study.h"
+#include "core/study_ckpt.h"
 
 namespace govdns::ckpt {
 class Reader;
@@ -70,14 +76,6 @@ struct VantageSummary {
                          const VantageSummary&) = default;
 };
 
-// Condenses a finished shard's dataset into its summary. Pure function of
-// the dataset (itself deterministic), so an interrupted-and-resumed shard
-// reproduces the identical summary.
-VantageSummary BuildVantageSummary(const std::string& name,
-                                   uint64_t fingerprint,
-                                   const ActiveDataset& dataset,
-                                   const std::string& report_json);
-
 // Frame codec, shared by StudyCheckpoint::SaveVantage (child side) and
 // LoadVantageSummary (parent side).
 void EncodeVantageSummary(ckpt::Writer& w, const VantageSummary& summary);
@@ -85,20 +83,38 @@ bool DecodeVantageSummary(ckpt::Reader& r, VantageSummary* out);
 
 // Parent-side load of a finished shard's summary straight from its journal
 // directory. `fingerprint` must be the shard journal's full fingerprint
-// (world/config identity mixed with the vantage name and study identity —
-// see VantageJournalFingerprint). Returns nullopt when the frame is
-// missing, invalid, or summarizes a different vantage.
+// (VantageJournalFingerprint). Returns nullopt when the frame is missing,
+// invalid, or summarizes a different vantage.
 std::optional<VantageSummary> LoadVantageSummary(const std::string& dir,
                                                  uint64_t fingerprint);
 
-// The per-vantage journal directory under the supervisor's checkpoint root,
-// and the base fingerprint a shard binds its StudyCheckpoint with. Mixing
-// the vantage name into the fingerprint means one shard's journal can never
-// satisfy another shard's resume.
+// The per-vantage journal directory under the supervisor's checkpoint root.
 std::string VantageJournalDir(const std::string& ckpt_root,
                               const std::string& name);
-uint64_t VantageBaseFingerprint(uint64_t world_fingerprint,
-                                const std::string& name);
+// A shard journal's full fingerprint: the world/config identity mixed with
+// the vantage name, then with the study identity (StudyInputsFingerprint)
+// as StudyCheckpoint::Bind mixes it. Mixing the name in means one shard's
+// journal can never satisfy another shard's resume. An overlay leaves the
+// study identity unchanged, so the parent's pre-overlay value matches what
+// every shard computes after its overlay.
+uint64_t VantageJournalFingerprint(uint64_t world_fingerprint,
+                                   const std::string& name,
+                                   uint64_t study_fingerprint);
+
+// One attempt of one shard: the body a VantageSupervisor child runs once
+// its vantage overlay is applied. Builds a Study over `inputs` (with `obs`
+// attached when set), journals it into VantageJournalDir(ckpt_root, name),
+// runs Study::Run(options), which commits the report frame, and commits the
+// vantage frame last. Every attempt after the first resumes from that
+// journal whatever `ckpt_options.resume` says: a restart is a resume.
+// `fault_plan` is armed on the journal (the callers' crash hooks; the
+// default plan never fires). Throws what Study::Run throws.
+void RunVantageShard(const std::string& name, int attempt,
+                     const std::string& ckpt_root, uint64_t world_fingerprint,
+                     StudyInputs inputs, StudyCheckpointOptions ckpt_options,
+                     const PipelineOptions& options,
+                     const ckpt::CkptFaultPlan& fault_plan = {},
+                     obs::Observability* obs = nullptr);
 
 // --- Supervision -----------------------------------------------------------
 
@@ -193,6 +209,16 @@ struct MultiVantageReport {
 // caller collected the summaries in.
 MultiVantageReport MergeVantageSummaries(std::vector<VantageSummary> summaries,
                                          std::vector<std::string> lost);
+
+// The parent side of the protocol: loads the vantage frame of every shard
+// the supervisor did not lose, from VantageJournalDir(ckpt_root, name) under
+// VantageJournalFingerprint, and merges them. A shard that exited cleanly
+// but left no readable frame counts as lost, never as a partial view.
+// `study_fingerprint` is StudyInputsFingerprint of the shards' inputs.
+MultiVantageReport CollectVantages(const std::vector<VantageOutcome>& outcomes,
+                                   const std::string& ckpt_root,
+                                   uint64_t world_fingerprint,
+                                   uint64_t study_fingerprint);
 
 // Byte-stable JSON document for the merged report (diagnostic outcome
 // fields excluded by construction — they never enter the merge).

@@ -83,10 +83,6 @@ double Rng::Gaussian() {
          std::cos(2.0 * std::numbers::pi * u2);
 }
 
-double Rng::LogNormal(double mu, double sigma) {
-  return std::exp(mu + sigma * Gaussian());
-}
-
 size_t Rng::WeightedIndex(const std::vector<double>& weights) {
   GOVDNS_CHECK(!weights.empty());
   double total = 0.0;

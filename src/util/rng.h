@@ -44,9 +44,6 @@ class Rng {
 
   bool Bernoulli(double p);
 
-  // Approximately log-normally distributed positive double.
-  double LogNormal(double mu, double sigma);
-
   // Standard normal via Box-Muller (no cached spare: deterministic stream).
   double Gaussian();
 

@@ -14,18 +14,15 @@ TextTable::TextTable(std::vector<std::string> header)
 
 void TextTable::AddRow(std::vector<std::string> cells) {
   GOVDNS_CHECK(cells.size() == header_.size());
-  rows_.push_back({std::move(cells), pending_separator_});
-  pending_separator_ = false;
+  rows_.push_back(std::move(cells));
 }
-
-void TextTable::AddSeparator() { pending_separator_ = true; }
 
 void TextTable::Print(std::ostream& os) const {
   std::vector<size_t> widths(header_.size());
   for (size_t i = 0; i < header_.size(); ++i) widths[i] = header_[i].size();
-  for (const Row& row : rows_) {
-    for (size_t i = 0; i < row.cells.size(); ++i) {
-      widths[i] = std::max(widths[i], row.cells[i].size());
+  for (const std::vector<std::string>& row : rows_) {
+    for (size_t i = 0; i < row.size(); ++i) {
+      widths[i] = std::max(widths[i], row[i].size());
     }
   }
   auto print_sep = [&] {
@@ -41,10 +38,7 @@ void TextTable::Print(std::ostream& os) const {
   print_sep();
   print_cells(header_);
   print_sep();
-  for (const Row& row : rows_) {
-    if (row.separator_before) print_sep();
-    print_cells(row.cells);
-  }
+  for (const std::vector<std::string>& row : rows_) print_cells(row);
   print_sep();
 }
 
@@ -77,7 +71,7 @@ std::string TextTable::ToCsv() const {
     os << '\n';
   };
   emit(header_);
-  for (const Row& row : rows_) emit(row.cells);
+  for (const std::vector<std::string>& row : rows_) emit(row);
   return os.str();
 }
 

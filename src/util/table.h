@@ -14,8 +14,6 @@ class TextTable {
   explicit TextTable(std::vector<std::string> header);
 
   void AddRow(std::vector<std::string> cells);
-  // Adds a horizontal separator before the next row.
-  void AddSeparator();
 
   void Print(std::ostream& os) const;
   std::string ToString() const;
@@ -24,14 +22,8 @@ class TextTable {
   size_t row_count() const { return rows_.size(); }
 
  private:
-  struct Row {
-    std::vector<std::string> cells;
-    bool separator_before = false;
-  };
-
   std::vector<std::string> header_;
-  std::vector<Row> rows_;
-  bool pending_separator_ = false;
+  std::vector<std::vector<std::string>> rows_;
 };
 
 }  // namespace govdns::util

@@ -42,6 +42,9 @@ core::StudyInputs MakeStudyInputs(World& world,
   inputs.policy = policy;
   inputs.knowledge_base = MakeKnowledgeBase(world);
   inputs.countries = MakeCountryMetas();
+  for (const char* code : Top10CountryCodes()) {
+    inputs.diversity_countries.emplace_back(code);
+  }
   inputs.mining.first_year = world.config().first_year;
   inputs.mining.last_year = world.config().last_year;
   return inputs;

@@ -109,9 +109,6 @@ struct World::Builder {
   // NS records for `child` in `parent` + A glue for in-bailiwick targets.
   void Delegate(zone::Zone* parent, const dns::Name& child,
                 const std::vector<dns::Name>& ns_names);
-  // A record(s) for a hostname, added to the zone that should carry them.
-  void AddHostAddresses(zone::Zone* zone, const dns::Name& hostname,
-                        const std::vector<geo::IPv4>& ips);
 
   // --- Deployment helpers --------------------------------------------------
   struct NsAssignment {

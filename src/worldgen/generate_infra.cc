@@ -209,13 +209,6 @@ void World::Builder::Delegate(zone::Zone* parent, const dns::Name& child,
   }
 }
 
-void World::Builder::AddHostAddresses(zone::Zone* zone,
-                                      const dns::Name& hostname,
-                                      const std::vector<geo::IPv4>& ips) {
-  GOVDNS_CHECK(zone != nullptr);
-  for (geo::IPv4 ip : ips) zone->Add(dns::MakeA(hostname, ip, 3600));
-}
-
 double World::Builder::TargetFor(int country, int year) const {
   int offset = year - cfg.first_year;
   GOVDNS_CHECK(offset >= 0 && offset < year_count);

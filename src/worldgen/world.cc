@@ -18,13 +18,6 @@ constexpr uint64_t kVantageSeedTag = 0x76616e74ULL;  // "vant"
 
 }  // namespace
 
-const NsEpoch* DomainTruth::EpochAt(util::CivilDay day) const {
-  for (const NsEpoch& epoch : epochs) {
-    if (epoch.days.Contains(day)) return &epoch;
-  }
-  return nullptr;
-}
-
 World::World(WorldConfig config)
     : config_(config),
       network_(std::make_unique<simnet::SimNetwork>(config.seed ^ 0x6e6574ULL)),

@@ -87,7 +87,6 @@ struct DomainTruth {
   bool relative_name_truncation = false;
 
   bool Alive(util::CivilDay day) const { return birth <= day && day < death; }
-  const NsEpoch* EpochAt(util::CivilDay day) const;
 };
 
 inline constexpr util::CivilDay kAliveForever = 0x3FFFFFFF;

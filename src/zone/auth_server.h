@@ -45,9 +45,6 @@ class AuthServer {
   // get REFUSED, the classic lame-delegation cause).
   void RemoveZone(const dns::Name& origin);
 
-  bool ServesZone(const dns::Name& origin) const {
-    return zones_.contains(origin);
-  }
   size_t zone_count() const { return zones_.size(); }
 
   // For kParking mode: the addresses returned for every query.

@@ -139,8 +139,7 @@ TEST(ChaosDeterminismTest, SameSeedHostileWorldsGiveIdenticalReports) {
     config.chaos = simnet::ChaosProfile::Hostile();
     auto world = worldgen::BuildWorld(config);
     auto bound = worldgen::MakeStudy(*world);
-    bound.study->RunAll();
-    return core::BuildResilienceReport(bound.study->active()).ToJson();
+    return bound.study->Run().resilience.ToJson();
   };
   std::string a = run();
   std::string b = run();
@@ -156,13 +155,12 @@ TEST(ChaosDeterminismTest, HostileWorldMeasurementSeesChaosModes) {
   config.chaos = simnet::ChaosProfile::Hostile();
   auto world = worldgen::BuildWorld(config);
   auto bound = worldgen::MakeStudy(*world);
-  bound.study->RunAll();
+  const core::ResilienceReport report = bound.study->Run().resilience;
   const auto& net = world->network().stats();
   // Worldgen attached the realized afflictions: the run encountered
   // delivered-but-damaged and timeout-shaped chaos, not just clean loss.
   EXPECT_GT(net.corrupted + net.truncated + net.wrong_id, 0u);
   EXPECT_GT(net.flap_dropped + net.burst_dropped + net.rate_limited, 0u);
-  auto report = core::BuildResilienceReport(bound.study->active());
   EXPECT_GT(report.totals.retries, 0u);
   EXPECT_GT(report.totals.queries, 0u);
 }

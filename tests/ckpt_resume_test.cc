@@ -24,7 +24,6 @@
 #include "core/study.h"
 #include "core/study_ckpt.h"
 #include "worldgen/adapter.h"
-#include "worldgen/countries.h"
 
 namespace govdns {
 namespace {
@@ -52,11 +51,8 @@ worldgen::WorldConfig SmallWorld() {
 }
 
 std::string ReportJsonOf(core::Study& study) {
-  std::vector<std::string> top10;
-  for (const char* code : worldgen::Top10CountryCodes()) {
-    top10.emplace_back(code);
-  }
-  return core::ExportReportJson(core::BuildReport(study, top10));
+  return core::ExportReportJson(
+      core::BuildReport(study, study.inputs().diversity_countries));
 }
 
 struct RunResult {
@@ -105,12 +101,8 @@ RunResult RunCheckpointed(const std::string& dir, bool resume,
 std::string RunPlain(int workers) {
   auto world = worldgen::BuildWorld(SmallWorld());
   auto bound = worldgen::MakeStudy(*world);
-  bound.study->RunSelection();
-  bound.study->RunMining();
-  core::MeasurerOptions mopts;
-  mopts.workers = workers;
-  bound.study->RunActiveMeasurement(mopts);
-  return ReportJsonOf(*bound.study);
+  return core::ExportReportJson(
+      bound.study->Run({.measurement = {.workers = workers}}));
 }
 
 void DamageFile(const std::string& path,
@@ -204,6 +196,40 @@ TEST(CkptResumeTest, CompletedJournalServesThePriorReport) {
   EXPECT_EQ(second.cstats.phases_saved, 0);
   EXPECT_EQ(second.cstats.batches_saved, 0);
   EXPECT_GT(second.cstats.results_loaded, 0);
+  fs::remove_all(dir);
+}
+
+// Study::Run journals the report frame itself: the frame holds the JSON of
+// the report Run returns, and a resumed Run over the finished journal loads
+// every phase and returns the same bytes.
+TEST(CkptResumeTest, RunJournalsTheReportItReturns) {
+  const std::string dir = TempDir("run_report");
+  core::StudyCheckpointStats stats;  // of the last run
+  auto run = [&](bool resume) {
+    auto world = worldgen::BuildWorld(SmallWorld());
+    auto bound = worldgen::MakeStudy(*world);
+    core::StudyCheckpointOptions opts;
+    opts.batch_size = kBatch;
+    opts.resume = resume;
+    core::StudyCheckpoint ckpt(dir, kWorldFp, opts);
+    bound.study->AttachCheckpoint(&ckpt);
+    const std::string json = core::ExportReportJson(bound.study->Run());
+    stats = ckpt.stats();
+    return json;
+  };
+  const std::string first = run(/*resume=*/false);
+  EXPECT_EQ(first, RunPlain(/*workers=*/0));
+
+  // The layered resume reads the frame before it recomputes anything.
+  RunResult layered =
+      RunCheckpointed(dir, /*resume=*/true, nullptr, /*workers=*/1);
+  ASSERT_TRUE(layered.prior_report.has_value());
+  EXPECT_EQ(*layered.prior_report, first);
+
+  EXPECT_EQ(run(/*resume=*/true), first);
+  EXPECT_EQ(stats.phases_loaded, 2);
+  EXPECT_EQ(stats.batches_saved, 0);
+  EXPECT_GT(stats.results_loaded, 0);
   fs::remove_all(dir);
 }
 

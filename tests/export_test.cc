@@ -59,9 +59,7 @@ class ExportTest : public ::testing::Test {
     config.scale = 0.01;
     world_ = worldgen::BuildWorld(config).release();
     bound_ = new worldgen::BoundStudy(worldgen::MakeStudy(*world_));
-    bound_->study->RunAll();
-    report_ = new core::StudyReport(
-        core::BuildReport(*bound_->study, {"cn", "br"}));
+    report_ = new core::StudyReport(bound_->study->Run());
   }
   static void TearDownTestSuite() {
     delete report_;

@@ -5,7 +5,7 @@
 
 #include "core/analysis.h"
 #include "core/providers.h"
-#include "core/study.h"
+#include "core/report.h"
 #include "worldgen/adapter.h"
 
 namespace govdns {
@@ -18,7 +18,7 @@ class IntegrationTest : public ::testing::Test {
     config.scale = 0.04;
     world_ = worldgen::BuildWorld(config).release();
     bound_ = new worldgen::BoundStudy(worldgen::MakeStudy(*world_));
-    bound_->study->RunAll();
+    bound_->study->Run();
   }
   static void TearDownTestSuite() {
     delete bound_;
@@ -226,7 +226,7 @@ TEST_F(IntegrationTest, DeterministicEndToEnd) {
   config.scale = 0.04;
   auto world2 = worldgen::BuildWorld(config);
   auto bound2 = worldgen::MakeStudy(*world2);
-  bound2.study->RunAll();
+  bound2.study->Run();
   auto a = core::AnalyzeDelegations(study().active());
   auto b = core::AnalyzeDelegations(bound2.study->active());
   EXPECT_EQ(a.domains_considered, b.domains_considered);

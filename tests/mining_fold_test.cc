@@ -332,15 +332,9 @@ TEST(MiningFoldTest, ReportJsonIsByteIdenticalAcrossMineWorkerCounts) {
     config.scale = 0.02;
     auto world = worldgen::BuildWorld(config);
     auto bound = worldgen::MakeStudy(*world);
-    bound.study->RunSelection();
-    core::MinerOptions mopts;
-    mopts.workers = mine_workers;
-    bound.study->RunMining(mopts);
-    core::MeasurerOptions aopts;
-    aopts.workers = 1;
-    bound.study->RunActiveMeasurement(aopts);
     return core::ExportReportJson(
-        core::BuildReport(*bound.study, {"cn", "br"}));
+        bound.study->Run({.mining = {.workers = mine_workers},
+                          .measurement = {.workers = 1}}));
   };
   // The report embeds the profiler's sub-phase rows (items, logical time),
   // so this also pins that every new fold sub-phase reports

@@ -20,14 +20,8 @@
 #include <vector>
 
 #include "ckpt/fault.h"
-#include "ckpt/journal.h"
-#include "core/export.h"
-#include "core/report.h"
-#include "core/study.h"
-#include "core/study_ckpt.h"
 #include "core/vantage.h"
 #include "worldgen/adapter.h"
-#include "worldgen/countries.h"
 #include "worldgen/world.h"
 
 namespace govdns {
@@ -78,10 +72,10 @@ const core::VantageOutcome& OutcomeOf(const MultiRun& run, int vantage) {
   return run.outcomes.at(static_cast<size_t>(vantage));
 }
 
-// One supervised multi-vantage run, mirroring the govdns_study --vantages
-// orchestration: the world is built once in the parent, each forked shard
-// applies its own overlay and journals into its private directory, and the
-// parent folds surviving vantage frames into the deterministic merge.
+// One supervised multi-vantage run, as govdns_study --vantages runs it: the
+// world is built once in the parent, each forked shard applies its own
+// overlay and runs the shard body into its private directory, and the
+// parent collects the surviving vantage frames into the deterministic merge.
 MultiRun RunMulti(const std::string& dir, int vantages, int workers,
                   core::VantageSupervisorOptions options,
                   ShardFault fault = {}) {
@@ -94,17 +88,15 @@ MultiRun RunMulti(const std::string& dir, int vantages, int workers,
   }
   // The study-identity half of every shard fingerprint. Computed here
   // pre-overlay; matches each child's post-overlay value because vantage
-  // overlays only touch network behaviors, never the input shape.
-  uint64_t study_fp = 0;
-  {
-    worldgen::PolicyLookupAdapter policy(&world->registry_policy());
-    study_fp = core::StudyInputsFingerprint(
-        worldgen::MakeStudyInputs(*world, &policy));
-  }
-  std::vector<std::string> top10;
-  for (const char* code : worldgen::Top10CountryCodes()) {
-    top10.emplace_back(code);
-  }
+  // overlays only touch network behaviors, never the input shape. The fork
+  // copies the policy view into every shard.
+  worldgen::PolicyLookupAdapter policy(&world->registry_policy());
+  const uint64_t study_fp = core::StudyInputsFingerprint(
+      worldgen::MakeStudyInputs(*world, &policy));
+  core::StudyCheckpointOptions ckpt_options;
+  ckpt_options.batch_size = kBatch;
+  core::PipelineOptions pipeline;
+  pipeline.measurement.workers = workers;
 
   core::VantageSupervisor::ChildFn child_fn = [&](const std::string& name,
                                                   int attempt) -> int {
@@ -122,37 +114,15 @@ MultiRun RunMulti(const std::string& dir, int vantages, int workers,
         std::this_thread::sleep_for(std::chrono::milliseconds(fault.stall_ms));
       }
       world->ApplyVantage(*profile);
-      auto bound = worldgen::MakeStudy(*world);
-
-      core::StudyCheckpointOptions opts;
-      opts.batch_size = kBatch;
-      opts.resume = attempt > 0;  // restarts always resume
-      core::StudyCheckpoint ckpt(core::VantageJournalDir(dir, name),
-                                 core::VantageBaseFingerprint(kWorldFp, name),
-                                 opts);
-      if (fault.kill_at_write > 0 && fault.vantage == index &&
-          (fault.kill_every_attempt || attempt == 0)) {
-        ckpt::CkptFaultPlan plan;
-        plan.kill_at_write = fault.kill_at_write;
-        plan.mode = fault.mode;
-        plan.exit_process = true;  // a real death, not an exception
-        ckpt.set_fault_plan(plan);
-      }
-      bound.study->AttachCheckpoint(&ckpt);
-
-      bound.study->RunSelection();
-      bound.study->RunMining();
-      core::MeasurerOptions mopts;
-      mopts.workers = workers;
-      bound.study->RunActiveMeasurement(mopts);
-
-      const std::string report_json = core::ExportReportJson(
-          core::BuildReport(*bound.study, top10));
-      ckpt.SaveReportJson(report_json);
-      const uint64_t full_fp = ckpt::MixFingerprint(
-          core::VantageBaseFingerprint(kWorldFp, name), study_fp);
-      ckpt.SaveVantage(core::BuildVantageSummary(
-          name, full_fp, bound.study->active(), report_json));
+      ckpt::CkptFaultPlan plan;  // kill_at_write 0: never fires
+      const bool victim = fault.vantage == index &&
+                          (fault.kill_every_attempt || attempt == 0);
+      if (victim) plan.kill_at_write = fault.kill_at_write;
+      plan.mode = fault.mode;
+      plan.exit_process = true;  // a real death, not an exception
+      core::RunVantageShard(name, attempt, dir, kWorldFp,
+                            worldgen::MakeStudyInputs(*world, &policy),
+                            ckpt_options, pipeline, plan);
       return 0;
     } catch (...) {
       return 1;
@@ -162,26 +132,7 @@ MultiRun RunMulti(const std::string& dir, int vantages, int workers,
   core::VantageSupervisor supervisor(names, options);
   MultiRun out;
   out.outcomes = supervisor.Run(child_fn);
-
-  std::vector<core::VantageSummary> summaries;
-  std::vector<std::string> lost;
-  for (const core::VantageOutcome& outcome : out.outcomes) {
-    if (outcome.lost) {
-      lost.push_back(outcome.name);
-      continue;
-    }
-    const uint64_t full_fp = ckpt::MixFingerprint(
-        core::VantageBaseFingerprint(kWorldFp, outcome.name), study_fp);
-    auto summary = core::LoadVantageSummary(
-        core::VantageJournalDir(dir, outcome.name), full_fp);
-    if (!summary) {
-      lost.push_back(outcome.name);
-      continue;
-    }
-    summaries.push_back(*std::move(summary));
-  }
-  out.merged =
-      core::MergeVantageSummaries(std::move(summaries), std::move(lost));
+  out.merged = core::CollectVantages(out.outcomes, dir, kWorldFp, study_fp);
   out.json = core::ExportMultiVantageJson(out.merged);
   return out;
 }
@@ -354,6 +305,43 @@ TEST(MultiVantageTest, ShardDeadOnEveryAttemptIsDeclaredLost) {
   EXPECT_NE(run.merged.vantages[0].name, dead.name);
   // One survivor: no pair to disagree, but the lost shard must be named.
   EXPECT_NE(run.json.find(dead.name), std::string::npos);
+  fs::remove_all(dir);
+}
+
+// A shard that exited cleanly counts as lost when its journal holds no
+// vantage frame, or a frame written under another fingerprint: the merge
+// never takes a partial or foreign view. The shards run in this process,
+// one after another; the supervisor only reports their exits.
+TEST(MultiVantageTest, CollectVantagesCountsAShardWithoutItsFrameAsLost) {
+  const std::string dir = TempDir("collect");
+  auto world = worldgen::BuildWorld(SmallWorld());
+  worldgen::PolicyLookupAdapter policy(&world->registry_policy());
+  const uint64_t study_fp = core::StudyInputsFingerprint(
+      worldgen::MakeStudyInputs(*world, &policy));
+  core::StudyCheckpointOptions ckpt_options;
+  ckpt_options.batch_size = kBatch;
+  auto shard = [&](const std::string& name, uint64_t world_fp) {
+    core::RunVantageShard(name, /*attempt=*/0, dir, world_fp,
+                          worldgen::MakeStudyInputs(*world, &policy),
+                          ckpt_options, core::PipelineOptions());
+  };
+  shard("complete", kWorldFp);
+  shard("foreign", kWorldFp + 1);  // another world's journal
+  shard("unfinished", kWorldFp);
+  fs::remove(core::VantageJournalDir(dir, "unfinished") + "/" +
+             core::kVantageFrameName + ".ck");
+  const std::vector<core::VantageOutcome> clean_exits = {
+      {.name = "complete"}, {.name = "foreign"}, {.name = "unfinished"}};
+
+  const core::MultiVantageReport merged =
+      core::CollectVantages(clean_exits, dir, kWorldFp, study_fp);
+  EXPECT_EQ(merged.order, std::vector<std::string>{"complete"});
+  EXPECT_EQ(merged.lost, (std::vector<std::string>{"foreign", "unfinished"}));
+  // The frame the foreign shard left is whole: under its own world identity
+  // it is the one collected.
+  const core::MultiVantageReport foreign =
+      core::CollectVantages(clean_exits, dir, kWorldFp + 1, study_fp);
+  EXPECT_EQ(foreign.order, std::vector<std::string>{"foreign"});
   fs::remove_all(dir);
 }
 

@@ -27,7 +27,6 @@
 #include "netio/udp.h"
 #include "simnet/network.h"
 #include "worldgen/adapter.h"
-#include "worldgen/countries.h"
 #include "worldgen/world.h"
 #include "zone/auth_server.h"
 
@@ -491,18 +490,8 @@ std::string RunStudyArm(bool engine_mode, int workers) {
     inputs.transport = engine.get();
   }
   bound.study = std::make_unique<core::Study>(std::move(inputs));
-
-  bound.study->RunSelection();
-  bound.study->RunMining();
-  core::MeasurerOptions measure;
-  measure.workers = workers;
-  bound.study->RunActiveMeasurement(measure);
-
-  std::vector<std::string> top10;
-  for (const char* code : worldgen::Top10CountryCodes()) {
-    top10.emplace_back(code);
-  }
-  return core::ExportReportJson(core::BuildReport(*bound.study, top10));
+  return core::ExportReportJson(
+      bound.study->Run({.measurement = {.workers = workers}}));
 }
 
 TEST(QueryEngineStudyTest, EngineReportByteIdenticalToSync) {

@@ -22,7 +22,6 @@
 #include "core/study.h"
 #include "core/study_ckpt.h"
 #include "worldgen/adapter.h"
-#include "worldgen/countries.h"
 
 namespace govdns {
 namespace {
@@ -79,24 +78,14 @@ struct StudyRun {
   std::vector<core::CountryMeta> metas;
 };
 
-std::string ReportJsonOf(core::Study& study) {
-  std::vector<std::string> top10;
-  for (const char* code : worldgen::Top10CountryCodes()) {
-    top10.emplace_back(code);
-  }
-  return core::ExportReportJson(core::BuildReport(study, top10));
-}
-
 StudyRun RunStudy(const worldgen::WorldConfig& config,
-             const core::MeasurerOptions& options) {
+                  const core::MeasurerOptions& options) {
   auto world = worldgen::BuildWorld(config);
   auto bound = worldgen::MakeStudy(*world);
-  bound.study->RunSelection();
-  bound.study->RunMining();
-  bound.study->RunActiveMeasurement(options);
+  const core::StudyReport report = bound.study->Run({.measurement = options});
   StudyRun out;
-  out.json = ReportJsonOf(*bound.study);
-  out.quarantine = core::BuildQuarantineReport(bound.study->active());
+  out.json = core::ExportReportJson(report);
+  out.quarantine = report.quarantine;
   out.results = bound.study->active().results;
   out.country = bound.study->active().country;
   out.metas = bound.study->active().metas;
@@ -220,7 +209,6 @@ TEST(QuarantineTest, PhaseDeadlinePreQuarantinesDeterministically) {
   core::MeasurerOptions options;
   options.workers = 1;
   options.phase_deadline_logical_ms = 30'000;
-  options.budget_batch_size = 25;
   const StudyRun serial = RunStudy(HealthyWorld(), options);
   options.workers = 4;
   const StudyRun pooled = RunStudy(HealthyWorld(), options);
@@ -247,7 +235,6 @@ TEST(QuarantineTest, CountryBudgetCutsOffOnlyOverBudgetCountries) {
   core::MeasurerOptions options;
   options.workers = 1;
   options.max_logical_ms_per_country = 2'000;
-  options.budget_batch_size = 25;
   const StudyRun run = RunStudy(HealthyWorld(), options);
   EXPECT_GT(run.quarantine.budget_exceeded, 0);
   // Every pre-quarantined domain belongs to a country that had already
@@ -288,11 +275,8 @@ CkptRun RunCheckpointed(const std::string& dir, bool resume,
 
   CkptRun out;
   try {
-    bound.study->RunSelection();
-    bound.study->RunMining();
-    bound.study->RunActiveMeasurement(DeadlineOptions(workers));
-    out.json = ReportJsonOf(*bound.study);
-    ckpt.SaveReportJson(out.json);
+    out.json = core::ExportReportJson(
+        bound.study->Run({.measurement = DeadlineOptions(workers)}));
   } catch (const ckpt::KillPointReached&) {
     out.killed = true;
   }

@@ -17,7 +17,7 @@ class ReportTest : public ::testing::Test {
     config.scale = 0.015;
     world_ = worldgen::BuildWorld(config).release();
     bound_ = new worldgen::BoundStudy(worldgen::MakeStudy(*world_));
-    bound_->study->RunAll();
+    bound_->study->Run();
   }
   static void TearDownTestSuite() {
     delete bound_;
@@ -194,6 +194,33 @@ TEST_F(ReportTest, DomainsPerCountrySumToTheLastYear) {
   EXPECT_EQ(domains, last.domains);
 }
 
+// Study::Run is the layer-by-layer sequence perfbench/study_main.cc drives
+// (RunSelection, RunMining, RunActiveMeasurement, then BuildReport over
+// Table I's countries), byte for byte, on a benign and on a hostile world.
+TEST(StudyRunTest, RunMatchesTheLayerByLayerSequence) {
+  PipelineOptions options;
+  options.mining.workers = 2;
+  options.measurement.workers = 2;
+  for (const bool hostile : {false, true}) {
+    worldgen::WorldConfig config;
+    config.scale = 0.01;
+    if (hostile) config.chaos = simnet::ChaosProfile::Hostile();
+
+    auto world = worldgen::BuildWorld(config);
+    worldgen::BoundStudy layered = worldgen::MakeStudy(*world);
+    layered.study->RunSelection();
+    layered.study->RunMining(options.mining);
+    layered.study->RunActiveMeasurement(options.measurement);
+    const std::string expected = ExportReportJson(BuildReport(
+        *layered.study, layered.study->inputs().diversity_countries));
+
+    auto fresh = worldgen::BuildWorld(config);
+    worldgen::BoundStudy whole = worldgen::MakeStudy(*fresh);
+    EXPECT_EQ(ExportReportJson(whole.study->Run(options)), expected)
+        << (hostile ? "hostile" : "benign");
+  }
+}
+
 // A scale-0 world has 192 domains, one per country with data, no d_1NS and
 // no available d_ns, so the empty paths of Figs. 8, 11, 12 and 14 and of
 // Table III run.
@@ -202,8 +229,7 @@ TEST(ReportEmptyWorldTest, PrintReportRendersEverySectionWithoutNanOrInf) {
   config.scale = 0.0;
   auto world = worldgen::BuildWorld(config);
   worldgen::BoundStudy bound = worldgen::MakeStudy(*world);
-  bound.study->RunAll();
-  StudyReport report = BuildReport(*bound.study, {"cn", "th"});
+  const StudyReport report = bound.study->Run();
   EXPECT_EQ(report.replication.d1ns_count, 0);
   EXPECT_EQ(report.hijack.available_ns_domains, 0);
   std::ostringstream os;

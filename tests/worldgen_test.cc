@@ -9,6 +9,7 @@
 
 #include "ckpt/journal.h"
 #include "pdns/db.h"
+#include "worldgen/adapter.h"
 #include "worldgen/countries.h"
 #include "worldgen/providers.h"
 #include "worldgen/world.h"
@@ -51,6 +52,18 @@ TEST(CountryTableTest, Top10AreRealCountriesWithExplicitTargets) {
   }
   // 22 sub-regions + 10 split-out countries = the paper's 32 groups.
   EXPECT_EQ(SubRegionNames().size() + top10.size(), 32u);
+}
+
+// Table I's rows reach the study through its inputs, in the table's order:
+// Study::Run hands this list to BuildReport.
+TEST(CountryTableTest, StudyInputsListTop10ForTableI) {
+  WorldConfig config;
+  config.scale = 0.0;
+  auto world = BuildWorld(config);
+  PolicyLookupAdapter policy(&world->registry_policy());
+  const auto top10 = Top10CountryCodes();
+  EXPECT_EQ(MakeStudyInputs(*world, &policy).diversity_countries,
+            std::vector<std::string>(top10.begin(), top10.end()));
 }
 
 TEST(CountryTableTest, IndexByCode) {

@@ -3,18 +3,25 @@
 //
 //   govdns_study [--scale S] [--seed N] [--json out.json] [--csv table[,table...]]
 //                [--metrics out.json] [--trace out.json]
-//                [--trace-sample N] [--mine-workers N] [--report]
+//                [--trace-sample N] [--mine-workers N] [--no-report]
 //                [--checkpoint-dir DIR] [--resume] [--ckpt-batch N]
 //                [--ckpt-kill-after N]
 //                [--phase-deadline MS] [--country-budget MS]
 //                [--domain-budget MS] [--quarantine-report PATH]
+//                [--engine] [--max-inflight N] [--per-ns-qps Q] [--lanes N]
 //                [--snapshot-file PATH] [--map-snapshot PATH]
 //                [--vantages N] [--vantage-deadline MS]
-//                [--vantage-restarts K]
+//                [--vantage-restarts K] [--vantage-sigkill NAME:MS]
+//                [--vantage-kill-after NAME:N] [--vantage-stall NAME:MS]
 //
-// Builds a world at the requested scale, runs selection -> mining -> active
-// measurement, and then prints the consolidated report (--report, default)
-// and/or writes machine-readable exports. --metrics and --trace attach the
+// Builds a world at the requested scale, runs the study (core::Study::Run:
+// selection -> mining -> active measurement -> report), and then prints the
+// consolidated report (unless --no-report) and/or writes machine-readable
+// exports. --mine-workers and --lanes set the miner's and the measurer's
+// worker counts (0, the default, means every core); the report is the same
+// for any count. --engine fronts the transport with the async QueryEngine
+// (--max-inflight and --per-ns-qps tune its window and per-server rate) and
+// leaves the report byte-identical. --metrics and --trace attach the
 // observability layer and dump the metrics snapshot / sampled query traces
 // (DESIGN.md §6d); both documents are deterministic for a given seed except
 // for series tagged "diagnostic". The report is the figure run: one section
@@ -76,7 +83,6 @@
 #include "ckpt/fault.h"
 #include "ckpt/signals.h"
 #include "core/export.h"
-#include "core/mining.h"
 #include "core/report.h"
 #include "core/study.h"
 #include "core/study_ckpt.h"
@@ -117,6 +123,15 @@ std::optional<std::pair<std::string, uint64_t>> ParseNameValue(
   return std::make_pair(s.substr(0, colon), *value);
 }
 
+// A fault plan that _exit(42)s right after the journal's Nth write commits.
+govdns::ckpt::CkptFaultPlan ExitAfterWrite(uint64_t write) {
+  govdns::ckpt::CkptFaultPlan plan;
+  plan.kill_at_write = write;
+  plan.mode = govdns::ckpt::KillMode::kAfterCommit;
+  plan.exit_process = true;
+  return plan;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -130,11 +145,12 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string checkpoint_dir;
   uint64_t trace_sample = 16;
-  int mine_workers = 0;  // 0 = all cores (results are worker-count invariant)
+  // Worker counts default to 0 = all cores (results are worker-count
+  // invariant).
+  core::PipelineOptions pipeline;
   bool print_report = true;
   core::StudyCheckpointOptions ckpt_options;
   uint64_t kill_after = 0;
-  core::MeasurerOptions measure_options;
   std::string quarantine_path;
   std::string snapshot_out_path;
   std::string map_snapshot_path;
@@ -190,7 +206,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace-sample") {
       trace_sample = whole(UINT64_MAX);
     } else if (arg == "--mine-workers") {
-      mine_workers = count(kIntMax);
+      pipeline.mining.workers = count(kIntMax);
     } else if (arg == "--checkpoint-dir") {
       checkpoint_dir = text();
     } else if (arg == "--resume") {
@@ -200,11 +216,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--ckpt-kill-after") {
       kill_after = whole(UINT64_MAX);
     } else if (arg == "--phase-deadline") {
-      measure_options.phase_deadline_logical_ms = whole(UINT64_MAX);
+      pipeline.measurement.phase_deadline_logical_ms = whole(UINT64_MAX);
     } else if (arg == "--country-budget") {
-      measure_options.max_logical_ms_per_country = whole(UINT64_MAX);
+      pipeline.measurement.max_logical_ms_per_country = whole(UINT64_MAX);
     } else if (arg == "--domain-budget") {
-      measure_options.max_logical_ms_per_domain = whole(UINT64_MAX);
+      pipeline.measurement.max_logical_ms_per_domain = whole(UINT64_MAX);
     } else if (arg == "--quarantine-report") {
       quarantine_path = text();
     } else if (arg == "--snapshot-file") {
@@ -219,7 +235,7 @@ int main(int argc, char** argv) {
       engine_options.per_server_qps =
           real(std::numeric_limits<double>::max());
     } else if (arg == "--lanes") {
-      measure_options.workers = count(kIntMax);
+      pipeline.measurement.workers = count(kIntMax);
     } else if (arg == "--vantages") {
       vantages = count(worldgen::kMaxDefaultVantages);
     } else if (arg == "--vantage-deadline") {
@@ -255,7 +271,9 @@ int main(int argc, char** argv) {
                  "[--quarantine-report PATH] [--engine] [--max-inflight N] "
                  "[--per-ns-qps Q] [--lanes N] [--snapshot-file PATH] "
                  "[--map-snapshot PATH] [--vantages N (max %d)] "
-                 "[--vantage-deadline MS] [--vantage-restarts K]\n",
+                 "[--vantage-deadline MS] [--vantage-restarts K] "
+                 "[--vantage-sigkill NAME:MS] [--vantage-kill-after NAME:N] "
+                 "[--vantage-stall NAME:MS]\n",
                  argv[0], worldgen::kMaxDefaultVantages);
     return 2;
   }
@@ -327,23 +345,16 @@ int main(int argc, char** argv) {
       // Multi-vantage orchestration (DESIGN.md §6k). The world was built
       // once, above, and no thread outlives BuildWorld (§6m), so this
       // parent is still thread-free when it forks; each shard applies its
-      // own vantage overlay to the copy-on-write network and runs the full
-      // pipeline into its private journal. The parent never builds a Study
-      // — it only supervises and merges vantage frames.
+      // own vantage overlay to the copy-on-write network and runs the shard
+      // body (core::RunVantageShard) into its private journal. The parent
+      // never builds a Study — it only supervises and collects the vantage
+      // frames.
       phase = "vantage";
       std::vector<worldgen::VantageProfile> profiles;
       std::vector<std::string> names;
       for (int v = 0; v < vantages; ++v) {
         profiles.push_back(worldgen::MakeDefaultVantageProfile(v));
         names.push_back(profiles.back().name);
-      }
-      // The study-identity half of each shard journal's fingerprint; a pure
-      // function of the inputs' shape, so the parent's (pre-overlay) value
-      // matches what every child computes post-overlay.
-      const uint64_t study_fp = core::StudyInputsFingerprint(inputs);
-      std::vector<std::string> top10;
-      for (const char* code : worldgen::Top10CountryCodes()) {
-        top10.emplace_back(code);
       }
 
       core::VantageSupervisor::ChildFn child_fn =
@@ -361,55 +372,24 @@ int main(int argc, char** argv) {
                 std::chrono::milliseconds(vantage_stall->second));
           }
           world->ApplyVantage(*profile);
-          worldgen::BoundStudy shard;
-          shard.policy = std::make_unique<worldgen::PolicyLookupAdapter>(
-              &world->registry_policy());
-          core::StudyInputs shard_inputs =
-              worldgen::MakeStudyInputs(*world, shard.policy.get());
-          const uint64_t shard_study_fp =
-              core::StudyInputsFingerprint(shard_inputs);
-
-          core::StudyCheckpointOptions shard_ckpt = ckpt_options;
-          // Restarts always resume: that is the whole crash-recovery story.
-          shard_ckpt.resume = ckpt_options.resume || attempt > 0;
-          core::StudyCheckpoint ckpt(
-              core::VantageJournalDir(checkpoint_dir, name),
-              core::VantageBaseFingerprint(world_fp, name), shard_ckpt);
+          ckpt::CkptFaultPlan plan;  // never fires unless the hook arms it
           if (vantage_kill_after && vantage_kill_after->first == name &&
               attempt == 0) {
-            ckpt::CkptFaultPlan plan;
-            plan.kill_at_write = vantage_kill_after->second;
-            plan.mode = ckpt::KillMode::kAfterCommit;
-            plan.exit_process = true;
-            ckpt.set_fault_plan(plan);
+            plan = ExitAfterWrite(vantage_kill_after->second);
           }
 
           obs::ObservabilityConfig shard_obs_config;
           shard_obs_config.trace.sample_period =
               trace_sample == 0 ? 1 : trace_sample;
           obs::Observability shard_obs(shard_obs_config);
-          if (!metrics_path.empty()) {
-            // Namespace every metric the shard declares under its vantage so
-            // side-by-side exports can never collide.
-            shard_obs.metrics().set_name_prefix("vantage." + name + ".");
-          }
-
-          shard.study = std::make_unique<core::Study>(std::move(shard_inputs));
-          if (!metrics_path.empty()) shard.study->AttachObservability(&shard_obs);
-          shard.study->AttachCheckpoint(&ckpt);
-          shard.study->RunSelection();
-          core::MinerOptions shard_mine;
-          shard_mine.workers = mine_workers;
-          shard.study->RunMining(shard_mine);
-          shard.study->RunActiveMeasurement(measure_options);
-
-          core::StudyReport report = core::BuildReport(*shard.study, top10);
-          const std::string report_json = core::ExportReportJson(report);
-          ckpt.SaveReportJson(report_json);
-          const uint64_t full_fp = ckpt::MixFingerprint(
-              core::VantageBaseFingerprint(world_fp, name), shard_study_fp);
-          ckpt.SaveVantage(core::BuildVantageSummary(
-              name, full_fp, shard.study->active(), report_json));
+          // Namespace every metric the shard declares under its vantage so
+          // side-by-side exports can never collide.
+          shard_obs.metrics().set_name_prefix("vantage." + name + ".");
+          core::RunVantageShard(
+              name, attempt, checkpoint_dir, world_fp,
+              worldgen::MakeStudyInputs(*world, bound.policy.get()),
+              ckpt_options, pipeline, plan,
+              metrics_path.empty() ? nullptr : &shard_obs);
 
           if (!metrics_path.empty()) {
             const std::string path = metrics_path + "." + name;
@@ -431,34 +411,20 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "supervising %d vantage shard(s)...\n", vantages);
       core::VantageSupervisor supervisor(names, vantage_options);
       std::vector<core::VantageOutcome> outcomes = supervisor.Run(child_fn);
-
-      std::vector<core::VantageSummary> summaries;
-      std::vector<std::string> lost;
       for (const core::VantageOutcome& out : outcomes) {
         std::fprintf(stderr,
                      "[vantage] %s: %s (attempts %d, deadline kills %d)\n",
                      out.name.c_str(), out.lost ? "LOST" : "ok", out.attempts,
                      out.deadline_kills);
-        if (out.lost) {
-          lost.push_back(out.name);
-          continue;
-        }
-        const uint64_t full_fp = ckpt::MixFingerprint(
-            core::VantageBaseFingerprint(world_fp, out.name), study_fp);
-        auto summary = core::LoadVantageSummary(
-            core::VantageJournalDir(checkpoint_dir, out.name), full_fp);
-        if (!summary) {
-          // Exited clean but left no readable vantage frame: treat exactly
-          // like a lost shard rather than merging a partial view.
-          lost.push_back(out.name);
-          continue;
-        }
-        summaries.push_back(*std::move(summary));
       }
 
       phase = "vantage-merge";
-      core::MultiVantageReport merged =
-          core::MergeVantageSummaries(std::move(summaries), std::move(lost));
+      // The study-identity half of each shard journal's fingerprint; a pure
+      // function of the inputs' shape, so the parent's (pre-overlay) value
+      // matches what every child computes post-overlay.
+      core::MultiVantageReport merged = core::CollectVantages(
+          outcomes, checkpoint_dir, world_fp,
+          core::StudyInputsFingerprint(inputs));
       if (print_report) core::PrintMultiVantageReport(merged, std::cout);
       if (!json_path.empty()) {
         std::ofstream out(json_path);
@@ -521,11 +487,7 @@ int main(int argc, char** argv) {
       checkpoint = std::make_unique<core::StudyCheckpoint>(
           checkpoint_dir, world_fp, ckpt_options);
       if (kill_after != 0) {
-        ckpt::CkptFaultPlan plan;
-        plan.kill_at_write = kill_after;
-        plan.mode = ckpt::KillMode::kAfterCommit;
-        plan.exit_process = true;
-        checkpoint->set_fault_plan(plan);
+        checkpoint->set_fault_plan(ExitAfterWrite(kill_after));
       }
       bound.study->AttachCheckpoint(checkpoint.get());
       bound.study->set_interrupt_flag(&g_interrupted);
@@ -535,27 +497,12 @@ int main(int argc, char** argv) {
     }
 
     std::fprintf(stderr, "running study...\n");
-    phase = "selection";
-    bound.study->RunSelection();
-    phase = "mining";
-    core::MinerOptions mine_options;
-    mine_options.workers = mine_workers;
-    bound.study->RunMining(mine_options);
-    phase = "measurement";
-    bound.study->RunActiveMeasurement(measure_options);
+    // A stage that fails throws a PipelineError naming it.
+    const core::StudyReport report = bound.study->Run(pipeline);
     if (engine != nullptr && want_obs) {
       engine->PublishStats(observability.metrics());
     }
-
-    phase = "report";
-    std::vector<std::string> top10;
-    for (const char* code : worldgen::Top10CountryCodes()) {
-      top10.emplace_back(code);
-    }
-    core::StudyReport report = core::BuildReport(*bound.study, top10);
-    const std::string report_json = core::ExportReportJson(report);
     if (checkpoint != nullptr) {
-      checkpoint->SaveReportJson(report_json);
       std::fprintf(stderr, "[ckpt] stats %s\n",
                    checkpoint->StatsJson().c_str());
     }
@@ -569,7 +516,7 @@ int main(int argc, char** argv) {
         PrintStructuredError(phase, "cannot write " + json_path);
         return 1;
       }
-      out << report_json << "\n";
+      out << core::ExportReportJson(report) << "\n";
       std::fprintf(stderr, "wrote %s\n", json_path.c_str());
     }
     if (!csv_tables.empty()) {
@@ -584,34 +531,14 @@ int main(int argc, char** argv) {
       }
     }
     if (!quarantine_path.empty()) {
-      // Standalone coverage document: the report's quarantine object plus
-      // per-country rows, for harnesses that only care about degradation.
-      const core::QuarantineReport& q = report.quarantine;
-      util::JsonWriter w;
-      w.BeginObject();
-      w.Kv("total_domains", q.total_domains);
-      w.Kv("quarantined", q.quarantined);
-      w.Kv("hang", q.hang);
-      w.Kv("blackhole", q.blackhole);
-      w.Kv("budget_exceeded", q.budget_exceeded);
-      w.Kv("watchdog_cancelled", q.watchdog_cancelled);
-      w.Kv("coverage", q.coverage);
-      w.Key("by_country").BeginArray();
-      for (const core::QuarantineReport::CountryRow& row : q.by_country) {
-        w.BeginObject();
-        w.Kv("code", row.code);
-        w.Kv("domains", row.domains);
-        w.Kv("quarantined", row.quarantined);
-        w.EndObject();
-      }
-      w.EndArray();
-      w.EndObject();
+      // Standalone coverage document: the report's quarantine object, for
+      // harnesses that only care about degradation.
       std::ofstream out(quarantine_path);
       if (!out) {
         PrintStructuredError(phase, "cannot write " + quarantine_path);
         return 1;
       }
-      out << w.TakeString() << "\n";
+      out << core::ExportQuarantineJson(report.quarantine) << "\n";
       std::fprintf(stderr, "wrote %s\n", quarantine_path.c_str());
     }
     if (!metrics_path.empty()) {

@@ -46,18 +46,23 @@ echo "==> smoke: govdns_study observability exports parse"
 # The release binary must produce valid JSON from --json/--metrics/--trace
 # on a small world, and the metrics document must carry the measurement
 # counters — a cheap end-to-end check that the obs layer is actually wired.
+# The standalone --quarantine-report document must be the report's own
+# quarantine object.
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "${SMOKE_DIR}"' EXIT
 ./build/tools/govdns_study --scale 0.01 --no-report \
   --json "${SMOKE_DIR}/report.json" \
   --metrics "${SMOKE_DIR}/metrics.json" \
-  --trace "${SMOKE_DIR}/trace.json" 2>/dev/null
+  --trace "${SMOKE_DIR}/trace.json" \
+  --quarantine-report "${SMOKE_DIR}/quarantine.json" 2>/dev/null
 python3 - "${SMOKE_DIR}" <<'EOF'
 import json, pathlib, sys
 d = pathlib.Path(sys.argv[1])
 report = json.loads((d / "report.json").read_text())
 assert "resilience" in report and "profile" in report, sorted(report)
 assert any(p["name"] == "measurement" for p in report["profile"])
+quarantine = json.loads((d / "quarantine.json").read_text())
+assert quarantine == report["quarantine"], (quarantine, report["quarantine"])
 metrics = json.loads((d / "metrics.json").read_text())
 counters = {c["name"] for c in metrics["counters"]}
 assert "measure.queries" in counters, sorted(counters)
@@ -308,6 +313,14 @@ windows = {p["window"] for p in doc["sweep"]}
 assert {64, 256, 1024} <= windows, sorted(windows)
 print(f"smoke: bench_query_engine max_ratio {doc['max_ratio']:.1f}x OK")
 EOF
+
+echo "==> smoke: perfbench_study builds from this tree and passes its self-test"
+# The benchmark program (perfbench/study_main.cc) drives the library layer
+# by layer, so a change to one of the calls it makes must fail here, not
+# first inside a benchmark run. selftest.py builds perfbench_study into the
+# git-ignored .bench_build/ (about 90 s from clean on a 4-core host, 2 s
+# when built) and runs its tiny-world traced and resumed studies.
+PYTHONDONTWRITEBYTECODE=1 python3 perfbench/selftest.py
 
 echo "==> tier-1: asan/ubsan build + ctest"
 cmake --preset asan >/dev/null
