@@ -1,10 +1,10 @@
 // A zone-cut + negative cache shared by a fleet of resolvers.
 //
-// The serial measurement path kept one private cut cache per
-// IterativeResolver; the sharded engine gives every worker its own resolver
-// but one shared cache, so gov.cn's servers are resolved once per run, not
-// once per shard. Entries are striped across independently-locked maps by
-// name hash — lookups for unrelated zones never contend.
+// The standalone resolver (seed selection, govdns_dig) keeps a private cut
+// cache. The measurement workers each own a resolver but share this cache,
+// so gov.cn's servers are resolved once per run, not once per worker.
+// Entries are striped across independently-locked maps by name hash —
+// lookups for unrelated zones never contend.
 //
 // Concurrency model: optimistic compute, last-publish-wins. There is no
 // claim/wait protocol: two workers that race on a cold cut both compute it
@@ -30,7 +30,7 @@
 // a stamp from the publisher's clock is a pseudo-random verdict, not time.
 // Nothing is lost by holding: a re-probe runs in the cut's hermetic scope
 // and reproduces the identical negative, and the domain records one
-// negative_cache_hit either way (DESIGN.md §6c). The serial resolver's
+// negative_cache_hit either way (DESIGN.md §6c). The standalone resolver's
 // private cache runs on one clock and keeps its TTL.
 #pragma once
 

@@ -102,8 +102,8 @@ struct MeasurementResult {
   // measurement short — a degraded result may under-report live servers.
   ResolverCounters query_stats;
   bool degraded = false;
-  // Logical (transport-clock) time this measurement consumed. In engine
-  // mode a pure function of (world seed, domain), like query_stats.
+  // Logical (transport-clock) time this measurement consumed. A pure
+  // function of (world seed, domain), like query_stats.
   uint64_t logical_ms = 0;
   // Degradation verdict: kNone for a healthy measurement, otherwise the
   // reason this domain was cut short and must be read as partial coverage.

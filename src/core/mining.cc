@@ -160,7 +160,7 @@ struct SweepScratch {
 
   void BeginSeed() {
     arena.Reset();
-    if (++stamp == 0) {  // wrapped: invalidate stale marks the hard way
+    if (++stamp == 0) {  // overflowed: invalidate stale marks the hard way
       std::fill(seen_mark.begin(), seen_mark.end(), 0u);
       stamp = 1;
     }

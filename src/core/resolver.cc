@@ -8,9 +8,10 @@
 namespace govdns::core {
 
 namespace {
-// Salts separating the four deterministic streams engine mode derives from
-// names: chaos-context tags and backoff-jitter seeds, each keyed either by a
-// zone (shared-cut computation) or by a measured domain (surface queries).
+// Salts separating the four deterministic streams the measurement workers'
+// resolvers derive from names: chaos-context tags and backoff-jitter seeds,
+// each keyed either by a zone (shared-cut computation) or by a measured
+// domain (surface queries).
 constexpr uint64_t kCutTagSalt = 0x63757454616753ull;      // "cutTagS"
 constexpr uint64_t kCutJitterSalt = 0x63757453656564ull;   // "cutSeed"
 constexpr uint64_t kDomainTagSalt = 0x646f6d54616753ull;   // "domTagS"

@@ -106,8 +106,9 @@ struct ResolverOptions {
   // resolver will try it again. Every private negative carries an explicit
   // expiry derived from the transport's logical clock at discovery time —
   // never a wall clock, and never persisted across runs (checkpoint restore
-  // drops negatives, DESIGN.md §6f). The private cache runs on one clock, so
-  // its expiry means time; the shared cache (engine mode, below) runs on
+  // drops negatives, DESIGN.md §6f). The private cache (the standalone
+  // resolver's: seed selection, govdns_dig) runs on one clock, so its expiry
+  // means time; the shared cache (the measurement workers', below) runs on
   // per-domain hermetic clocks and has no TTL.
   uint32_t negative_cache_ttl_ms = 120000;
   // Bound on negative entries the private cut cache retains. Past the bound
@@ -116,18 +117,19 @@ struct ResolverOptions {
   // stale dead-subtree verdicts without limit. 0 disables the bound.
   size_t max_negative_cuts = 512;
 
-  // Engine mode: when set, zone cuts are resolved through this shared
-  // thread-safe cache instead of the resolver's private one, every cut
-  // computation runs in its own hermetic chaos context (keyed by the parent
-  // zone, so racing workers compute identical entries), and the query effort
-  // it costs is charged to the cache's infrastructure counters rather than
-  // to this resolver's — per-domain query_stats then depend only on the
-  // world seed and the domain, never on which worker warmed the cache. The
-  // caller must keep the cache alive for the resolver's lifetime. In engine
-  // mode the armed query budget caps only the caller-attributed (surface)
-  // queries; shared-cut computation is bounded by the cache itself. A shared
-  // negative stops every later walk through it for the rest of the pass;
-  // negative_cache_ttl_ms and max_negative_cuts do not apply to it.
+  // The measurement workers' cache: when set, zone cuts are resolved
+  // through this shared thread-safe cache instead of the resolver's private
+  // one, every cut computation runs in its own hermetic chaos context (keyed
+  // by the parent zone, so racing workers compute identical entries), and
+  // the query effort it costs is charged to the cache's infrastructure
+  // counters rather than to this resolver's — per-domain query_stats then
+  // depend only on the world seed and the domain, never on which worker
+  // warmed the cache. The caller must keep the cache alive for the
+  // resolver's lifetime. With a shared cache the armed query budget caps
+  // only the caller-attributed (surface) queries; shared-cut computation is
+  // bounded by the cache itself. A shared negative stops every later walk
+  // through it for the rest of the pass; negative_cache_ttl_ms and
+  // max_negative_cuts do not apply to it.
   SharedCutCache* shared_cache = nullptr;
 };
 
@@ -192,7 +194,7 @@ class IterativeResolver {
   bool WatchdogCancelled() const { return watchdog_cancelled_; }
   void ClearCancelLatch() { watchdog_cancelled_ = false; }
 
-  // --- Per-domain hermetic scope (engine mode) -----------------------------
+  // --- Per-domain hermetic scope (measurement workers) ---------------------
   // Brackets one unit of attributable work (one measured domain): pushes a
   // chaos context derived from `domain` onto the transport and resets the
   // per-domain resolver state (breaker map, backoff jitter stream) to a
@@ -243,7 +245,7 @@ class IterativeResolver {
   util::StatusOr<ZoneServers> WalkToZone(const dns::Name& name,
                                          bool stop_above, int depth_budget);
 
-  // Engine-mode walk: same contract as WalkToZone but resolved through the
+  // Shared-cache walk: same contract as WalkToZone but resolved through the
   // shared cache. Each referral-resolution hop runs inside a hermetic
   // InfraScope keyed by the zone being queried, so the hop's outcome — and
   // the entry it publishes — depends only on (world seed, zone, parent entry

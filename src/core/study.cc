@@ -239,45 +239,6 @@ const ActiveDataset& Study::RunActiveMeasurement(MeasurerOptions options) {
       for (MeasurementResult& r : part) results.push_back(std::move(r));
     }
   }
-  if (ckpt_ != nullptr) {
-    // Journal the phase's degradation summary (DESIGN.md §6g) so a resumed
-    // run carries the quarantine verdicts without re-deriving them. One
-    // frame per journal: a resume that restored the full prefix reuses the
-    // journaled frame (and must agree with it — the summary is a pure
-    // function of the results) instead of appending a duplicate.
-    StudyCheckpoint::QuarantineSnapshot qsnap;
-    for (const MeasurementResult& r : results) {
-      switch (r.quarantine_reason) {
-        case QuarantineReason::kNone:
-          break;
-        case QuarantineReason::kHang:
-          ++qsnap.total;
-          ++qsnap.hang;
-          break;
-        case QuarantineReason::kBlackhole:
-          ++qsnap.total;
-          ++qsnap.blackhole;
-          break;
-        case QuarantineReason::kBudgetExceeded:
-          ++qsnap.total;
-          ++qsnap.budget_exceeded;
-          break;
-        case QuarantineReason::kWatchdogCancelled:
-          ++qsnap.total;
-          ++qsnap.watchdog_cancelled;
-          break;
-        case QuarantineReason::kVantageLost:
-          ++qsnap.total;
-          ++qsnap.vantage_lost;
-          break;
-      }
-    }
-    if (auto loaded = ckpt_->TryLoadQuarantine()) {
-      GOVDNS_CHECK(*loaded == qsnap);
-    } else {
-      ckpt_->SaveQuarantine(qsnap);
-    }
-  }
   measurement_cache_stats_ = measurer.shared_cache()->stats();
   // Counters and logical time are sums over the per-domain results, so they
   // cover restored batches too. Logical time is the sum of per-domain scope
@@ -292,8 +253,29 @@ const ActiveDataset& Study::RunActiveMeasurement(MeasurerOptions options) {
   }
   phase.set_logical_ms(logical);
   phase.set_items(static_cast<int64_t>(results.size()));
-  active_ = std::make_unique<ActiveDataset>(
+  auto active = std::make_unique<ActiveDataset>(
       ActiveDataset::Build(std::move(results), seeds_, inputs_.countries));
+  if (ckpt_ != nullptr) {
+    // Journal the phase's degradation summary (DESIGN.md §6g) so a resumed
+    // run carries the quarantine verdicts without re-deriving them. One
+    // frame per journal: a resume that restored the full prefix reuses the
+    // journaled frame (and must agree with it — the summary is a pure
+    // function of the results) instead of appending a duplicate.
+    const QuarantineReport q = BuildQuarantineReport(*active);
+    StudyCheckpoint::QuarantineSnapshot qsnap;
+    qsnap.total = static_cast<uint64_t>(q.quarantined);
+    qsnap.hang = static_cast<uint64_t>(q.hang);
+    qsnap.blackhole = static_cast<uint64_t>(q.blackhole);
+    qsnap.budget_exceeded = static_cast<uint64_t>(q.budget_exceeded);
+    qsnap.watchdog_cancelled = static_cast<uint64_t>(q.watchdog_cancelled);
+    qsnap.vantage_lost = static_cast<uint64_t>(q.vantage_lost);
+    if (auto loaded = ckpt_->TryLoadQuarantine()) {
+      GOVDNS_CHECK(*loaded == qsnap);
+    } else {
+      ckpt_->SaveQuarantine(qsnap);
+    }
+  }
+  active_ = std::move(active);
   PublishCheckpointGauges();
   return *active_;
 }

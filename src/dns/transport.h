@@ -24,12 +24,14 @@ class QueryTransport {
   virtual util::StatusOr<std::vector<uint8_t>> Exchange(
       geo::IPv4 server, const std::vector<uint8_t>& wire_query) = 0;
 
-  // Stream-semantics exchange (DNS over TCP, RFC 1035 §4.2.2): used to
-  // re-ask a query whose UDP reply came back truncated (TC=1). The length
+  // Stream-semantics exchange (DNS over TCP, RFC 1035 §4.2.2). The length
   // framing is the transport's concern — `wire_query` and the returned
-  // reply are bare DNS messages. Transports without a stream path keep the
-  // default, which reports kFailedPrecondition so callers can fall back to
-  // treating truncation as damage.
+  // reply are bare DNS messages. Nothing in the library calls or overrides
+  // it: the resolver treats a truncated reply as damage and retries over
+  // UDP (DESIGN.md §6b), and netio::QueryEngine re-asks truncated replies
+  // through netio::TcpExchange itself. It stays because the benchmark's
+  // timing transport (perfbench/study_main.cc) forwards it. The default
+  // reports kFailedPrecondition.
   virtual util::StatusOr<std::vector<uint8_t>> ExchangeStream(
       geo::IPv4 server, const std::vector<uint8_t>& wire_query) {
     (void)server;

@@ -9,7 +9,6 @@
 
 #include "netio/sockaddr.h"
 #include "netio/tcp.h"
-#include "obs/metrics.h"
 
 namespace govdns::netio {
 
@@ -31,9 +30,6 @@ void SetWireId(std::vector<uint8_t>& wire, uint16_t id) {
 }
 
 }  // namespace
-
-thread_local std::unordered_map<const QueryEngine*, QueryEngine::WrappedPacing>
-    QueryEngine::wrapped_pacing_;
 
 QueryEngine::QueryEngine(Options options)
     : options_(options), epoch_(std::chrono::steady_clock::now()) {
@@ -63,19 +59,12 @@ QueryEngine::QueryEngine(Options options)
   }
 }
 
-QueryEngine::QueryEngine(dns::QueryTransport* base, Options options)
-    : options_(options), base_(base) {
-  GOVDNS_CHECK(base_ != nullptr);
-  options_.max_inflight = std::max(1, options_.max_inflight);
-}
-
 QueryEngine::~QueryEngine() {
   {
     std::lock_guard lock(mu_);
     shutdown_.store(true);
   }
   window_cv_.notify_all();
-  if (base_ != nullptr) return;  // wrapped mode owns no threads
   WakeLoop();
   if (loop_thread_.joinable()) loop_thread_.join();
   {
@@ -95,7 +84,6 @@ QueryEngine::~QueryEngine() {
 }
 
 uint64_t QueryEngine::now_ms() const {
-  if (base_ != nullptr) return base_->now_ms();
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - epoch_)
@@ -103,29 +91,8 @@ uint64_t QueryEngine::now_ms() const {
 }
 
 void QueryEngine::Delay(uint32_t ms) {
-  if (base_ != nullptr) {
-    base_->Delay(ms);
-    return;
-  }
   // Real pacing: backoff against live infrastructure actually waits.
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-}
-
-void QueryEngine::PushChaosContext(uint64_t tag) {
-  if (base_ == nullptr) return;  // real network: contexts are meaningless
-  base_->PushChaosContext(tag);
-  wrapped_pacing_[this].tag_stack.push_back(tag);
-}
-
-void QueryEngine::PopChaosContext() {
-  if (base_ == nullptr) return;
-  WrappedPacing& pacing = wrapped_pacing_[this];
-  GOVDNS_CHECK(!pacing.tag_stack.empty());
-  // The context's token buckets die with it: pacing is hermetic per unit
-  // of work, which is what keeps it deterministic under any thread count.
-  pacing.buckets_by_tag.erase(pacing.tag_stack.back());
-  pacing.tag_stack.pop_back();
-  base_->PopChaosContext();
 }
 
 void QueryEngine::NoteInflightHighWater(uint64_t inflight) {
@@ -138,22 +105,6 @@ void QueryEngine::NoteInflightHighWater(uint64_t inflight) {
 
 QueryEngine::Token QueryEngine::Submit(geo::IPv4 server,
                                        std::vector<uint8_t> wire_query) {
-  if (base_ != nullptr) {
-    // Wrapped mode executes inline on the submitting thread — the
-    // simulator's chaos contexts are thread-local, so the exchange must
-    // not hop threads. The window is trivially bounded by the lane count.
-    Token token;
-    {
-      std::lock_guard lock(mu_);
-      token = next_token_++;
-      ++inflight_;
-      NoteInflightHighWater(inflight_);
-    }
-    stats_.submitted.fetch_add(1, std::memory_order_relaxed);
-    Complete(token, DelegatedExchange(server, wire_query));
-    return token;
-  }
-
   Token token;
   {
     std::unique_lock lock(mu_);
@@ -187,71 +138,7 @@ util::StatusOr<std::vector<uint8_t>> QueryEngine::Wait(Token token) {
 
 util::StatusOr<std::vector<uint8_t>> QueryEngine::Exchange(
     geo::IPv4 server, const std::vector<uint8_t>& wire_query) {
-  if (base_ != nullptr) {
-    // Inline fast path: no token round-trip for the common resolver call.
-    stats_.submitted.fetch_add(1, std::memory_order_relaxed);
-    auto result = DelegatedExchange(server, wire_query);
-    stats_.completed.fetch_add(1, std::memory_order_relaxed);
-    return result;
-  }
   return Wait(Submit(server, wire_query));
-}
-
-util::StatusOr<std::vector<uint8_t>> QueryEngine::ExchangeStream(
-    geo::IPv4 server, const std::vector<uint8_t>& wire_query) {
-  if (base_ != nullptr) return base_->ExchangeStream(server, wire_query);
-  return TcpExchange(server, options_.port, wire_query, options_.timeout_ms,
-                     options_.max_response_bytes);
-}
-
-util::StatusOr<std::vector<uint8_t>> QueryEngine::DelegatedExchange(
-    geo::IPv4 server, const std::vector<uint8_t>& wire_query) {
-  if (options_.per_server_qps > 0.0) {
-    WrappedPacing& pacing = wrapped_pacing_[this];
-    const uint64_t tag =
-        pacing.tag_stack.empty() ? 0 : pacing.tag_stack.back();
-    TokenBucket& bucket = pacing.buckets_by_tag[tag][server.bits()];
-    const double burst = options_.per_server_burst > 0
-                             ? options_.per_server_burst
-                             : std::max(1.0, options_.per_server_qps);
-    uint64_t now = base_->now_ms();
-    if (bucket.last_ms == 0 && bucket.tokens == 0.0) {
-      bucket.tokens = burst;  // fresh bucket starts full
-    } else {
-      bucket.tokens = std::min(
-          burst, bucket.tokens + static_cast<double>(now - bucket.last_ms) *
-                                     options_.per_server_qps / 1000.0);
-    }
-    bucket.last_ms = now;
-    if (bucket.tokens >= 1.0) {
-      bucket.tokens -= 1.0;
-    } else {
-      // Deterministic pacing: charge the wait to the base transport's
-      // logical clock so the delay is a pure function of the query
-      // sequence within this context.
-      const uint64_t wait_ms = static_cast<uint64_t>(std::ceil(
-          (1.0 - bucket.tokens) * 1000.0 / options_.per_server_qps));
-      base_->Delay(static_cast<uint32_t>(wait_ms));
-      stats_.ratelimit_deferred.fetch_add(1, std::memory_order_relaxed);
-      bucket.last_ms = base_->now_ms();
-      bucket.tokens = 0.0;  // the refill was exactly the token just spent
-    }
-  }
-
-  auto result = base_->Exchange(server, wire_query);
-  if (result.ok() && IsTruncated(*result)) {
-    stats_.truncated.fetch_add(1, std::memory_order_relaxed);
-    if (options_.stream_fallback) {
-      auto full = base_->ExchangeStream(server, wire_query);
-      if (full.ok()) {
-        stats_.tcp_fallbacks.fetch_add(1, std::memory_order_relaxed);
-        return full;
-      }
-      // The stream retry failed; the truncated datagram is still the
-      // best evidence we have — surface it as the sync path would.
-    }
-  }
-  return result;
 }
 
 void QueryEngine::Complete(Token token,
@@ -343,11 +230,15 @@ void QueryEngine::Dispatch(Submission s) {
   }
   const uint64_t now = now_ms();
   if (options_.per_server_qps > 0.0) {
-    TokenBucket& bucket = buckets_[s.server.bits()];
     const double burst = options_.per_server_burst > 0
                              ? options_.per_server_burst
                              : std::max(1.0, options_.per_server_qps);
-    if (bucket.last_ms == 0 && bucket.tokens == 0.0) {
+    // A bucket starts full at its server's first query. Only insertion marks
+    // it new: a bucket spent inside the engine's first millisecond looks
+    // like an unused one (no tokens, last refill at 0).
+    auto [it, fresh] = buckets_.try_emplace(s.server.bits());
+    TokenBucket& bucket = it->second;
+    if (fresh) {
       bucket.tokens = burst;
     } else {
       bucket.tokens = std::min(
@@ -547,24 +438,6 @@ EngineStats QueryEngine::stats() const {
   s.send_errors = stats_.send_errors.load(std::memory_order_relaxed);
   s.max_inflight = stats_.max_inflight.load(std::memory_order_relaxed);
   return s;
-}
-
-void QueryEngine::PublishStats(obs::MetricsRegistry& registry) const {
-  const EngineStats s = stats();
-  auto gauge = [&](std::string_view name, uint64_t value) {
-    registry.SetGauge(name, static_cast<int64_t>(value),
-                      obs::Determinism::kDiagnostic);
-  };
-  gauge("engine.submitted", s.submitted);
-  gauge("engine.completed", s.completed);
-  gauge("engine.timeouts", s.timeouts);
-  gauge("engine.truncated", s.truncated);
-  gauge("engine.tcp_fallbacks", s.tcp_fallbacks);
-  gauge("engine.wrong_source", s.wrong_source);
-  gauge("engine.wrong_id", s.wrong_id);
-  gauge("engine.ratelimit_deferred", s.ratelimit_deferred);
-  gauge("engine.send_errors", s.send_errors);
-  gauge("engine.max_inflight", s.max_inflight);
 }
 
 }  // namespace govdns::netio

@@ -15,17 +15,8 @@
 // The engine is itself a dns::QueryTransport, so the resolver and the whole
 // core::Study drive it unchanged: Exchange = Submit + Wait. Concurrency
 // comes from many resolver lanes sharing one engine — each lane parks
-// cheaply in Wait while the loop keeps the window full.
-//
-// Two modes share the interface:
-//  * Real mode (default ctor): actual sockets, wall-clock deadlines.
-//  * Wrapped mode (ctor taking a base transport): every exchange is
-//    delegated to the base — typically simnet::SimNetwork — executed
-//    inline on the submitting thread so the simulator's thread-local chaos
-//    contexts, and therefore byte-identical study reports, are preserved.
-//    What remains of the engine is the window bookkeeping, deterministic
-//    token buckets charged to the base's logical clock, and the optional
-//    stream retry for truncated replies.
+// cheaply in Wait while the loop keeps the window full. It talks to real
+// sockets only: deadlines and pacing run on the wall clock.
 #pragma once
 
 #include <atomic>
@@ -43,14 +34,10 @@
 #include "geo/ipv4.h"
 #include "util/status.h"
 
-namespace govdns::obs {
-class MetricsRegistry;
-}
-
 namespace govdns::netio {
 
-// Aggregate engine counters (all modes). Diagnostic by nature: counts
-// depend on network behaviour and scheduling, never on report content.
+// Aggregate engine counters. Diagnostic by nature: counts depend on network
+// behaviour and scheduling, never on report content.
 struct EngineStats {
   uint64_t submitted = 0;
   uint64_t completed = 0;
@@ -68,21 +55,16 @@ class QueryEngine : public dns::QueryTransport {
  public:
   struct Options {
     uint16_t port = 53;          // destination port for every exchange
-    int socket_pool = 8;         // shared UDP sockets (real mode)
+    int socket_pool = 8;         // shared UDP sockets
     int max_inflight = 1024;     // bounded submission window
     int timeout_ms = 2000;       // per-query deadline
     int max_response_bytes = 4096;
-    // Real mode: re-ask truncated (TC=1) replies over TCP.
+    // Re-ask truncated (TC=1) replies over TCP.
     bool tcp_fallback = true;
-    // Wrapped mode: re-ask truncated replies through the base transport's
-    // stream path. Off by default so an engine-fronted simulation stays
-    // byte-identical with the bare transport.
-    bool stream_fallback = false;
     // Per-nameserver token-bucket pacing: sustained queries/sec per server
     // address (0 = unlimited) with `per_server_burst` of headroom
-    // (0 = derive as max(1, qps)). In wrapped mode the buckets live per
-    // chaos context and charge waits to the base transport's logical
-    // clock, so pacing is deterministic and hermetic per unit of work.
+    // (0 = derive as max(1, qps)). A server's bucket starts full at its
+    // first query.
     double per_server_qps = 0.0;
     int per_server_burst = 0;
   };
@@ -90,10 +72,7 @@ class QueryEngine : public dns::QueryTransport {
   // A submitted query; redeemable exactly once via Wait.
   using Token = uint64_t;
 
-  // Real-socket engine.
   explicit QueryEngine(Options options);
-  // Wrapped engine: delegates I/O to `base` (not owned, must outlive).
-  QueryEngine(dns::QueryTransport* base, Options options);
   ~QueryEngine() override;
 
   QueryEngine(const QueryEngine&) = delete;
@@ -105,23 +84,16 @@ class QueryEngine : public dns::QueryTransport {
   // Blocks until the query behind `token` completes; at most once per token.
   util::StatusOr<std::vector<uint8_t>> Wait(Token token);
 
-  // dns::QueryTransport — Exchange is Submit+Wait in real mode, an inline
-  // delegated call in wrapped mode.
+  // dns::QueryTransport — Exchange is Submit + Wait; now_ms is the engine's
+  // steady clock and Delay sleeps.
   util::StatusOr<std::vector<uint8_t>> Exchange(
-      geo::IPv4 server, const std::vector<uint8_t>& wire_query) override;
-  util::StatusOr<std::vector<uint8_t>> ExchangeStream(
       geo::IPv4 server, const std::vector<uint8_t>& wire_query) override;
   uint64_t now_ms() const override;
   void Delay(uint32_t ms) override;
-  void PushChaosContext(uint64_t tag) override;
-  void PopChaosContext() override;
 
   EngineStats stats() const;
-  // Exports the counters as diagnostic `engine.*` gauges.
-  void PublishStats(obs::MetricsRegistry& registry) const;
 
   const Options& options() const { return options_; }
-  bool wrapped() const { return base_ != nullptr; }
 
  private:
   struct Submission {
@@ -129,7 +101,7 @@ class QueryEngine : public dns::QueryTransport {
     geo::IPv4 server;
     std::vector<uint8_t> wire;
   };
-  // One in-flight real-mode query, owned by the event loop.
+  // One in-flight query, owned by the event loop.
   struct Pending {
     Token token = 0;
     geo::IPv4 server;
@@ -165,13 +137,9 @@ class QueryEngine : public dns::QueryTransport {
     std::atomic<uint64_t> max_inflight{0};
   };
 
-  // --- shared ---
-  util::StatusOr<std::vector<uint8_t>> DelegatedExchange(
-      geo::IPv4 server, const std::vector<uint8_t>& wire_query);
   void Complete(Token token, util::StatusOr<std::vector<uint8_t>> result);
   void NoteInflightHighWater(uint64_t inflight);
 
-  // --- real mode ---
   void EventLoop();
   void FallbackLoop();
   void WakeLoop();
@@ -184,10 +152,9 @@ class QueryEngine : public dns::QueryTransport {
   int LoopPollTimeout(uint64_t now) const;
 
   Options options_;
-  dns::QueryTransport* base_ = nullptr;
   AtomicStats stats_;
 
-  // Submission window / completion rendezvous (all modes).
+  // Submission window / completion rendezvous.
   mutable std::mutex mu_;
   std::condition_variable window_cv_;   // space in the window
   std::condition_variable complete_cv_;  // a completion landed
@@ -197,7 +164,7 @@ class QueryEngine : public dns::QueryTransport {
   std::deque<Submission> submit_queue_;
   std::unordered_map<Token, util::StatusOr<std::vector<uint8_t>>> completions_;
 
-  // Real-mode plumbing.
+  // Sockets and the loop's wake-up pipe.
   std::vector<int> sockets_;
   int wake_pipe_[2] = {-1, -1};
   std::thread loop_thread_;
@@ -225,16 +192,6 @@ class QueryEngine : public dns::QueryTransport {
   std::condition_variable fallback_cv_;
   std::deque<FallbackTask> fallback_queue_;
   std::vector<std::thread> fallback_threads_;
-
-  // Wrapped-mode deterministic pacing: per-thread, per-context buckets.
-  struct WrappedPacing {
-    std::vector<uint64_t> tag_stack;
-    // (context tag, server) -> bucket; entries die with their context.
-    std::unordered_map<uint64_t, std::unordered_map<uint32_t, TokenBucket>>
-        buckets_by_tag;
-  };
-  static thread_local std::unordered_map<const QueryEngine*, WrappedPacing>
-      wrapped_pacing_;
 };
 
 }  // namespace govdns::netio

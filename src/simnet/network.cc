@@ -10,13 +10,13 @@ namespace {
 
 // Every counter of NetworkStats, so they are added and read as one set.
 constexpr uint64_t NetworkStats::*kCounters[] = {
-    &NetworkStats::exchanges,     &NetworkStats::stream_exchanges,
-    &NetworkStats::timeouts,      &NetworkStats::unreachable,
-    &NetworkStats::delivered,     &NetworkStats::flap_dropped,
-    &NetworkStats::burst_dropped, &NetworkStats::rate_limited,
-    &NetworkStats::corrupted,     &NetworkStats::truncated,
-    &NetworkStats::wrong_id,      &NetworkStats::hung,
-    &NetworkStats::blackholed,    &NetworkStats::slow_dripped,
+    &NetworkStats::exchanges,     &NetworkStats::timeouts,
+    &NetworkStats::unreachable,   &NetworkStats::delivered,
+    &NetworkStats::flap_dropped,  &NetworkStats::burst_dropped,
+    &NetworkStats::rate_limited,  &NetworkStats::corrupted,
+    &NetworkStats::truncated,     &NetworkStats::wrong_id,
+    &NetworkStats::hung,          &NetworkStats::blackholed,
+    &NetworkStats::slow_dripped,
 };
 static_assert(sizeof(kCounters) / sizeof(kCounters[0]) * sizeof(uint64_t) ==
                   sizeof(NetworkStats),
@@ -138,16 +138,6 @@ void SimNetwork::Delay(uint32_t ms) {
 
 util::StatusOr<std::vector<uint8_t>> SimNetwork::Exchange(
     geo::IPv4 server, const std::vector<uint8_t>& wire_query) {
-  return ExchangeImpl(server, wire_query, /*stream=*/false);
-}
-
-util::StatusOr<std::vector<uint8_t>> SimNetwork::ExchangeStream(
-    geo::IPv4 server, const std::vector<uint8_t>& wire_query) {
-  return ExchangeImpl(server, wire_query, /*stream=*/true);
-}
-
-util::StatusOr<std::vector<uint8_t>> SimNetwork::ExchangeImpl(
-    geo::IPv4 server, const std::vector<uint8_t>& wire_query, bool stream) {
   ChaosContext* ctx = ActiveContext();
   // The context's state for this endpoint; null without a context.
   ContextEndpoint* state = ctx != nullptr ? &ctx->StateFor(server) : nullptr;
@@ -159,7 +149,6 @@ util::StatusOr<std::vector<uint8_t>> SimNetwork::ExchangeImpl(
     }
   };
   count(&NetworkStats::exchanges);
-  if (stream) count(&NetworkStats::stream_exchanges);
   // In a context, the exchange ordinal is per (context, endpoint): retries
   // of the same query get fresh draws, but the stream is independent of
   // global history and of other threads. Context-free exchanges keep the
@@ -326,9 +315,6 @@ util::StatusOr<std::vector<uint8_t>> SimNetwork::ExchangeImpl(
     rtt += static_cast<uint32_t>(
         rng.UniformU64(uint64_t{behavior.rtt_jitter_ms} + 1));
   }
-  // A stream exchange pays the TCP handshake: one extra round trip before
-  // the query can even be sent.
-  if (stream) rtt += behavior.rtt_ms;
   // Slow drip: the server would answer, but only after an adversarially
   // long pause; when that pushes the RTT past the client timeout the reply
   // arrives too late to count.
@@ -347,17 +333,13 @@ util::StatusOr<std::vector<uint8_t>> SimNetwork::ExchangeImpl(
 
   // Damaged-but-delivered modes, applied to the wire bytes so the client's
   // parser sees exactly what a broken path would hand it. Draw order is
-  // fixed for determinism. A stream carries none of these: TCP has no
-  // 512-byte ceiling to truncate at, checksummed delivery, and a connection
-  // an off-path spoofer cannot inject ids into — the draws are still made
-  // so a stream retry does not shift the endpoint's datagram draw stream.
+  // fixed for determinism.
   bool corrupt = behavior.corrupt_rate > 0.0 &&
                  rng.Bernoulli(behavior.corrupt_rate);
   bool truncate = behavior.truncate_rate > 0.0 &&
                   rng.Bernoulli(behavior.truncate_rate);
   bool wrong_id = behavior.wrong_id_rate > 0.0 &&
                   rng.Bernoulli(behavior.wrong_id_rate);
-  if (stream) corrupt = truncate = wrong_id = false;
   if (corrupt) {
     // Chop below the 12-byte header and garble: guaranteed undecodable.
     if (reply.size() > 8) reply.resize(8);

@@ -2,7 +2,7 @@
 //
 // SimNetwork implements dns::QueryTransport over an in-memory address space:
 // every IPv4 endpoint has an optional packet handler (typically an
-// AuthServer wrapped by worldgen) and a behaviour profile. This stands in
+// AuthServer that worldgen attaches) and a behaviour profile. This stands in
 // for the real Internet between the paper's vantage point and the world's
 // nameservers; silence, loss, latency and the whole chaos model below are
 // deterministic functions of the world seed, so the whole measurement is
@@ -156,8 +156,6 @@ struct ChaosProfile {
 // Statistics the harness can report on.
 struct NetworkStats {
   uint64_t exchanges = 0;
-  // Stream (simulated TCP) exchanges, also counted in `exchanges`.
-  uint64_t stream_exchanges = 0;
   uint64_t timeouts = 0;
   uint64_t unreachable = 0;
   uint64_t delivered = 0;
@@ -207,14 +205,6 @@ class SimNetwork : public dns::QueryTransport {
 
   // dns::QueryTransport:
   util::StatusOr<std::vector<uint8_t>> Exchange(
-      geo::IPv4 server, const std::vector<uint8_t>& wire_query) override;
-  // Simulated DNS-over-TCP. Subject to the same reachability chaos as UDP
-  // (silence, hangs, blackholes, flapping, loss, bursts, rate limiting) and
-  // costs an extra RTT for the handshake, but is immune to the
-  // datagram-level damage modes: no truncation, corruption or id rewriting —
-  // that is precisely why a measurement client retries truncated replies
-  // over TCP.
-  util::StatusOr<std::vector<uint8_t>> ExchangeStream(
       geo::IPv4 server, const std::vector<uint8_t>& wire_query) override;
   uint64_t now_ms() const override;
   void Delay(uint32_t ms) override;
@@ -269,11 +259,6 @@ class SimNetwork : public dns::QueryTransport {
 
   // The calling thread's innermost context, if it belongs to this network.
   ChaosContext* ActiveContext() const;
-
-  // Shared datagram/stream exchange pipeline; `stream` selects the TCP
-  // semantics described at ExchangeStream.
-  util::StatusOr<std::vector<uint8_t>> ExchangeImpl(
-      geo::IPv4 server, const std::vector<uint8_t>& wire_query, bool stream);
 
   static constexpr size_t kRuntimeStripes = 16;
   size_t RuntimeStripe(geo::IPv4 server) const {

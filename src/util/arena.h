@@ -16,7 +16,7 @@
 // scratch that dies at the next Reset().
 //
 // CacheAligned<T> pads a value to its own cache line. The miner's atomic
-// seed dispensers and per-worker accumulators are wrapped in it so that
+// seed dispensers and per-worker accumulators are held in it so that
 // adjacent hot state cannot false-share a line at 8+ workers.
 #pragma once
 

@@ -493,10 +493,6 @@ class BlockingTransport : public dns::QueryTransport {
     }
     return inner_->Exchange(server, wire_query);
   }
-  util::StatusOr<std::vector<uint8_t>> ExchangeStream(
-      geo::IPv4 server, const std::vector<uint8_t>& wire_query) override {
-    return inner_->ExchangeStream(server, wire_query);
-  }
   uint64_t now_ms() const override { return inner_->now_ms(); }
   void Delay(uint32_t ms) override { inner_->Delay(ms); }
   void PushChaosContext(uint64_t tag) override {

@@ -3,8 +3,7 @@
 // wire-format messages produced and consumed by the same code the
 // simulation uses. Includes the hardening cases (spoofed sources, wrong
 // transaction ids, EINTR storms) and the async QueryEngine: batched
-// submit/complete, TCP fallback on truncation, and study-report
-// byte-identity between the sync transport and the engine.
+// submit/complete, per-server pacing and TCP fallback on truncation.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -17,17 +16,10 @@
 #include <csignal>
 #include <thread>
 
-#include "core/export.h"
-#include "core/measure.h"
-#include "core/report.h"
 #include "core/resolver.h"
-#include "core/study.h"
 #include "netio/engine.h"
 #include "netio/tcp.h"
 #include "netio/udp.h"
-#include "simnet/network.h"
-#include "worldgen/adapter.h"
-#include "worldgen/world.h"
 #include "zone/auth_server.h"
 
 namespace govdns::netio {
@@ -346,6 +338,35 @@ TEST_F(NetioTest, EngineBatchedSubmitBoundedWindow) {
   EXPECT_EQ(stats.timeouts, 0u);
 }
 
+TEST_F(NetioTest, EnginePacesEachServerFromItsFirstQuery) {
+  // One token per 50 ms and a burst of one: of four queries to one server
+  // submitted at once, the first spends the token and the other three wait
+  // their turn, even inside the engine's first millisecond.
+  QueryEngine::Options options;
+  options.port = server_.port();
+  options.timeout_ms = 2000;
+  options.per_server_qps = 20.0;
+  options.per_server_burst = 1;
+  QueryEngine engine(options);
+
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<QueryEngine::Token> tokens;
+  for (int i = 0; i < 4; ++i) {
+    tokens.push_back(engine.Submit(
+        Loopback(),
+        dns::MakeQuery(static_cast<uint16_t>(i + 1),
+                       Name::FromString("www.gov.xx"), dns::RRType::kA)
+            .Encode()));
+  }
+  for (QueryEngine::Token token : tokens) {
+    auto raw = engine.Wait(token);
+    ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(engine.stats().ratelimit_deferred, 3u);
+  EXPECT_GE(elapsed, std::chrono::milliseconds(140));
+}
+
 TEST_F(NetioTest, EngineTruncatedReplyFallsBackToTcp) {
   // UDP twin serves TC=1 with the answers stripped; the TCP twin on the
   // same port number serves the full answer. The engine must splice the
@@ -390,119 +411,6 @@ TEST_F(NetioTest, EngineTruncatedReplyFallsBackToTcp) {
   EXPECT_EQ(stats.truncated, 1u);
   EXPECT_EQ(stats.tcp_fallbacks, 1u);
   EXPECT_GE(tcp.requests_served(), 1u);
-}
-
-// --- wrapped mode over the simulator ---------------------------------------
-
-simnet::SimNetwork::Handler EchoHandler() {
-  return [](const std::vector<uint8_t>& wire) -> std::vector<uint8_t> {
-    auto query = dns::Message::Decode(wire);
-    if (!query.ok()) return {};
-    return dns::MakeResponse(*query, dns::Rcode::kNoError).Encode();
-  };
-}
-
-TEST(QueryEngineWrappedTest, StreamFallbackRecoversTruncatedReply) {
-  simnet::SimNetwork net(7);
-  geo::IPv4 ns(10, 0, 0, 1);
-  net.AttachHandler(ns, EchoHandler());
-  simnet::EndpointBehavior behavior;
-  behavior.truncate_rate = 1.0;  // every datagram comes back TC=1
-  net.SetBehavior(ns, behavior);
-
-  const std::vector<uint8_t> wire =
-      dns::MakeQuery(5, Name::FromString("www.gov.xx"), dns::RRType::kA)
-          .Encode();
-
-  // Bare transport: the damage is visible.
-  auto bare = net.Exchange(ns, wire);
-  ASSERT_TRUE(bare.ok());
-  ASSERT_TRUE(dns::Message::Decode(*bare)->header.tc);
-
-  QueryEngine::Options options;
-  options.stream_fallback = true;
-  QueryEngine engine(&net, options);
-  auto raw = engine.Exchange(ns, wire);
-  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
-  auto reply = dns::Message::Decode(*raw);
-  ASSERT_TRUE(reply.ok());
-  EXPECT_FALSE(reply->header.tc);
-
-  EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.truncated, 1u);
-  EXPECT_EQ(stats.tcp_fallbacks, 1u);
-  EXPECT_EQ(net.stats().stream_exchanges, 1u);
-}
-
-TEST(QueryEngineWrappedTest, RateLimitChargesDeterministicLogicalDelay) {
-  auto run = [](uint64_t tag) -> std::pair<uint64_t, uint64_t> {
-    simnet::SimNetwork net(11);
-    geo::IPv4 ns(10, 0, 0, 2);
-    net.AttachHandler(ns, EchoHandler());
-
-    QueryEngine::Options options;
-    options.per_server_qps = 2.0;  // one token per 500 logical ms
-    options.per_server_burst = 1;
-    QueryEngine engine(&net, options);
-
-    engine.PushChaosContext(tag);
-    const uint64_t start = engine.now_ms();
-    const std::vector<uint8_t> wire =
-        dns::MakeQuery(5, Name::FromString("www.gov.xx"), dns::RRType::kA)
-            .Encode();
-    for (int i = 0; i < 4; ++i) {
-      auto raw = engine.Exchange(ns, wire);
-      EXPECT_TRUE(raw.ok());
-    }
-    const uint64_t elapsed = engine.now_ms() - start;
-    engine.PopChaosContext();
-    return {elapsed, engine.stats().ratelimit_deferred};
-  };
-
-  auto [elapsed_a, deferred_a] = run(404);
-  auto [elapsed_b, deferred_b] = run(404);
-  // Pacing is a pure function of (tag, query sequence): identical runs
-  // charge identical logical waits.
-  EXPECT_EQ(elapsed_a, elapsed_b);
-  EXPECT_EQ(deferred_a, deferred_b);
-  EXPECT_EQ(deferred_a, 3u);  // burst covers the first query only
-  // Three waits of ~500ms dominate the elapsed logical time.
-  EXPECT_GE(elapsed_a, 1500u);
-}
-
-// --- end-to-end determinism -------------------------------------------------
-
-std::string RunStudyArm(bool engine_mode, int workers) {
-  worldgen::WorldConfig config;
-  config.scale = 0.01;
-  config.seed = 2022;
-  auto world = worldgen::BuildWorld(config);
-
-  worldgen::BoundStudy bound;
-  bound.policy = std::make_unique<worldgen::PolicyLookupAdapter>(
-      &world->registry_policy());
-  core::StudyInputs inputs =
-      worldgen::MakeStudyInputs(*world, bound.policy.get());
-  std::unique_ptr<QueryEngine> engine;
-  if (engine_mode) {
-    engine = std::make_unique<QueryEngine>(inputs.transport,
-                                           QueryEngine::Options{});
-    inputs.transport = engine.get();
-  }
-  bound.study = std::make_unique<core::Study>(std::move(inputs));
-  return core::ExportReportJson(
-      bound.study->Run({.measurement = {.workers = workers}}));
-}
-
-TEST(QueryEngineStudyTest, EngineReportByteIdenticalToSync) {
-  const std::string sync1 = RunStudyArm(/*engine_mode=*/false, 1);
-  const std::string sync4 = RunStudyArm(/*engine_mode=*/false, 4);
-  const std::string engine4 = RunStudyArm(/*engine_mode=*/true, 4);
-  const std::string engine_lanes = RunStudyArm(/*engine_mode=*/true, 8);
-  ASSERT_FALSE(sync1.empty());
-  EXPECT_EQ(sync1, sync4);
-  EXPECT_EQ(sync1, engine4);
-  EXPECT_EQ(sync1, engine_lanes);
 }
 
 TEST(NetioStandaloneTest, StartFailsOnPrivilegedPortOrReportsCleanly) {

@@ -83,11 +83,15 @@ RunOutput RunStudy(int workers) {
 TEST(ParallelMeasureTest, FourWorkersMatchSerialByteForByte) {
   RunOutput serial = RunStudy(1);
   RunOutput parallel = RunStudy(4);
+  // More workers than a 4-core host has cores.
+  RunOutput oversubscribed = RunStudy(8);
 
   // Headline equivalence: the resilience report and the full exported study
   // report are byte-identical — no analysis can tell the runs apart.
   EXPECT_EQ(serial.resilience_json, parallel.resilience_json);
   EXPECT_EQ(serial.export_json, parallel.export_json);
+  EXPECT_EQ(serial.resilience_json, oversubscribed.resilience_json);
+  EXPECT_EQ(serial.export_json, oversubscribed.export_json);
 
   // The observability layer obeys the same contract: the stable metrics
   // snapshot and the full trace document (sampled per-domain event logs,

@@ -355,15 +355,14 @@ struct Outcome {
 
 // Exchanges first .. first + count - 1 of a fixed schedule, in the calling
 // thread's current context (or none): round robin over the three
-// endpoints, every fifth one a stream, the query id the exchange's number.
+// endpoints, the query id the exchange's number.
 std::vector<Outcome> Exchanges(SimNetwork& net, int count, int first = 0) {
   static const geo::IPv4 kServers[] = {kBursty, kLimited, kStormy};
   std::vector<Outcome> out;
   for (int i = first; i < first + count; ++i) {
     const geo::IPv4 server = kServers[i % 3];
     const auto query = WireQuery(static_cast<uint16_t>(i));
-    auto raw = i % 5 == 4 ? net.ExchangeStream(server, query)
-                          : net.Exchange(server, query);
+    auto raw = net.Exchange(server, query);
     out.push_back({raw.status().code(),
                    raw.ok() ? *raw : std::vector<uint8_t>{}, net.now_ms()});
   }
@@ -380,7 +379,6 @@ std::vector<Outcome> InContext(SimNetwork& net, uint64_t tag, int count) {
 NetworkStats Sum(const NetworkStats& a, const NetworkStats& b) {
   NetworkStats s = a;
   s.exchanges += b.exchanges;
-  s.stream_exchanges += b.stream_exchanges;
   s.timeouts += b.timeouts;
   s.unreachable += b.unreachable;
   s.delivered += b.delivered;
@@ -398,7 +396,6 @@ NetworkStats Sum(const NetworkStats& a, const NetworkStats& b) {
 
 void ExpectSameStats(const NetworkStats& got, const NetworkStats& want) {
   EXPECT_EQ(got.exchanges, want.exchanges);
-  EXPECT_EQ(got.stream_exchanges, want.stream_exchanges);
   EXPECT_EQ(got.timeouts, want.timeouts);
   EXPECT_EQ(got.unreachable, want.unreachable);
   EXPECT_EQ(got.delivered, want.delivered);

@@ -7,8 +7,7 @@
 //                [--checkpoint-dir DIR] [--resume] [--ckpt-batch N]
 //                [--ckpt-kill-after N]
 //                [--phase-deadline MS] [--country-budget MS]
-//                [--domain-budget MS] [--quarantine-report PATH]
-//                [--engine] [--max-inflight N] [--per-ns-qps Q] [--lanes N]
+//                [--domain-budget MS] [--quarantine-report PATH] [--lanes N]
 //                [--snapshot-file PATH] [--map-snapshot PATH]
 //                [--vantages N] [--vantage-deadline MS]
 //                [--vantage-restarts K] [--vantage-sigkill NAME:MS]
@@ -19,13 +18,11 @@
 // consolidated report (unless --no-report) and/or writes machine-readable
 // exports. --mine-workers and --lanes set the miner's and the measurer's
 // worker counts (0, the default, means every core); the report is the same
-// for any count. --engine fronts the transport with the async QueryEngine
-// (--max-inflight and --per-ns-qps tune its window and per-server rate) and
-// leaves the report byte-identical. --metrics and --trace attach the
-// observability layer and dump the metrics snapshot / sampled query traces
-// (DESIGN.md §6d); both documents are deterministic for a given seed except
-// for series tagged "diagnostic". The report is the figure run: one section
-// per paper table and figure (core::PrintReport).
+// for any count. --metrics and --trace attach the observability layer and
+// dump the metrics snapshot / sampled query traces (DESIGN.md §6d); both
+// documents are deterministic for a given seed except for series tagged
+// "diagnostic". The report is the figure run: one section per paper table
+// and figure (core::PrintReport).
 //
 // Every flag value is parsed strictly: a missing value, a value that is not
 // wholly a number, or one outside its flag's range (--scale in [0, 1000],
@@ -60,7 +57,9 @@
 // crashed shards from their journals (--vantage-restarts attempts), SIGKILLs
 // any attempt that outlives --vantage-deadline, folds the surviving vantage
 // frames into the deterministic cross-vantage disagreement report, and
-// degrades lost vantages into the quarantine taxonomy. Test hooks:
+// degrades lost vantages into the quarantine taxonomy; --metrics writes one
+// document per shard, and --trace, --csv and --quarantine-report, which the
+// merged report has nothing for, are refused. Test hooks:
 // --vantage-sigkill NAME:MS murders a shard mid-run, --vantage-kill-after
 // NAME:N arms a first-attempt fault plan at the Nth journal write, and
 // --vantage-stall NAME:MS wedges a first attempt so the deadline fires.
@@ -87,7 +86,6 @@
 #include "core/study.h"
 #include "core/study_ckpt.h"
 #include "core/vantage.h"
-#include "netio/engine.h"
 #include "obs/obs.h"
 #include "pdns/db.h"
 #include "util/json.h"
@@ -154,8 +152,6 @@ int main(int argc, char** argv) {
   std::string quarantine_path;
   std::string snapshot_out_path;
   std::string map_snapshot_path;
-  bool use_engine = false;
-  netio::QueryEngine::Options engine_options;
   int vantages = 0;
   core::VantageSupervisorOptions vantage_options;
   std::optional<std::pair<std::string, uint64_t>> vantage_kill_after;
@@ -227,13 +223,6 @@ int main(int argc, char** argv) {
       snapshot_out_path = text();
     } else if (arg == "--map-snapshot") {
       map_snapshot_path = text();
-    } else if (arg == "--engine") {
-      use_engine = true;
-    } else if (arg == "--max-inflight") {
-      engine_options.max_inflight = count(kIntMax);
-    } else if (arg == "--per-ns-qps") {
-      engine_options.per_server_qps =
-          real(std::numeric_limits<double>::max());
     } else if (arg == "--lanes") {
       pipeline.measurement.workers = count(kIntMax);
     } else if (arg == "--vantages") {
@@ -268,9 +257,9 @@ int main(int argc, char** argv) {
                  "[--checkpoint-dir DIR] [--resume] [--ckpt-batch N] "
                  "[--ckpt-kill-after N] [--phase-deadline MS] "
                  "[--country-budget MS] [--domain-budget MS] "
-                 "[--quarantine-report PATH] [--engine] [--max-inflight N] "
-                 "[--per-ns-qps Q] [--lanes N] [--snapshot-file PATH] "
-                 "[--map-snapshot PATH] [--vantages N (max %d)] "
+                 "[--quarantine-report PATH] [--lanes N] "
+                 "[--snapshot-file PATH] [--map-snapshot PATH] "
+                 "[--vantages N (max %d)] "
                  "[--vantage-deadline MS] [--vantage-restarts K] "
                  "[--vantage-sigkill NAME:MS] [--vantage-kill-after NAME:N] "
                  "[--vantage-stall NAME:MS]\n",
@@ -294,19 +283,21 @@ int main(int argc, char** argv) {
   }
   if (vantages > 0) {
     // The shards ARE the journal consumers, so a checkpoint root is
-    // mandatory; engine/snapshot modes are per-process concerns that do not
-    // compose with fork-per-vantage (the engine spawns threads, and fork
-    // from a threaded parent is off the table).
+    // mandatory; snapshot files and --ckpt-kill-after are per-process
+    // concerns that do not compose with fork-per-vantage, and the merged
+    // report has no trace, CSV table or quarantine document to export.
     if (checkpoint_dir.empty()) {
       PrintStructuredError("setup", "--vantages requires --checkpoint-dir");
       return 2;
     }
-    if (use_engine || !snapshot_out_path.empty() || !map_snapshot_path.empty() ||
-        kill_after != 0) {
+    if (!snapshot_out_path.empty() || !map_snapshot_path.empty() ||
+        kill_after != 0 || !trace_path.empty() || !csv_tables.empty() ||
+        !quarantine_path.empty()) {
       PrintStructuredError("setup",
-                           "--vantages is incompatible with --engine, "
-                           "--snapshot-file, --map-snapshot and "
-                           "--ckpt-kill-after (use --vantage-kill-after)");
+                           "--vantages is incompatible with --snapshot-file, "
+                           "--map-snapshot, --trace, --csv, "
+                           "--quarantine-report and --ckpt-kill-after (use "
+                           "--vantage-kill-after)");
       return 2;
     }
   }
@@ -316,14 +307,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "building world (scale %.3f, seed %llu)...\n",
                  config.scale, static_cast<unsigned long long>(config.seed));
     auto world = worldgen::BuildWorld(config);
-    // The engine (if any) must be wired in *before* the Study is built: the
-    // study binds its resolver to the transport at construction. Fronting
-    // the simulated network with a wrapped-mode QueryEngine leaves the
-    // report byte-identical — exchanges still execute inline on each lane's
-    // thread under its own chaos context — while exercising the exact
-    // submit/complete path a real-socket run uses.
     std::optional<pdns::PdnsSnapshot> mapped_snapshot;
-    std::unique_ptr<netio::QueryEngine> engine;
     worldgen::BoundStudy bound;
     bound.policy = std::make_unique<worldgen::PolicyLookupAdapter>(
         &world->registry_policy());
@@ -469,18 +453,14 @@ int main(int argc, char** argv) {
                    mapped_snapshot->mapped() ? "mmap" : "read fallback");
     }
 
-    if (use_engine) {
-      engine = std::make_unique<netio::QueryEngine>(inputs.transport,
-                                                    engine_options);
-      inputs.transport = engine.get();
-    }
     bound.study = std::make_unique<core::Study>(std::move(inputs));
 
     obs::ObservabilityConfig obs_config;
     obs_config.trace.sample_period = trace_sample == 0 ? 1 : trace_sample;
     obs::Observability observability(obs_config);
-    const bool want_obs = !metrics_path.empty() || !trace_path.empty();
-    if (want_obs) bound.study->AttachObservability(&observability);
+    if (!metrics_path.empty() || !trace_path.empty()) {
+      bound.study->AttachObservability(&observability);
+    }
 
     std::unique_ptr<core::StudyCheckpoint> checkpoint;
     if (!checkpoint_dir.empty()) {
@@ -499,9 +479,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "running study...\n");
     // A stage that fails throws a PipelineError naming it.
     const core::StudyReport report = bound.study->Run(pipeline);
-    if (engine != nullptr && want_obs) {
-      engine->PublishStats(observability.metrics());
-    }
     if (checkpoint != nullptr) {
       std::fprintf(stderr, "[ckpt] stats %s\n",
                    checkpoint->StatsJson().c_str());

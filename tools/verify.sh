@@ -126,6 +126,19 @@ arg_rejected "GOVDNS_MINE_SCALE=abc" env GOVDNS_SCALE=0.01 \
 echo "smoke: bad GOVDNS_SCALE/GOVDNS_MINE_SCALE, example scales and a bad" \
   "country code exit 2 before any world OK"
 
+echo "==> smoke: govdns_study --vantages refuses --trace before building a world"
+# The merged cross-vantage report has no trace, CSV table or quarantine
+# document, so --vantages with --trace (or --csv, or --quarantine-report) is
+# a set-up error: exit 2 before the world is built, and no file written.
+arg_rejected "--vantages 2 --trace" ./build/tools/govdns_study --no-report \
+  --vantages 2 --checkpoint-dir "${SMOKE_DIR}/vant_refused" \
+  --trace "${SMOKE_DIR}/vant_refused.json"
+if [ -e "${SMOKE_DIR}/vant_refused.json" ]; then
+  echo "smoke: --vantages 2 --trace wrote its trace file" >&2
+  exit 1
+fi
+echo "smoke: --vantages 2 --trace exits 2 before any world, no trace file OK"
+
 echo "==> smoke: bench_output.txt rebuilds byte for byte; report JSON pinned"
 # The committed artifact is every paper table and figure from one
 # govdns_study run at scale 1 (about 9 s and 0.7 GB on a 4-core host) plus
